@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 class ConstantSeriesError(ValueError):
@@ -27,7 +26,9 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("need at least 3 points")
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         raise ConstantSeriesError("constant series")
-    return float(sps.spearmanr(xs, ys).statistic)
+    from scipy.stats import spearmanr
+
+    return float(spearmanr(xs, ys).statistic)
 
 
 def legendre2_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -59,7 +60,9 @@ def linear_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Squared Pearson correlation; symmetric in its arguments."""
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         raise ConstantSeriesError("constant series")
-    r = float(sps.pearsonr(xs, ys).statistic)
+    from scipy.stats import pearsonr
+
+    r = float(pearsonr(xs, ys).statistic)
     return r * r
 
 
@@ -157,7 +160,9 @@ def multi_seed_summary(values: Sequence[float]) -> SeedSummary:
         return SeedSummary(mean=mean, ci=None, n=1, std=None)
     var = sum((v - mean) ** 2 for v in values) / (k - 1)
     std = math.sqrt(var)
-    tq = float(sps.t.ppf(0.975, k - 1))
+    from scipy.stats import t
+
+    tq = float(t.ppf(0.975, k - 1))
     half = tq * std / math.sqrt(k)
     return SeedSummary(mean=mean, ci=(mean - half, mean + half), n=k, std=std)
 

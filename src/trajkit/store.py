@@ -33,6 +33,10 @@ class EpisodeFileError(ValueError):
     """Raised when an episode file cannot be read at all."""
 
 
+class CorruptRecordsError(ValueError):
+    """Raised when a run's records file has a bad line before valid records."""
+
+
 @dataclass(frozen=True)
 class Observation:
     screenshot_ref: str
@@ -405,7 +409,10 @@ class RunWriter:
     Appends are serialized through a lock so episode workers may be
     concurrent. Appending a key that is already persisted is a no-op. A
     corrupted trailing line (torn write) is detected on open; the file is
-    truncated back to the last valid record and a warning is kept.
+    truncated back to the last valid record and a warning is kept. A bad
+    line with valid records after it is not a torn write: opening raises
+    ``CorruptRecordsError`` naming the file and line, and the file is left
+    untouched.
     """
 
     def __init__(self, run_dir: str | Path, config: Optional[dict] = None):
@@ -497,20 +504,37 @@ def persist_run(records: Iterable[RunRecord], run_dir: str | Path,
 
 
 def _read_records(path: Path) -> tuple[list[RunRecord], int, Optional[str]]:
+    """(records, bytes up to the first bad line, warning about a torn tail).
+
+    Bad lines are tolerated only as the file's tail, where a torn write
+    leaves them; a bad line followed by a valid record raises
+    ``CorruptRecordsError``.
+    """
     records: list[RunRecord] = []
     valid_bytes = 0
-    warning = None
+    bad_line_no = None
     with path.open("rb") as fh:
         for line_no, raw_line in enumerate(fh, start=1):
             try:
                 text = raw_line.decode("utf-8")
                 if not text.endswith("\n"):
                     raise ValueError("unterminated line")
-                records.append(RunRecord.from_json(text))
+                record = RunRecord.from_json(text)
             except (UnicodeDecodeError, ValueError, TypeError, KeyError):
-                warning = f"truncated corrupt record at line {line_no} of {path.name}"
-                break
+                if bad_line_no is None:
+                    bad_line_no = line_no
+                continue
+            if bad_line_no is not None:
+                raise CorruptRecordsError(
+                    f"{path}: corrupt record at line {bad_line_no} is followed "
+                    f"by a valid record at line {line_no}; not a torn write, "
+                    f"so the file is left as it is"
+                )
+            records.append(record)
             valid_bytes += len(raw_line)
+    warning = None
+    if bad_line_no is not None:
+        warning = f"truncated corrupt record at line {bad_line_no} of {path.name}"
     return records, valid_bytes, warning
 
 

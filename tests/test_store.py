@@ -5,6 +5,7 @@ import pytest
 from trajkit import synth
 from trajkit.actions import ActionKind
 from trajkit.store import (
+    CorruptRecordsError,
     Episode,
     RunRecord,
     RunWriter,
@@ -194,6 +195,22 @@ class TestRunWriter:
         records, _, warnings = load_run(tmp_path)
         assert len(records) == 4
         assert warnings == []
+
+    def test_mid_file_corruption_refused_and_file_untouched(self, tmp_path):
+        writer = RunWriter(tmp_path)
+        for i in range(20):
+            writer.append(make_record(i))
+        path = tmp_path / "records.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[4] = b'{"key": "e1/4", "episode_id": \n'
+        corrupted = b"".join(lines)
+        path.write_bytes(corrupted)
+
+        with pytest.raises(CorruptRecordsError, match=r"records\.jsonl.* line 5 "):
+            RunWriter(tmp_path)
+        assert path.read_bytes() == corrupted
+        with pytest.raises(CorruptRecordsError):
+            load_run(tmp_path)
 
     def test_record_json_roundtrip(self):
         rec = make_record(2, history_sources=[True, False], seed=9, round=1)
