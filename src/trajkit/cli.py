@@ -78,7 +78,14 @@ from .stats import (
     multi_seed_summary,
     wilson_interval,
 )
-from .store import RunWriter, load_episodes, load_run, _decode_gt_action
+from .store import (
+    ConfigMismatchError,
+    CorruptRecordsError,
+    RunWriter,
+    _decode_gt_action,
+    load_episodes,
+    load_run,
+)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -356,8 +363,13 @@ def cmd_rollout(args, config: dict) -> int:
     return 0
 
 
-def _load_cells(path, dialect) -> dict[str, list]:
-    from .store import RunRecord
+def _load_cells(path) -> dict[str, list]:
+    """Samples per cell, from each record's structured prediction.
+
+    Raw responses are not parsed again: pixel coordinates need the step's
+    screen dimensions, which the rollout parse already applied.
+    """
+    from .store import RunRecord, decode_prediction
 
     cells: dict[str, list] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -365,8 +377,10 @@ def _load_cells(path, dialect) -> dict[str, list]:
             if not line.strip():
                 continue
             r = RunRecord.from_json(line)
-            sample = ExecutionSample.from_parsed(
-                dialect.parse_response(r.raw_response), r.seed, r.round)
+            action = decode_prediction(r)
+            sample = ExecutionSample(action=action, thought=r.thought, seed=r.seed,
+                                     round=r.round, parse_ok=action is not None,
+                                     failure_reason=r.failure_reason)
             cells.setdefault(f"{r.episode_id}/{r.step_index}", []).append(sample)
     return cells
 
@@ -374,9 +388,8 @@ def _load_cells(path, dialect) -> dict[str, list]:
 def cmd_cluster(args, config: dict) -> int:
     from .decisions import diversity_shift, stability_shift
 
-    dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
-    cells = _load_cells(args.rollouts, dialect)
-    compare_cells = _load_cells(args.compare, dialect) if args.compare else None
+    cells = _load_cells(args.rollouts)
+    compare_cells = _load_cells(args.compare) if args.compare else None
 
     gt_by_key = {}
     if args.benchmark:
@@ -685,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", help="second rollout log; emit shift columns")
     p.add_argument("--benchmark")
     p.add_argument("--limit-episodes", type=int)
-    p.add_argument("--dialect", choices=["xml-toolcall", "thought-action", "plain-json"])
+    p.add_argument("--dialect", choices=["xml-toolcall", "thought-action", "plain-json"],
+                   help="unused: samples come from each record's structured prediction")
     p.add_argument("--epsilon", type=float, default=DBSCAN_EPSILON)
     p.add_argument("--min-pts", type=int, default=DBSCAN_MIN_PTS)
     p.add_argument("--out", required=True)
@@ -760,7 +774,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = _load_config(getattr(args, "config", None))
-    return args.func(args, config)
+    try:
+        return args.func(args, config)
+    except (ConfigMismatchError, CorruptRecordsError) as exc:
+        print(f"trajkit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

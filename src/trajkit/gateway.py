@@ -11,6 +11,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
+import secrets
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -264,18 +266,29 @@ class ScriptedBackend(MockBackend):
         super().__init__(responder)
 
 
+def _file_base64(path: str) -> bytes:
+    return base64.b64encode(Path(path).read_bytes())
+
+
 class HttpBackend:
-    """Chat-completions client with retry/backoff; errors surface verbatim."""
+    """Chat-completions client with retry/backoff; errors surface verbatim.
+
+    Each request body is serialized once, as bytes, and every retry posts
+    the same bytes. Screenshots are base64-encoded once per request and kept
+    for the next request of the same thread, which in a replay shares all
+    history screenshots but the newest.
+    """
 
     RETRYABLE_STATUS = (408, 409, 429, 500, 502, 503, 504)
 
     def __init__(self, backoff_base: float = 0.5, sleep=time.sleep):
         self._sleep = sleep
         self._backoff_base = backoff_base
+        # Per thread: path -> ((st_size, st_mtime_ns), base64 bytes) of the
+        # screenshots in that thread's previous request.
+        self._local = threading.local()
 
     def complete(self, request: GenerationRequest, cfg: EndpointConfig) -> list[str]:
-        import os
-
         import requests
 
         url = cfg.base_url.rstrip("/") + "/chat/completions"
@@ -284,11 +297,11 @@ class HttpBackend:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        body = self._encode_body(request, cfg)
+        body = self._body_bytes(request, cfg)
         last_error: Optional[str] = None
         for attempt in range(cfg.max_retries + 1):
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=cfg.timeout)
+                resp = requests.post(url, data=body, headers=headers, timeout=cfg.timeout)
             except requests.RequestException as exc:
                 last_error = str(exc)
             else:
@@ -303,8 +316,57 @@ class HttpBackend:
                 self._sleep(self._backoff_base * (2 ** attempt))
         raise EndpointUnavailableError(last_error or "endpoint unreachable")
 
+    def _body_bytes(self, request: GenerationRequest, cfg: EndpointConfig) -> bytes:
+        """``json.dumps(_encode_body(request, cfg), allow_nan=False)`` as UTF-8 bytes.
+
+        The JSON is dumped with a marker in place of each image's base64,
+        and the base64 bytes are spliced in at the markers: base64 uses no
+        character that JSON escapes, so the result is byte-identical.
+        """
+        marker = f"trajkit-image-{secrets.token_hex(16)}"
+        paths: list[str] = []
+
+        def mark(path: str) -> str:
+            paths.append(path)
+            return marker
+
+        pieces = json.dumps(self._encode_body(request, cfg, mark), allow_nan=False).split(marker)
+        if len(pieces) != len(paths) + 1:
+            raise ValueError(f"request body holds {len(pieces) - 1} image markers "
+                             f"for {len(paths)} images")
+        images = self._screenshots(paths)
+        chunks = [pieces[0].encode("utf-8")]
+        for path, piece in zip(paths, pieces[1:]):
+            chunks += (images[path][1], piece.encode("utf-8"))
+        return b"".join(chunks)
+
+    def _screenshots(self, paths: Sequence[str]) -> dict[str, tuple[tuple[int, int], bytes]]:
+        """Stamp and base64 of each path; a file whose size and mtime match
+        this thread's previous request is not read again."""
+        previous = getattr(self._local, "images", {})
+        current = {}
+        for path in paths:
+            if path in current:
+                continue
+            st = os.stat(path)
+            stamp = (st.st_size, st.st_mtime_ns)
+            entry = previous.get(path)
+            if entry is None or entry[0] != stamp:
+                entry = (stamp, _file_base64(path))
+            current[path] = entry
+        self._local.images = current
+        return current
+
     @staticmethod
-    def _encode_body(request: GenerationRequest, cfg: EndpointConfig) -> dict:
+    def _encode_body(request: GenerationRequest, cfg: EndpointConfig,
+                     image_data: Optional[Callable[[str], str]] = None) -> dict:
+        """The chat-completions body.
+
+        ``image_data(path)`` gives the base64 text put in each image's data
+        URL; by default the file is read and encoded.
+        """
+        if image_data is None:
+            image_data = lambda path: _file_base64(path).decode("ascii")  # noqa: E731
         messages = []
         for msg in request.messages:
             content = []
@@ -312,10 +374,9 @@ class HttpBackend:
                 if isinstance(part, TextPart):
                     content.append({"type": "text", "text": part.text})
                 else:
-                    data = base64.b64encode(Path(part.path).read_bytes()).decode("ascii")
                     content.append({
                         "type": "image_url",
-                        "image_url": {"url": f"data:image/png;base64,{data}"},
+                        "image_url": {"url": f"data:image/png;base64,{image_data(part.path)}"},
                     })
             messages.append({"role": msg.role, "content": content})
         if request.fixed_thought is not None:

@@ -37,6 +37,10 @@ class CorruptRecordsError(ValueError):
     """Raised when a run's records file has a bad line before valid records."""
 
 
+class ConfigMismatchError(ValueError):
+    """Raised when a run dir is reopened under a configuration other than its own."""
+
+
 @dataclass(frozen=True)
 class Observation:
     screenshot_ref: str
@@ -413,6 +417,10 @@ class RunWriter:
     line with valid records after it is not a torn write: opening raises
     ``CorruptRecordsError`` naming the file and line, and the file is left
     untouched.
+
+    Opened with a config, the writer records the config's hash in a new
+    manifest right away, so an interrupted run resumed under another
+    configuration raises ``ConfigMismatchError`` instead of reusing records.
     """
 
     def __init__(self, run_dir: str | Path, config: Optional[dict] = None):
@@ -427,17 +435,21 @@ class RunWriter:
         self._seed_list: list[int] = list(config.get("seed_list", [])) if config else []
 
         existing = self._load_existing()
-        if self._config_hash is not None and self.manifest_path.exists():
-            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-            stored = manifest.get("config_hash")
-            if stored is not None and stored != self._config_hash:
-                raise ValueError(
-                    f"run dir {self.run_dir} was produced under a different "
-                    f"configuration (hash {stored} != {self._config_hash})"
-                )
         self._by_key = {r.key: r for r in existing}
         self._completed = set(self._by_key)
         self._existing = existing
+        if self._config_hash is None:
+            return
+        if self.manifest_path.exists():
+            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            stored = manifest.get("config_hash")
+            if stored is not None and stored != self._config_hash:
+                raise ConfigMismatchError(
+                    f"run dir {self.run_dir} was produced under a different "
+                    f"configuration (hash {stored} != {self._config_hash})"
+                )
+        else:
+            self.write_manifest()
 
     def _load_existing(self) -> list[RunRecord]:
         if not self.records_path.exists():

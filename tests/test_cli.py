@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,34 @@ class TestRolloutClusterJudge:
             assert int(row["n"]) == 16  # 2 rounds x 8 samples
             assert float(row["diversity"]) >= 0.0
             assert row["stability_level"] in ("low", "medium", "high")
+
+    @pytest.mark.parametrize("policy", ["oracle", "alternating"])
+    def test_cluster_stability_matches_rollout_rate(self, bench, tmp_path, policy):
+        from trajkit.store import load_episodes
+
+        # Pixel coordinates on a screen that is not 1000 x 1000 must not be
+        # read as per-mille when the rollouts are clustered.
+        steps = [s for ep in load_episodes(bench).episodes for s in ep.steps]
+        assert {s.observation.dims for s in steps} == {(1080.0, 2400.0)}
+        run = tmp_path / "ro"
+        assert main(["rollout", "--benchmark", str(bench), "--dialect", "xml-toolcall",
+                     "--backend", "mock", "--mock-policy", policy, "--rounds", "2",
+                     "--samples", "3", "--out-dir", str(run)]) == 0
+        hits = {}
+        for line in (run / "rollouts.jsonl").read_text(encoding="utf-8").splitlines():
+            r = json.loads(line)
+            hits.setdefault(f"{r['episode_id']}/{r['step_index']}", []).append(
+                r["evaluation"]["exact_match"])
+        out_csv = tmp_path / "cells.csv"
+        assert main(["cluster", "--rollouts", str(run / "rollouts.jsonl"),
+                     "--benchmark", str(bench), "--dialect", "xml-toolcall",
+                     "--out", str(out_csv)]) == 0
+        rows = read_csv(out_csv)
+        assert sorted(r["cell"] for r in rows) == sorted(hits)
+        assert any(s.gt_action.point is not None for s in steps)
+        for row in rows:
+            rate = sum(hits[row["cell"]]) / len(hits[row["cell"]])
+            assert float(row["stability"]) == pytest.approx(rate), row["cell"]
 
     def test_judge_scripted(self, tmp_path, xml_dialect):
         from trajkit.actions import Action, ActionKind, Point
@@ -330,3 +362,74 @@ class TestJudgeCsvColumns:
         row = read_csv(out)[0]
         assert "judge0:PRESS(press=ENTER)" in row["per_judge"]
         assert "judge1:" in row["per_judge"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args):
+    """``python -m trajkit.cli`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "trajkit.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def assert_one_line_error(proc, match):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("trajkit: error: "), proc.stderr
+    assert match in lines[0]
+
+
+class Interrupted(Exception):
+    pass
+
+
+class TestRunDirErrors:
+    def test_interrupted_run_resumed_under_other_config(self, bench, tmp_path, monkeypatch):
+        import trajkit.cli as cli
+
+        real_backend = cli._backend
+
+        def interrupting_backend(args, episodes, dialect):
+            backend = real_backend(args, episodes, dialect)
+            respond = backend.responder
+
+            def responder(request, seed, n):
+                if backend.calls > 3:
+                    raise Interrupted()
+                return respond(request, seed, n)
+
+            backend.responder = responder
+            return backend
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(cli, "_backend", interrupting_backend)
+        with pytest.raises(Interrupted):
+            main(["eval", "--benchmark", str(bench), "--dialect", "xml-toolcall",
+                  "--backend", "mock", "--mock-policy", "wrong", "--out-dir", str(out)])
+        records = (out / "records.jsonl").read_bytes()
+        assert len(records.splitlines()) == 3
+
+        proc = run_cli(["eval", "--benchmark", str(bench), "--dialect", "plain-json",
+                        "--backend", "mock", "--mock-policy", "oracle",
+                        "--out-dir", str(out)])
+        assert_one_line_error(proc, "different configuration")
+        assert (out / "records.jsonl").read_bytes() == records
+
+    def test_corrupt_records_reported_in_one_line(self, bench, tmp_path):
+        out = tmp_path / "run"
+        args = ["eval", "--benchmark", str(bench), "--backend", "mock",
+                "--mock-policy", "oracle", "--out-dir", str(out)]
+        assert main(args) == 0
+        path = out / "records.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[4] = b"{not json\n"
+        path.write_bytes(b"".join(lines))
+
+        proc = run_cli(args)
+        assert_one_line_error(proc, "corrupt record at line 5")
+        assert path.read_bytes() == b"".join(lines)

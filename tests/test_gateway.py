@@ -1,7 +1,12 @@
+import base64
+import json
+import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_gateway
 from trajkit.dialects import ReferenceEntry
@@ -11,6 +16,7 @@ from trajkit.gateway import (
     EndpointUnavailableError,
     GenerationRequest,
     HttpBackend,
+    ImagePart,
     Message,
     MockBackend,
     ModelGateway,
@@ -206,13 +212,23 @@ class FakeResponse:
         return self._payload
 
 
+def assert_simple_body(data, n=1):
+    """The posted bytes are the JSON body of ``simple_request()``."""
+    assert isinstance(data, bytes)
+    body = json.loads(data)
+    assert body["model"] == "mock" and body["n"] == n
+    assert body["messages"] == [{"role": "user",
+                                 "content": [{"type": "text", "text": "hi"}]}]
+
+
 class TestHttpRetry:
     def test_retries_then_typed_failure(self, monkeypatch):
         import requests
 
         attempts = []
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def fake_post(url, data=None, headers=None, timeout=None):
+            assert_simple_body(data)
             attempts.append(url)
             raise requests.ConnectionError("boom")
 
@@ -226,7 +242,8 @@ class TestHttpRetry:
     def test_error_body_surfaced(self, monkeypatch):
         import requests
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def fake_post(url, data=None, headers=None, timeout=None):
+            assert_simple_body(data)
             return FakeResponse(400, text="bad schema: missing field x")
 
         monkeypatch.setattr(requests, "post", fake_post)
@@ -241,7 +258,9 @@ class TestHttpRetry:
         payload = {"choices": [{"message": {"content": "a"}},
                                {"message": {"content": "b"}}]}
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def fake_post(url, data=None, headers=None, timeout=None):
+            assert_simple_body(data, n=2)
+            assert headers["Content-Type"] == "application/json"
             return FakeResponse(200, payload=payload)
 
         monkeypatch.setattr(requests, "post", fake_post)
@@ -276,3 +295,158 @@ class TestHttpBodyEncoding:
         tail = body["messages"][-1]
         assert tail["role"] == "assistant" and tail["partial"]
         assert tail["content"].startswith("Thought: pinned")
+
+
+def expected_bytes(request, cfg):
+    """What ``requests.post(json=...)`` sends for the body, reading each
+    screenshot here rather than through ``gateway._file_base64``."""
+    def image_data(path):
+        return base64.b64encode(Path(path).read_bytes()).decode("ascii")
+
+    body = HttpBackend._encode_body(request, cfg, image_data)
+    return json.dumps(body, allow_nan=False).encode("utf-8")
+
+
+def image_request(paths, text="look"):
+    return GenerationRequest(messages=(
+        Message("system", (TextPart("sys"),)),
+        Message("user", (*(ImagePart(str(p)) for p in paths), TextPart(text))),
+    ))
+
+
+@pytest.fixture
+def count_reads(monkeypatch):
+    """Counts screenshot reads by path."""
+    import trajkit.gateway as gw
+
+    reads = {}
+    real = gw._file_base64
+
+    def counted(path):
+        reads[path] = reads.get(path, 0) + 1
+        return real(path)
+
+    monkeypatch.setattr(gw, "_file_base64", counted)
+    return reads
+
+
+# Text with quotes, backslashes, control characters, non-ASCII and astral characters.
+TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\n\t\r\x00\x1f\x7f\u2028é€😀 a'),
+    st.characters(codec="utf-8")), max_size=40)
+
+
+class TestHttpBodyBytes:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bytes_equal_json_dumps_of_encode_body(self, tmp_path, data):
+        shots = []
+        for i in range(3):
+            shot = tmp_path / f"s{i}.png"
+            if not shot.exists():
+                shot.write_bytes(bytes(range(256)) * (i + 1) + b"\xff" * i)
+            shots.append(str(shot))
+        parts = data.draw(st.lists(st.one_of(
+            TEXT.map(TextPart), st.sampled_from(shots).map(ImagePart)), max_size=10))
+        images = [p for p in parts if isinstance(p, ImagePart)][:6]
+        parts = [p for p in parts if isinstance(p, TextPart)] + images
+        parts = data.draw(st.permutations(parts)) if parts else [TextPart("")]
+        request = GenerationRequest(
+            messages=(Message("system", (TextPart(data.draw(TEXT)),)),
+                      Message("user", tuple(parts))),
+            enable_thinking=data.draw(st.booleans()),
+            fixed_thought=data.draw(st.none() | TEXT),
+        )
+        sampling = SamplingConfig(
+            temperature=data.draw(st.floats(0.0, 2.0)),
+            top_k=data.draw(st.sampled_from([-1, 0, 5])),
+            repetition_penalty=data.draw(st.sampled_from([1.0, 1.05])),
+            presence_penalty=data.draw(st.sampled_from([0.0, -0.5, 1.5])),
+            seed=data.draw(st.none() | st.integers(0, 2**31)),
+        )
+        cfg = EndpointConfig(model_name=data.draw(TEXT), sampling=sampling)
+        backend = HttpBackend()
+        want = json.dumps(HttpBackend._encode_body(request, cfg), allow_nan=False).encode("utf-8")
+        assert backend._body_bytes(request, cfg) == want
+        # Again, with this request's screenshots now cached.
+        assert backend._body_bytes(request, cfg) == want
+
+    def test_rewritten_screenshot_is_encoded_again(self, tmp_path, count_reads):
+        shot = tmp_path / "s.png"
+        shot.write_bytes(b"first")
+        request = image_request([shot])
+        cfg = EndpointConfig()
+        backend = HttpBackend()
+        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+        assert count_reads == {str(shot): 1}
+        # Same size, later mtime.
+        shot.write_bytes(b"secnd")
+        st_ = shot.stat()
+        os.utime(shot, ns=(st_.st_atime_ns, st_.st_mtime_ns + 1_000_000))
+        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+        # Other size, same mtime.
+        mtime = shot.stat().st_mtime_ns
+        shot.write_bytes(b"third!")
+        os.utime(shot, ns=(mtime, mtime))
+        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+        assert count_reads == {str(shot): 3}
+
+    def test_cache_holds_only_last_request_images(self, tmp_path, count_reads):
+        a, b, c = (tmp_path / f"{n}.png" for n in "abc")
+        for n, shot in enumerate((a, b, c)):
+            shot.write_bytes(bytes([n]) * 10)
+        backend = HttpBackend()
+        cfg = EndpointConfig()
+        for paths in ([a, b], [b, c, c], [a]):
+            request = image_request(paths)
+            assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+            assert set(backend._local.images) == {str(p) for p in paths}
+        # b is reused once; a was dropped by the second request and read again.
+        assert count_reads == {str(a): 2, str(b): 1, str(c): 1}
+
+    def test_cache_is_per_thread(self, tmp_path, count_reads):
+        shot = tmp_path / "s.png"
+        shot.write_bytes(b"png")
+        backend = HttpBackend()
+        request = image_request([shot])
+        backend._body_bytes(request, EndpointConfig())
+        worker = threading.Thread(target=backend._body_bytes,
+                                  args=(request, EndpointConfig()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert count_reads == {str(shot): 2}
+
+    def test_marker_count_mismatch_raises(self, tmp_path, monkeypatch):
+        import trajkit.gateway as gw
+
+        shot = tmp_path / "s.png"
+        shot.write_bytes(b"png")
+        monkeypatch.setattr(gw.secrets, "token_hex", lambda n: "0" * (2 * n))
+        request = image_request([shot], text="trajkit-image-" + "0" * 32)
+        with pytest.raises(ValueError, match="2 image markers for 1 images"):
+            HttpBackend()._body_bytes(request, EndpointConfig())
+
+    def test_retry_posts_equal_bytes_and_reads_once(self, tmp_path, monkeypatch, count_reads):
+        import requests
+
+        shots = [tmp_path / f"{n}.png" for n in range(3)]
+        for n, shot in enumerate(shots):
+            shot.write_bytes(bytes([n]) * 1000)
+        request = image_request(shots + shots[:1])
+        cfg = EndpointConfig(base_url="http://example.invalid/v1", max_retries=3)
+        posted = []
+
+        def fake_post(url, data=None, headers=None, timeout=None):
+            posted.append(data)
+            if len(posted) < 3:
+                return FakeResponse(503, text="busy")
+            return FakeResponse(200, payload={"choices": [{"message": {"content": "ok"}}]})
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        assert HttpBackend(backoff_base=0.0).complete(request, cfg) == ["ok"]
+        assert len(posted) == 3
+        assert posted == [expected_bytes(request, cfg)] * 3
+        assert count_reads == {str(s): 1 for s in shots}

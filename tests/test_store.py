@@ -5,6 +5,7 @@ import pytest
 from trajkit import synth
 from trajkit.actions import ActionKind
 from trajkit.store import (
+    ConfigMismatchError,
     CorruptRecordsError,
     Episode,
     RunRecord,
@@ -177,6 +178,23 @@ class TestRunWriter:
         writer.write_manifest()
         with pytest.raises(ValueError, match="different"):
             RunWriter(tmp_path, {"seed_list": [2]})
+
+    def test_interrupted_run_config_mismatch_refused(self, tmp_path):
+        writer = RunWriter(tmp_path, {"seed_list": [1]})
+        writer.append(make_record(0))
+        # Interrupted: the run never reached write_manifest().
+        with pytest.raises(ConfigMismatchError, match="different"):
+            RunWriter(tmp_path, {"seed_list": [2]})
+        resumed = RunWriter(tmp_path, {"seed_list": [1]})
+        assert resumed.completed_keys == {"e1/0"}
+
+    def test_existing_manifest_not_rewritten_on_open(self, tmp_path):
+        writer = RunWriter(tmp_path, {"seed_list": [1]})
+        writer.append(make_record(0))
+        writer.write_manifest({"mode": "offline"})
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        assert RunWriter(tmp_path, {"seed_list": [1]}).append(make_record(1))
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
 
     def test_torn_write_recovery(self, tmp_path):
         writer = RunWriter(tmp_path)
