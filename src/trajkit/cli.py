@@ -18,20 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import yaml
-
-from . import synth
 from .actions import ActionKind, Point
-from .decisions import (
-    DBSCAN_EPSILON,
-    DBSCAN_MIN_PTS,
-    ExecutionSample,
-    build_distribution,
-    diversity,
-    effective_support,
-    stability,
-    stability_level,
-)
 from .dialects import get_dialect
 from .evaluate import (
     DEFAULT_POLICY,
@@ -50,39 +37,11 @@ from .gateway import (
     SamplingConfig,
     prepare_input,
 )
-from .judging import detector_validation, judge_case, load_cases
-from .reporting import (
-    HORIZON_COLUMNS,
-    SWEEP_COLUMNS,
-    horizon_rows,
-    markdown_table,
-    sweep_rows,
-    write_aggregate_report,
-    write_correlation_report,
-    write_csv,
-    write_rejection_report,
-)
-from .rewards import group_advantages, reward_binary, reward_gaussian_click
-from .semionline import (
-    ArtifactPool,
-    SweepConfig,
-    compute_osr,
-    pooled_benchmark,
-    run_sweep,
-    soeval_benchmark,
-)
-from .stats import (
-    Contingency2x2,
-    contingency_stats,
-    correlation_report,
-    multi_seed_summary,
-    wilson_interval,
-)
 from .store import (
     ConfigMismatchError,
     CorruptRecordsError,
     RunWriter,
-    _decode_gt_action,
+    decode_action,
     load_episodes,
     load_run,
 )
@@ -91,6 +50,8 @@ from .store import (
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         return yaml.safe_load(fh) or {}
 
@@ -158,6 +119,8 @@ def _episodes(args, check_screenshots: bool = True):
 
 
 def _backend(args, episodes, dialect):
+    from . import synth
+
     if args.backend == "http":
         return HttpBackend()
     policy_name = getattr(args, "mock_policy", "oracle") or "oracle"
@@ -173,6 +136,8 @@ def _backend(args, episodes, dialect):
 
 def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: float = 0.2):
     """Oracle with seeded spatial jitter and occasional wrong answers."""
+    from . import synth
+
     steps = {step.key: step for ep in episodes for step in ep.steps}
 
     def responder(request, seed, n):
@@ -202,6 +167,8 @@ def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: fl
 
 
 def cmd_ingest(args, config: dict) -> int:
+    from .reporting import write_rejection_report
+
     _resolve_benchmark(args, config)
     report = load_episodes(args.benchmark, check_screenshots=not args.no_check_screenshots)
     print(f"episodes: {len(report.episodes)}  rejections: {len(report.rejections)}")
@@ -220,6 +187,8 @@ def cmd_ingest(args, config: dict) -> int:
 
 
 def cmd_make_fixture(args, config: dict) -> int:
+    from . import synth
+
     path = synth.make_benchmark_file(
         args.out_dir, n_episodes=args.episodes,
         steps_per_episode=args.steps, seed=args.seed,
@@ -229,6 +198,15 @@ def cmd_make_fixture(args, config: dict) -> int:
 
 
 def _run_eval(args, config: dict, mode: str) -> int:
+    from .reporting import HORIZON_COLUMNS, horizon_rows, write_aggregate_report, write_csv
+    from .semionline import (
+        ArtifactPool,
+        compute_osr,
+        pool_sha256,
+        pooled_benchmark,
+        soeval_benchmark,
+    )
+
     if not args.out_dir:
         raise SystemExit("--out-dir is required")
     _resolve_benchmark(args, config)
@@ -250,6 +228,11 @@ def _run_eval(args, config: dict, mode: str) -> int:
         "min_comparable": policy.min_comparable,
         "exclude_gt_kinds": sorted(k.value for k in policy.exclude_gt_kinds),
     }
+    if mode == "pool":
+        if not getattr(args, "pool", None):
+            raise SystemExit("soeval --mode pool requires --pool <file>")
+        # The pool's bytes, not its path, decide whether a run dir resumes.
+        run_config["pool_sha256"] = pool_sha256(args.pool)
     out_dir = Path(args.out_dir)
     writer = RunWriter(out_dir, run_config)
     for w in writer.warnings:
@@ -263,8 +246,6 @@ def _run_eval(args, config: dict, mode: str) -> int:
             continue_on_error=args.continue_on_error,
         )
     elif mode == "pool":
-        if not getattr(args, "pool", None):
-            raise SystemExit("soeval --mode pool requires --pool <file>")
         pool = ArtifactPool.load(args.pool)
         records, metrics = pooled_benchmark(
             gateway, episodes, dialect, pool, policy, writer=writer,
@@ -320,6 +301,7 @@ def cmd_rollout(args, config: dict) -> int:
     backend = _backend(args, episodes, dialect)
 
     from .evaluate import evaluate_parsed
+    from .semionline import ArtifactPool
     from .store import RunRecord, prediction_fields, step_key
 
     rows = []
@@ -369,6 +351,7 @@ def _load_cells(path) -> dict[str, list]:
     Raw responses are not parsed again: pixel coordinates need the step's
     screen dimensions, which the rollout parse already applied.
     """
+    from .decisions import ExecutionSample
     from .store import RunRecord, decode_prediction
 
     cells: dict[str, list] = {}
@@ -386,7 +369,16 @@ def _load_cells(path) -> dict[str, list]:
 
 
 def cmd_cluster(args, config: dict) -> int:
-    from .decisions import diversity_shift, stability_shift
+    from .decisions import (
+        build_distribution,
+        diversity,
+        diversity_shift,
+        effective_support,
+        stability,
+        stability_level,
+        stability_shift,
+    )
+    from .reporting import write_csv
 
     cells = _load_cells(args.rollouts)
     compare_cells = _load_cells(args.compare) if args.compare else None
@@ -435,6 +427,9 @@ def cmd_cluster(args, config: dict) -> int:
 
 
 def cmd_judge(args, config: dict) -> int:
+    from .judging import detector_validation, judge_case, load_cases
+    from .reporting import write_csv
+
     dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
     cases = load_cases(args.cases)
     if args.backend != "mock":
@@ -490,6 +485,9 @@ def cmd_judge(args, config: dict) -> int:
 
 
 def cmd_sweep(args, config: dict) -> int:
+    from .reporting import SWEEP_COLUMNS, sweep_rows, write_csv
+    from .semionline import ArtifactPool, SweepConfig, run_sweep
+
     _resolve_benchmark(args, config)
     dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
     episodes, _ = _episodes(args)
@@ -515,6 +513,9 @@ def cmd_sweep(args, config: dict) -> int:
 
 
 def cmd_reward(args, config: dict) -> int:
+    from .reporting import write_csv
+    from .rewards import group_advantages, reward_binary, reward_gaussian_click
+
     rows = []
     if args.groups:
         with open(args.groups, "r", encoding="utf-8") as fh:
@@ -536,10 +537,10 @@ def cmd_reward(args, config: dict) -> int:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
-                gt = _decode_gt_action(rec["gt_kind"], rec.get("gt_params") or {})
+                gt = decode_action(rec["gt_kind"], rec.get("gt_params") or {})
                 pred = None
                 if rec.get("pred_kind"):
-                    pred = _decode_gt_action(rec["pred_kind"], rec.get("pred_params") or {})
+                    pred = decode_action(rec["pred_kind"], rec.get("pred_params") or {})
                 bbox = None
                 if rec.get("gt_bbox"):
                     from .actions import BBox
@@ -562,6 +563,14 @@ def cmd_reward(args, config: dict) -> int:
 
 
 def cmd_report(args, config: dict) -> int:
+    from .reporting import (
+        HORIZON_COLUMNS,
+        horizon_rows,
+        markdown_table,
+        write_aggregate_report,
+        write_csv,
+    )
+
     records, manifest, warnings = load_run(args.run_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -587,7 +596,17 @@ def cmd_report(args, config: dict) -> int:
 
 
 def cmd_stats(args, config: dict) -> int:
+    from .stats import (
+        Contingency2x2,
+        contingency_stats,
+        correlation_report,
+        multi_seed_summary,
+        wilson_interval,
+    )
+
     if args.stat == "correlation":
+        from .reporting import write_correlation_report
+
         with open(args.csv, "r", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             columns: dict[str, list[float]] = {name: [] for name in reader.fieldnames}
@@ -700,8 +719,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit-episodes", type=int)
     p.add_argument("--dialect", choices=["xml-toolcall", "thought-action", "plain-json"],
                    help="unused: samples come from each record's structured prediction")
-    p.add_argument("--epsilon", type=float, default=DBSCAN_EPSILON)
-    p.add_argument("--min-pts", type=int, default=DBSCAN_MIN_PTS)
+    # decisions.DBSCAN_EPSILON and DBSCAN_MIN_PTS, written out so that
+    # building the parser does not import the clustering code.
+    p.add_argument("--epsilon", type=float, default=70.0,
+                   help="DBSCAN radius, per-mille (default: %(default)s)")
+    p.add_argument("--min-pts", type=int, default=3,
+                   help="DBSCAN core-point count (default: %(default)s)")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.set_defaults(func=cmd_cluster)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .actions import Action, ActionKind, BBox, Point, spatial_distance
 from .dialects import ParsedResponse
 from .evaluate import CLICK_RADIUS, params_match
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SPATIAL_KINDS = (ActionKind.CLICK, ActionKind.LONG_PRESS)
 TEXT_KINDS = (ActionKind.TYPE, ActionKind.OPEN)
@@ -79,6 +80,8 @@ class ExecutionSample:
 
 
 def _distance_matrix(coords: np.ndarray, metric: str) -> np.ndarray:
+    import numpy as np
+
     diff = coords[:, None, :] - coords[None, :, :]
     if metric.lower() == "l2":
         return np.sqrt((diff ** 2).sum(axis=-1))
@@ -101,6 +104,8 @@ def cluster_spatial(
     (ties to the lowest core index), which makes labels independent of
     input order. Labels are numbered by first-member order.
     """
+    import numpy as np
+
     n = len(points)
     if n == 0:
         return np.empty(0, dtype=int)
@@ -458,6 +463,8 @@ MAX_OT_SUPPORT = 256
 
 def _spatial_atoms(dist: DecisionDistribution, kind: ActionKind
                    ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     pts = []
     masses = []
     for c in dist.clusters:
@@ -473,6 +480,7 @@ def _spatial_atoms(dist: DecisionDistribution, kind: ActionKind
 def discrete_w1(points_a: np.ndarray, weights_a: np.ndarray,
                 points_b: np.ndarray, weights_b: np.ndarray) -> float:
     """Exact 1-Wasserstein distance between small discrete measures."""
+    import numpy as np
     from scipy.optimize import linprog
 
     if abs(weights_a.sum() - weights_b.sum()) > 1e-9:
@@ -531,6 +539,8 @@ def epsilon_sensitivity(
     distributions. Optionally compares the base L2 clustering against L1 at
     the scale-adjusted threshold.
     """
+    import numpy as np
+
     eps_values = sorted(set(eps_grid))
     dists: dict[float, list[DecisionDistribution]] = {e: [] for e in eps_values}
     for cell in cells:

@@ -248,24 +248,6 @@ class MockBackend:
         return list(out)
 
 
-class ScriptedBackend(MockBackend):
-    """Mock backend reading responses from a pre-built ``tag -> response`` table."""
-
-    def __init__(self, script: dict[str, Union[str, list[str]]]):
-        self.script = dict(script)
-
-        def responder(request: GenerationRequest, seed: Optional[int], n: int):
-            try:
-                entry = self.script[request.tag]
-            except KeyError:
-                raise KeyError(f"no scripted response for tag {request.tag!r}")
-            if isinstance(entry, str):
-                return [entry] * n if n > 1 else entry
-            return entry[:n]
-
-        super().__init__(responder)
-
-
 def _file_base64(path: str) -> bytes:
     return base64.b64encode(Path(path).read_bytes())
 

@@ -19,7 +19,7 @@ from .dialects import Dialect
 from .evaluate import CLICK_RADIUS, params_match
 from .gateway import ModelGateway, prepare_input
 from .stats import wilson_interval
-from .store import Observation, StepTask
+from .store import Observation, StepTask, decode_action
 
 
 class UndecidableError(RuntimeError):
@@ -227,8 +227,6 @@ def detector_validation(labels: Sequence[bool], predictions: Sequence[bool],
 
 def load_cases(path: str | Path) -> list[ConsistencyCase]:
     """Read line-delimited consistency cases (see docs for the schema)."""
-    from .store import _decode_gt_action  # shared param grammar
-
     cases = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
@@ -238,8 +236,8 @@ def load_cases(path: str | Path) -> list[ConsistencyCase]:
             raw = json.loads(line)
             executed = None
             if raw.get("executed_kind"):
-                executed = _decode_gt_action(raw["executed_kind"],
-                                             raw.get("executed_params") or {})
+                executed = decode_action(raw["executed_kind"],
+                                         raw.get("executed_params") or {})
             label = raw.get("human_label")
             cases.append(ConsistencyCase(
                 case_id=str(raw["case_id"]),

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .evaluate import AggregateReport
-from .semionline import SweepResult
-from .stats import CorrelationReport
+
+if TYPE_CHECKING:
+    from .semionline import SweepResult
+    from .stats import CorrelationReport
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

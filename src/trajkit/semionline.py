@@ -9,14 +9,13 @@ logistic schedule over the relative position inside the history sequence.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import Action
 from .dialects import ArtifactEntry, Dialect, HistoryEntry, ReferenceEntry
@@ -28,7 +27,17 @@ from .evaluate import (
     evaluate_parsed,
 )
 from .gateway import ModelGateway, prepare_input
-from .store import Episode, RunRecord, RunWriter, decode_prediction, prediction_fields
+from .store import (
+    Episode,
+    RunRecord,
+    RunWriter,
+    decode_action,
+    decode_prediction,
+    prediction_fields,
+)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -98,6 +107,8 @@ class Schedule:
 
 
 def _sigma(x):
+    import numpy as np
+
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -109,6 +120,8 @@ def nlogi(x, kappa: float, mu: float, sign: str = "+"):
     """
     if kappa <= 0:
         raise InvalidShapeError(f"kappa must be positive, got {kappa}")
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     lo = _sigma(-kappa * mu)
     hi = _sigma(kappa * (1.0 - mu))
@@ -145,6 +158,8 @@ def schedule_probabilities(total: int, sched: Schedule) -> list[float]:
 def schedule_mean(p_lb: float, gap: float, kappa: float, mu: float,
                   direction: str = "increasing") -> float:
     """Expected p over sr in [0, 1], by trapezoid quadrature."""
+    import numpy as np
+
     xs = np.linspace(0.0, 1.0, QUADRATURE_POINTS + 1)
     sign = "+" if direction == "increasing" else "-"
     ys = nlogi(xs, kappa, mu, sign)
@@ -358,14 +373,8 @@ class ArtifactPool:
     @classmethod
     def load(cls, path: str | Path) -> "ArtifactPool":
         """Read one pool file, or merge every ``*.jsonl`` in a directory."""
-        from .store import _decode_gt_action
-
-        path = Path(path)
-        files = sorted(path.glob("*.jsonl")) if path.is_dir() else [path]
-        if not files:
-            raise FileNotFoundError(f"no pool files under {path}")
         pool = cls()
-        for file in files:
+        for file in _pool_files(path):
             with file.open("r", encoding="utf-8") as fh:
                 for line in fh:
                     line = line.strip()
@@ -374,7 +383,7 @@ class ArtifactPool:
                     raw = json.loads(line)
                     pool.add(OnPolicyArtifact(
                         key=raw["key"],
-                        action=_decode_gt_action(raw["kind"], raw.get("params") or {}),
+                        action=decode_action(raw["kind"], raw.get("params") or {}),
                         thought=raw.get("thought"),
                         conclusion=raw.get("conclusion"),
                         raw_response=raw.get("raw_response", ""),
@@ -400,6 +409,22 @@ class ArtifactPool:
                 raw_response=r.raw_response,
             ))
         return pool
+
+
+def _pool_files(path: str | Path) -> list[Path]:
+    path = Path(path)
+    files = sorted(path.glob("*.jsonl")) if path.is_dir() else [path]
+    if not files:
+        raise FileNotFoundError(f"no pool files under {path}")
+    return files
+
+
+def pool_sha256(path: str | Path) -> str:
+    """SHA-256 of the bytes ``ArtifactPool.load`` reads, in its file order."""
+    digest = hashlib.sha256()
+    for file in _pool_files(path):
+        digest.update(file.read_bytes())
+    return digest.hexdigest()
 
 
 def sample_history_mask(total: int, sched: Schedule, rng: np.random.Generator) -> list[bool]:
@@ -512,6 +537,8 @@ def pooled_benchmark(
     seed: Optional[int] = None,
     global_seed: int = 0,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
+    import numpy as np
+
     all_records: list[RunRecord] = []
     metrics: dict[str, EpisodeMetrics] = {}
     for idx, ep in enumerate(episodes):
@@ -561,6 +588,8 @@ def build_sweep_grid(cfg: SweepConfig, rng: Optional[np.random.Generator] = None
     A 4-value grid yields 16 configurations: 6 increasing, 6 decreasing, and
     4 stationary; 50 mean targets per pair give 800 settings.
     """
+    import numpy as np
+
     rng = rng or np.random.default_rng(cfg.global_seed)
     endpoints = np.linspace(0.0, 1.0, cfg.grid)
     settings: list[SweepSetting] = []
@@ -611,14 +640,21 @@ def run_sweep_setting(
     fallback_log: Optional[list[str]] = None,
 ) -> SweepResult:
     """Measure (realized OSR, exact match) under one mixing schedule."""
+    import numpy as np
+
     rng = np.random.default_rng((setting.index, global_seed))
+    # p(t) depends only on the history length, so each length's vector is
+    # computed once per setting rather than once per step.
+    probabilities: dict[int, list[float]] = {}
     substituted = 0
     positions = 0
     exact = 0
     scored = 0
     for ep in episodes:
         for i, step in enumerate(ep.steps):
-            mask = sample_history_mask(i, setting.schedule, rng) if i else []
+            if i not in probabilities:
+                probabilities[i] = schedule_probabilities(i, setting.schedule)
+            mask = [bool(rng.random() < p) for p in probabilities[i]]
             entries, realized, eligible = mixed_history(ep, i, mask, pool, rng)
             if fallback_log is not None:
                 for t, (want, can) in enumerate(zip(mask, eligible)):

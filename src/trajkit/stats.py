@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 
 class ConstantSeriesError(ValueError):
     """A correlation is undefined on a constant series."""
@@ -40,6 +38,8 @@ def legendre2_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("series differ in length")
     if len(xs) < 4:
         raise ValueError("need at least 4 points")
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     lo, hi = x.min(), x.max()

@@ -137,7 +137,8 @@ _REQUIRED_FIELDS = (
 _KNOWN_FIELDS = set(_REQUIRED_FIELDS) | {"instruction_low", "screen_desc", "gt_bbox"}
 
 
-def _decode_gt_action(kind_name: str, params: dict) -> Action:
+def decode_action(kind_name: str, params: dict) -> Action:
+    """An action from its kind name and parameter dict, the episode-file grammar."""
     try:
         kind = ActionKind(kind_name)
     except ValueError:
@@ -173,7 +174,7 @@ def _decode_gt_action(kind_name: str, params: dict) -> Action:
 
 
 def encode_gt_params(action: Action) -> dict:
-    """Inverse of ``_decode_gt_action``; used when writing episode files."""
+    """Inverse of ``decode_action``; used when writing episode files."""
     k = action.kind
     if k in (ActionKind.CLICK, ActionKind.LONG_PRESS):
         params: dict[str, Any] = {"point": [action.point.x, action.point.y]}
@@ -208,7 +209,7 @@ def _decode_step(rec: dict, base_dir: Path, check_screenshots: bool) -> StepTask
     if check_screenshots and not resolved.exists():
         raise ValueError(f"screenshot not resolvable: {screenshot}")
 
-    gt_action = _decode_gt_action(str(rec["gt_kind"]), rec.get("gt_params") or {})
+    gt_action = decode_action(str(rec["gt_kind"]), rec.get("gt_params") or {})
 
     gt_bbox = None
     if rec.get("gt_bbox") is not None:
@@ -399,7 +400,7 @@ def prediction_fields(action: Optional[Action]) -> dict:
 def decode_prediction(record: "RunRecord") -> Optional[Action]:
     if record.pred_kind is None:
         return None
-    return _decode_gt_action(record.pred_kind, record.pred_params or {})
+    return decode_action(record.pred_kind, record.pred_params or {})
 
 
 def config_hash(config: dict) -> str:
@@ -500,19 +501,6 @@ class RunWriter:
                        encoding="utf-8")
         tmp.replace(self.manifest_path)
         return manifest
-
-
-def persist_run(records: Iterable[RunRecord], run_dir: str | Path,
-                config: Optional[dict] = None) -> dict:
-    """Durably append a record stream and return the run manifest.
-
-    Thin convenience over ``RunWriter``: appends are idempotent per key, so
-    replaying an already-persisted stream is a no-op.
-    """
-    writer = RunWriter(run_dir, config)
-    for record in records:
-        writer.append(record)
-    return writer.write_manifest()
 
 
 def _read_records(path: Path) -> tuple[list[RunRecord], int, Optional[str]]:

@@ -433,3 +433,27 @@ class TestRunDirErrors:
         proc = run_cli(args)
         assert_one_line_error(proc, "corrupt record at line 5")
         assert path.read_bytes() == b"".join(lines)
+
+    def test_pool_run_resumed_under_other_pool(self, bench, tmp_path):
+        pools = {}
+        for policy in ("oracle", "alternating"):
+            live = tmp_path / policy
+            assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
+                         "--mock-policy", policy, "--out-dir", str(live)]) == 0
+            pools[policy] = live / "pool.jsonl"
+        assert pools["oracle"].read_bytes() != pools["alternating"].read_bytes()
+        out = tmp_path / "pooled"
+        args = ["soeval", "--benchmark", str(bench), "--mode", "pool", "--backend", "mock",
+                "--mock-policy", "history-echo", "--out-dir", str(out)]
+        assert main([*args, "--pool", str(pools["oracle"])]) == 0
+        records = (out / "records.jsonl").read_bytes()
+
+        # The same pool at another path resumes.
+        moved = tmp_path / "moved.jsonl"
+        moved.write_bytes(pools["oracle"].read_bytes())
+        assert main([*args, "--pool", str(moved)]) == 0
+        assert (out / "records.jsonl").read_bytes() == records
+
+        proc = run_cli([*args, "--pool", str(pools["alternating"])])
+        assert_one_line_error(proc, "different configuration")
+        assert (out / "records.jsonl").read_bytes() == records
