@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import random
 import sys
 from dataclasses import replace
@@ -45,6 +46,10 @@ from .store import (
     load_episodes,
     load_run,
 )
+
+
+class InputError(Exception):
+    """An input named on the command line cannot be used; reported in one line."""
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -116,6 +121,15 @@ def _episodes(args, check_screenshots: bool = True):
     if limit:
         episodes = episodes[:limit]
     return episodes, report
+
+
+def _load_pool(path: str):
+    from .semionline import ArtifactPool
+
+    try:
+        return ArtifactPool.load(path)
+    except FileNotFoundError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _backend(args, episodes, dialect):
@@ -231,6 +245,7 @@ def _run_eval(args, config: dict, mode: str) -> int:
     if mode == "pool":
         if not getattr(args, "pool", None):
             raise SystemExit("soeval --mode pool requires --pool <file>")
+        pool = _load_pool(args.pool)
         # The pool's bytes, not its path, decide whether a run dir resumes.
         run_config["pool_sha256"] = pool_sha256(args.pool)
     out_dir = Path(args.out_dir)
@@ -246,7 +261,6 @@ def _run_eval(args, config: dict, mode: str) -> int:
             continue_on_error=args.continue_on_error,
         )
     elif mode == "pool":
-        pool = ArtifactPool.load(args.pool)
         records, metrics = pooled_benchmark(
             gateway, episodes, dialect, pool, policy, writer=writer,
             seed=seeds[0], global_seed=seeds[0],
@@ -486,12 +500,12 @@ def cmd_judge(args, config: dict) -> int:
 
 def cmd_sweep(args, config: dict) -> int:
     from .reporting import SWEEP_COLUMNS, sweep_rows, write_csv
-    from .semionline import ArtifactPool, SweepConfig, run_sweep
+    from .semionline import SweepConfig, run_sweep
 
     _resolve_benchmark(args, config)
     dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
     episodes, _ = _episodes(args)
-    pool = ArtifactPool.load(args.pool)
+    pool = _load_pool(args.pool)
     backend = _backend(args, episodes, dialect)
     cfg = _endpoint_config(args, config)
     gateway = ModelGateway(backend, cfg, dialect.id, flags={"mode": "sweep"})
@@ -609,16 +623,24 @@ def cmd_stats(args, config: dict) -> int:
 
         with open(args.csv, "r", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            columns: dict[str, list[float]] = {name: [] for name in reader.fieldnames}
-            for row in reader:
-                for name in columns:
-                    try:
-                        columns[name].append(float(row[name]))
-                    except ValueError:
-                        pass
-        online = columns.pop(args.online_col)
-        reports = [correlation_report(name, values, online)
-                   for name, values in columns.items() if values]
+            if args.online_col not in (reader.fieldnames or ()):
+                raise InputError(f"{args.csv} has no column {args.online_col!r}")
+            rows = [{name: _finite_or_none(cell) for name, cell in row.items()}
+                    for row in reader]
+            metrics = [name for name in reader.fieldnames if name != args.online_col]
+        reports = []
+        for name in metrics:
+            # A row counts only when both of its cells are finite numbers,
+            # so the two series stay paired row by row.
+            pairs = [(row[name], row[args.online_col]) for row in rows
+                     if row[name] is not None and row[args.online_col] is not None]
+            if len(pairs) < len(rows):
+                print(f"warning: {name}: {len(rows) - len(pairs)} of {len(rows)} rows "
+                      f"dropped (a cell of {name} or {args.online_col} is not a "
+                      f"finite number)", file=sys.stderr)
+            if pairs:
+                values, online = zip(*pairs)
+                reports.append(correlation_report(name, values, online))
         write_correlation_report(args.out, reports)
         for r in reports:
             print(f"{r.metric}: rho={r.spearman_rho:.4f} "
@@ -641,6 +663,14 @@ def cmd_stats(args, config: dict) -> int:
         else:
             print(f"mean {summary.mean:.4f}")
     return 0
+
+
+def _finite_or_none(cell: Optional[str]) -> Optional[float]:
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return None
+    return value if math.isfinite(value) else None
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -799,7 +829,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _load_config(getattr(args, "config", None))
     try:
         return args.func(args, config)
-    except (ConfigMismatchError, CorruptRecordsError) as exc:
+    except (ConfigMismatchError, CorruptRecordsError, InputError) as exc:
         print(f"trajkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -413,6 +413,8 @@ class ArtifactPool:
 
 def _pool_files(path: str | Path) -> list[Path]:
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no pool file or directory at {path}")
     files = sorted(path.glob("*.jsonl")) if path.is_dir() else [path]
     if not files:
         raise FileNotFoundError(f"no pool files under {path}")
@@ -427,9 +429,21 @@ def pool_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def sample_history_mask(total: int, sched: Schedule, rng: np.random.Generator) -> list[bool]:
-    """Bernoulli substitution indicators for a history sequence."""
-    return [bool(rng.random() < p) for p in schedule_probabilities(total, sched)]
+def sample_history_mask(total: int, sched: Schedule, rng: np.random.Generator,
+                        probabilities: Optional[dict[int, list[float]]] = None
+                        ) -> list[bool]:
+    """Bernoulli substitution indicators for a history sequence.
+
+    p(t) depends only on the history length, so a caller drawing many masks
+    under one schedule passes a ``probabilities`` dict that keeps each
+    length's vector.
+    """
+    if probabilities is None:
+        probabilities = {}
+    ps = probabilities.get(total)
+    if ps is None:
+        ps = probabilities[total] = schedule_probabilities(total, sched)
+    return [bool(rng.random() < p) for p in ps]
 
 
 def mixed_history(
@@ -482,13 +496,15 @@ def pooled_episode(
     writer: Optional[RunWriter] = None,
     round_idx: int = 0,
     seed: Optional[int] = None,
+    probabilities: Optional[dict[int, list[float]]] = None,
 ) -> tuple[list[RunRecord], EpisodeMetrics]:
     """Replay with history drawn from a pre-collected artifact pool.
 
     Without a schedule, every position that has a pooled artifact is
-    substituted; with one, positions are sampled per its probabilities.
-    Records keep both the realized substitution mask and the eligibility
-    mask, so the eligible-only OSR variant stays computable.
+    substituted; with one, positions are sampled per its probabilities
+    (``probabilities`` as in ``sample_history_mask``). Records keep both the
+    realized substitution mask and the eligibility mask, so the
+    eligible-only OSR variant stays computable.
     """
     records: list[RunRecord] = []
     for i, step in enumerate(episode.steps):
@@ -497,7 +513,8 @@ def pooled_episode(
             gateway.preload(step.key, record.raw_response, round_idx)
             records.append(record)
             continue
-        mask = sample_history_mask(i, schedule, rng) if schedule and i else [True] * i
+        mask = (sample_history_mask(i, schedule, rng, probabilities)
+                if schedule and i else [True] * i)
         entries, realized, eligible = mixed_history(episode, i, mask, pool, rng)
         request = prepare_input(step, entries, dialect)
         raw = gateway.generate(request, round_idx=round_idx, seed=seed)[0]
@@ -541,10 +558,11 @@ def pooled_benchmark(
 
     all_records: list[RunRecord] = []
     metrics: dict[str, EpisodeMetrics] = {}
+    probabilities: dict[int, list[float]] = {}
     for idx, ep in enumerate(episodes):
         rng = np.random.default_rng((idx, global_seed))
         recs, m = pooled_episode(gateway, ep, dialect, pool, rng, schedule,
-                                 policy, writer, seed=seed)
+                                 policy, writer, seed=seed, probabilities=probabilities)
         all_records.extend(recs)
         metrics[ep.id] = m
     if writer is not None:
@@ -643,8 +661,6 @@ def run_sweep_setting(
     import numpy as np
 
     rng = np.random.default_rng((setting.index, global_seed))
-    # p(t) depends only on the history length, so each length's vector is
-    # computed once per setting rather than once per step.
     probabilities: dict[int, list[float]] = {}
     substituted = 0
     positions = 0
@@ -652,9 +668,7 @@ def run_sweep_setting(
     scored = 0
     for ep in episodes:
         for i, step in enumerate(ep.steps):
-            if i not in probabilities:
-                probabilities[i] = schedule_probabilities(i, setting.schedule)
-            mask = [bool(rng.random() < p) for p in probabilities[i]]
+            mask = sample_history_mask(i, setting.schedule, rng, probabilities)
             entries, realized, eligible = mixed_history(ep, i, mask, pool, rng)
             if fallback_log is not None:
                 for t, (want, can) in enumerate(zip(mask, eligible)):

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConstantSeriesError(ValueError):
@@ -17,16 +20,38 @@ class DegenerateSpanError(ValueError):
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Rank correlation with average ranks on ties."""
+    """Rank correlation with average ranks on ties; NaN in either series
+    gives NaN.
+
+    Pearson's r of the 1-based average ranks through ``np.corrcoef``, the
+    steps ``scipy.stats.spearmanr`` takes, so the value is the same float.
+    """
     if len(xs) != len(ys):
         raise ValueError("series differ in length")
     if len(xs) < 3:
         raise ValueError("need at least 3 points")
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         raise ConstantSeriesError("constant series")
-    from scipy.stats import spearmanr
+    import numpy as np
 
-    return float(spearmanr(xs, ys).statistic)
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return math.nan
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ranks."""
+    import numpy as np
+
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    starts = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])
+    counts = np.diff(np.r_[starts, len(v)])
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
 
 
 def legendre2_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -56,13 +81,39 @@ def legendre2_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def linear_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Squared Pearson correlation; symmetric in its arguments."""
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson correlation; NaN in either series gives NaN.
+
+    Computed with the float operations ``scipy.stats.pearsonr`` uses (norms
+    scaled by the largest deviation and reduced along the axis, not by BLAS
+    ``dot``), so the value is the same float.
+    """
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         raise ConstantSeriesError("constant series")
-    from scipy.stats import pearsonr
+    if len(xs) != len(ys):
+        raise ValueError("series differ in length")
+    if len(xs) < 2:
+        raise ValueError("need at least 2 points")
+    import numpy as np
 
-    r = float(pearsonr(xs, ys).statistic)
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    xm = x - x.mean()
+    ym = y - y.mean()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xmax = np.abs(xm).max()
+        ymax = np.abs(ym).max()
+        normxm = xmax * np.linalg.norm(xm / xmax, axis=-1)
+        normym = ymax * np.linalg.norm(ym / ymax, axis=-1)
+        r = np.clip(np.vecdot(xm / normxm, ym / normym), -1.0, 1.0)
+    if len(x) == 2:
+        r = np.round(r)
+    return float(r)
+
+
+def linear_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Squared Pearson correlation; symmetric in its arguments."""
+    r = pearson(xs, ys)
     return r * r
 
 
@@ -160,9 +211,11 @@ def multi_seed_summary(values: Sequence[float]) -> SeedSummary:
         return SeedSummary(mean=mean, ci=None, n=1, std=None)
     var = sum((v - mean) ** 2 for v in values) / (k - 1)
     std = math.sqrt(var)
-    from scipy.stats import t
+    # scipy.stats.t.ppf(0.975, k - 1) is this call, without importing
+    # scipy.stats.
+    from scipy.special import stdtrit
 
-    tq = float(t.ppf(0.975, k - 1))
+    tq = float(stdtrit(k - 1, 0.975))
     half = tq * std / math.sqrt(k)
     return SeedSummary(mean=mean, ci=(mean - half, mean + half), n=k, std=std)
 

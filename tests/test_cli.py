@@ -457,3 +457,73 @@ class TestRunDirErrors:
         proc = run_cli([*args, "--pool", str(pools["alternating"])])
         assert_one_line_error(proc, "different configuration")
         assert (out / "records.jsonl").read_bytes() == records
+
+    @pytest.mark.parametrize("pool", ["nope.jsonl", "empty_dir"])
+    def test_missing_or_empty_pool_reported_in_one_line(self, bench, tmp_path, pool):
+        (tmp_path / "empty_dir").mkdir()
+        path = tmp_path / pool
+        out = tmp_path / "pooled"
+        proc = run_cli(["soeval", "--benchmark", str(bench), "--mode", "pool",
+                        "--backend", "mock", "--pool", str(path), "--out-dir", str(out)])
+        assert_one_line_error(proc, str(path))
+        assert not out.exists()
+        proc = run_cli(["sweep", "--benchmark", str(bench), "--pool", str(path),
+                        "--backend", "mock", "--out", str(tmp_path / "sweep.csv")])
+        assert_one_line_error(proc, str(path))
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestCorrelationPairing:
+    """``stats correlation`` keeps a row only when both of its cells are finite
+    numbers, so each metric stays paired with the online value of its row."""
+
+    def run(self, tmp_path, capsys, rows):
+        table = tmp_path / "corr.csv"
+        with open(table, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["m", "online"])
+            writer.writerows(rows)
+        out = tmp_path / "corr_out.csv"
+        rc = main(["stats", "correlation", "--csv", str(table), "--out", str(out)])
+        assert rc == 0
+        return capsys.readouterr(), read_csv(out)
+
+    def test_skipped_cells_do_not_shift_the_columns(self, tmp_path, capsys):
+        m = ["1", "2", "3", "-", "5", "6"]
+        online = ["-", "0.2", "0.3", "0.4", "0.5", "0.6"]
+        printed, report = self.run(tmp_path, capsys, zip(m, online))
+        # the four complete rows lie on a line: online = m / 10
+        assert "rho=1.0000 legendre_r2=1.0000" in printed.out
+        assert float(report[0]["linear_r2"]) == pytest.approx(1.0, abs=1e-12)
+        assert printed.err == ("warning: m: 2 of 6 rows dropped (a cell of m or "
+                               "online is not a finite number)\n")
+
+    def test_nan_and_inf_cells_are_dropped(self, tmp_path, capsys):
+        # sweep writes nan as realized_osr for a setting without history
+        m = ["nan", "0.1", "0.2", "inf", "0.35", "0.5", "0.6"]
+        online = ["0.3", "0.2", "0.4", "0.1", "0.5", "0.55", "0.7"]
+        printed, report = self.run(tmp_path, capsys, zip(m, online))
+        kept_m = [0.1, 0.2, 0.35, 0.5, 0.6]
+        kept_online = [0.2, 0.4, 0.5, 0.55, 0.7]
+        from trajkit.stats import correlation_report
+
+        want = correlation_report("m", kept_m, kept_online)
+        assert report == [{"metric": "m",
+                           "spearman_rho": repr(want.spearman_rho),
+                           "legendre_r2": repr(want.legendre_r2),
+                           "legendre_r2_transposed": repr(want.legendre_r2_transposed),
+                           "linear_r2": repr(want.linear_r2)}]
+        assert "m: 2 of 7 rows dropped" in printed.err
+
+    def test_complete_rows_print_no_warning(self, tmp_path, capsys):
+        printed, report = self.run(tmp_path, capsys,
+                                   zip([1, 2, 4, 3], [0.1, 0.3, 0.2, 0.5]))
+        assert printed.err == ""
+        assert len(report) == 1
+
+    def test_missing_online_column_reported_in_one_line(self, tmp_path):
+        table = tmp_path / "corr.csv"
+        table.write_text("m,exact\n1,2\n", encoding="utf-8")
+        proc = run_cli(["stats", "correlation", "--csv", str(table),
+                        "--out", str(tmp_path / "out.csv")])
+        assert_one_line_error(proc, "no column 'online'")

@@ -44,6 +44,8 @@ COMMANDS = [
                       "--out", "steps.csv"]),
     ("wilson", ["stats", "wilson", "3", "4"]),
     ("contingency", ["stats", "contingency", "5531", "456", "1976", "2037"]),
+    ("correlation", ["stats", "correlation", "--csv", "corr.csv", "--out", "corr_out.csv"]),
+    ("seeds", ["stats", "seeds", "0.1892", "0.1932", "0.1858"]),
     ("config", ["eval", "--benchmark", B, "--config", "config.yaml",
                 "--out-dir", "cfg_eval"]),
 ]
@@ -74,6 +76,9 @@ def probe(tmp_path_factory):
         "gt_kind": "CLICK", "gt_params": {"point": [150, 150]},
         "gt_bbox": {"x1": 100, "y1": 100, "x2": 300, "y2": 200},
     }) + "\n", encoding="utf-8")
+    (work / "corr.csv").write_text(
+        "online,m\n13.0,55.93\n47.6,62.84\n52.0,57.66\n65.9,76.16\n66.4,67.37\n",
+        encoding="utf-8")
     (work / "config.yaml").write_text(
         "seed_list: [11, 22]\npolicy:\n  min_comparable: 0.8\n", encoding="utf-8")
     env = dict(os.environ)
@@ -92,6 +97,19 @@ def test_cli_start_and_scipy_free_commands_load_no_scipy(probe):
     _, stages = probe
     for name in ("import", *LIGHT_COMMANDS):
         assert [m for m in stages[name] if m.startswith("scipy")] == [], name
+
+
+def test_stats_commands_load_no_scipy_stats(probe):
+    # Stages run in one interpreter, so each list holds what every stage up
+    # to it loaded.
+    work, stages = probe
+    assert (work / "corr_out.csv").exists()
+    assert [m for m in stages["correlation"] if m.startswith("scipy")] == []
+    assert "numpy" in stages["correlation"]
+    for name in ("correlation", "seeds"):
+        assert [m for m in stages[name]
+                if m == "scipy.stats" or m.startswith("scipy.stats.")] == [], name
+    assert "scipy.special" in stages["seeds"]
 
 
 def test_cli_start_loads_no_numpy_yaml_or_command_modules(probe):
@@ -139,3 +157,10 @@ def test_seeds_ci_uses_student_t_quantile(capsys):
     assert rc == 0
     assert capsys.readouterr().out == (
         f"mean {mean:.4f}  CI [{mean - half:.4f}, {mean + half:.4f}]\n")
+
+    for k in range(2, 41):
+        values = [0.18 + 0.0013 * ((7 * i) % 11) for i in range(k)]
+        mean = sum(values) / k
+        std = math.sqrt(sum((v - mean) ** 2 for v in values) / (k - 1))
+        half = float(student_t.ppf(0.975, k - 1)) * std / math.sqrt(k)
+        assert multi_seed_summary(values).ci == (mean - half, mean + half), k

@@ -419,6 +419,33 @@ class TestPooledMode:
         assert compute_osr(records, eligible_only=True) == 1.0
 
 
+    def test_schedule_probabilities_computed_once_per_length(self, episodes, xml_dialect,
+                                                             monkeypatch):
+        import numpy as np
+        import trajkit.semionline as so
+
+        pool = build_pool(episodes, xml_dialect)
+        sched = Schedule(0.2, 0.6, 16.0, 0.4, "increasing")
+
+        # Each episode drawing its masks step by step, with no shared vectors.
+        gateway, _ = make_gateway(episodes, xml_dialect, "alternating")
+        want = []
+        for idx, ep in enumerate(episodes):
+            rng = np.random.default_rng((idx, 3))
+            want += so.pooled_episode(gateway, ep, xml_dialect, pool, rng, sched)[0]
+
+        lengths = []
+        real = so.schedule_probabilities
+        monkeypatch.setattr(so, "schedule_probabilities",
+                            lambda total, s: lengths.append(total) or real(total, s))
+        gateway, _ = make_gateway(episodes, xml_dialect, "alternating")
+        got, _ = so.pooled_benchmark(gateway, episodes, xml_dialect, pool,
+                                     schedule=sched, global_seed=3)
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+        assert any(0 < sum(r.history_sources) < len(r.history_sources) for r in got)
+        assert sorted(lengths) == list(range(1, max(len(ep) for ep in episodes)))
+
+
 class TestGatewayFailureResume:
     def test_partial_episode_is_resumable(self, episodes, xml_dialect, tmp_path):
         from trajkit.evaluate import evaluate_episode_offline

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import match_ratios, reference_round, wilson_oracle
 from trajkit.stats import (
@@ -13,6 +14,7 @@ from trajkit.stats import (
     legendre2_r2,
     linear_r2,
     multi_seed_summary,
+    pearson,
     spearman,
     wilson_interval,
 )
@@ -230,3 +232,103 @@ class TestMultiSeed:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             multi_seed_summary([])
+
+
+# --- bit identity with scipy.stats -------------------------------------------------
+#
+# spearman, pearson and multi_seed_summary compute without scipy.stats, with
+# the float operations scipy.stats uses; these properties compare with ==.
+
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+@st.composite
+def paired_series(draw, min_size=2):
+    """Two non-constant series of equal length, 2-60 points: heavy ties,
+    magnitudes 1e-6 to 1e6, negative values, means far above the spread, and
+    exact linear relations (where rounding can push r past 1)."""
+    n = draw(st.integers(min_size, 60))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def series():
+        scale = draw(st.sampled_from(SCALES))
+        offset = draw(st.sampled_from((0.0, 0.0, -5e5, 1e6)))
+        levels = draw(st.lists(unit, min_size=2, max_size=n, unique=True))
+        picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+        return [offset + scale * levels[i] for i in picks]
+
+    xs = series()
+    if draw(st.booleans()):
+        slope = draw(st.sampled_from((-3.0, -0.5, 0.1, 2.0, 7.0)))
+        ys = [slope * x + draw(st.sampled_from((0.0, 1.0, -4.0))) for x in xs]
+    else:
+        ys = series()
+    return _spread(xs), _spread(ys)
+
+
+def _spread(series):
+    """The series, made non-constant by moving its last point if needed."""
+    return series if len(set(series)) > 1 else series[:-1] + [series[-1] + 1.0]
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestMatchesScipy:
+    @settings(max_examples=400, deadline=None)
+    @given(paired_series(min_size=3))
+    def test_spearman_equals_spearmanr(self, pair):
+        from scipy.stats import spearmanr
+
+        xs, ys = pair
+        assert spearman(xs, ys) == spearmanr(xs, ys).statistic
+
+    @settings(max_examples=400, deadline=None)
+    @given(paired_series())
+    def test_pearson_and_linear_r2_equal_pearsonr(self, pair):
+        from scipy.stats import pearsonr
+
+        xs, ys = pair
+        r = pearsonr(xs, ys).statistic
+        assert pearson(xs, ys) == r
+        # linear_r2 has always returned r * r; ``r ** 2`` goes through pow
+        # and can differ from it in the last bit.
+        assert linear_r2(xs, ys) == r * r
+
+    @settings(max_examples=100, deadline=None)
+    @given(paired_series(min_size=3), st.data())
+    def test_nan_gives_nan(self, pair, data):
+        from scipy.stats import pearsonr, spearmanr
+
+        xs, ys = pair
+        series = data.draw(st.sampled_from((xs, ys)))
+        series[data.draw(st.integers(0, len(series) - 1))] = math.nan
+        assert math.isnan(spearman(xs, ys))
+        assert math.isnan(spearmanr(xs, ys).statistic)
+        assert math.isnan(pearson(xs, ys))
+        assert math.isnan(pearsonr(xs, ys).statistic)
+        assert math.isnan(linear_r2(xs, ys))
+
+    def test_rounding_past_one_is_clipped(self):
+        from scipy.stats import pearsonr
+
+        xs = [13.0, 6.0, 11.0]
+        ys = [3.0 * x + 1.0 for x in xs]
+        assert pearson(xs, ys) == pearsonr(xs, ys).statistic == 1.0
+
+    def test_two_points_give_plus_or_minus_one(self):
+        assert pearson([0.1, 0.7], [3.0, 2.9]) == -1.0
+        assert linear_r2([0.1, 0.7], [3.0, 3.1]) == 1.0
+
+    def test_tied_ranks_are_averaged(self):
+        from scipy.stats import spearmanr
+
+        xs = [3.0, 1.0, 3.0, 2.0, 3.0, 1.0]
+        ys = [0.5, 0.1, 0.2, 0.9, 0.4, 0.3]
+        assert spearman(xs, ys) == spearmanr(xs, ys).statistic
+
+    def test_length_and_constant_errors(self):
+        with pytest.raises(ConstantSeriesError):
+            linear_r2([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            linear_r2([1.0, 2.0, 3.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            linear_r2([], [])
