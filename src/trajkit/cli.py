@@ -36,7 +36,6 @@ from .gateway import (
     MockBackend,
     ModelGateway,
     SamplingConfig,
-    prepare_input,
 )
 from .store import (
     ConfigMismatchError,
@@ -132,6 +131,14 @@ def _load_pool(path: str):
         raise InputError(str(exc)) from None
 
 
+def _replay_inputs(args, config: dict):
+    """The dialect, episodes and model backend a replay command runs on."""
+    _resolve_benchmark(args, config)
+    dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
+    episodes, _ = _episodes(args)
+    return dialect, episodes, _backend(args, episodes, dialect)
+
+
 def _backend(args, episodes, dialect):
     from . import synth
 
@@ -223,15 +230,11 @@ def _run_eval(args, config: dict, mode: str) -> int:
 
     if not args.out_dir:
         raise SystemExit("--out-dir is required")
-    _resolve_benchmark(args, config)
-    dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
-    episodes, _ = _episodes(args)
+    dialect, episodes, backend = _replay_inputs(args, config)
     policy = _policy(args, config)
     seeds = _parse_seed_list(args.seed_list, config)
     cfg = _endpoint_config(args, config, seed=seeds[0])
-    backend = _backend(args, episodes, dialect)
-    gateway = ModelGateway(backend, cfg, dialect.id,
-                           flags={"mode": mode, "thinking": args.enable_thinking})
+    gateway = ModelGateway(backend, cfg)
 
     run_config = {
         "mode": mode,
@@ -263,23 +266,22 @@ def _run_eval(args, config: dict, mode: str) -> int:
     elif mode == "pool":
         records, metrics = pooled_benchmark(
             gateway, episodes, dialect, pool, policy, writer=writer,
-            seed=seeds[0], global_seed=seeds[0],
+            seed=seeds[0], global_seed=seeds[0], enable_thinking=args.enable_thinking,
+            continue_on_error=args.continue_on_error,
         )
-        try:
-            print(f"OSR: {compute_osr(records):.4f}  "
-                  f"(eligible-only {compute_osr(records, eligible_only=True):.4f})")
-        except ValueError:
-            pass
     else:
         records, metrics = soeval_benchmark(
             gateway, episodes, dialect, policy,
             enable_thinking=args.enable_thinking, writer=writer, seed=seeds[0],
             continue_on_error=args.continue_on_error,
         )
-        pool = ArtifactPool.from_records(records)
-        pool.save(out_dir / "pool.jsonl")
+        ArtifactPool.from_records(records).save(out_dir / "pool.jsonl")
+    if mode != "offline":
         try:
-            print(f"OSR: {compute_osr(records):.4f}")
+            osr = f"OSR: {compute_osr(records):.4f}"
+            if mode == "pool":
+                osr += f"  (eligible-only {compute_osr(records, eligible_only=True):.4f})"
+            print(osr)
         except ValueError:
             pass
 
@@ -306,53 +308,23 @@ def cmd_soeval(args, config: dict) -> int:
 def cmd_rollout(args, config: dict) -> int:
     if not args.out_dir:
         raise SystemExit("--out-dir is required")
-    _resolve_benchmark(args, config)
-    dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
-    episodes, _ = _episodes(args)
+    dialect, episodes, backend = _replay_inputs(args, config)
     seeds = _parse_seed_list(args.seed_list, config)[: args.rounds]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    backend = _backend(args, episodes, dialect)
-
-    from .evaluate import evaluate_parsed
+    from .evaluate import reference_history, replay_episode
     from .semionline import ArtifactPool
-    from .store import RunRecord, prediction_fields, step_key
 
+    gateway = ModelGateway(backend, _endpoint_config(args, config, n=args.samples))
     rows = []
     with (out_dir / "rollouts.jsonl").open("w", encoding="utf-8") as fh:
         for round_idx, seed in enumerate(seeds):
-            cfg = _endpoint_config(args, config, n=args.samples, seed=seed)
-            gateway = ModelGateway(backend, cfg, dialect.id, flags={"mode": "rollout"})
             for ep in episodes:
-                from .dialects import ReferenceEntry
-
-                history = []
-                for i, step in enumerate(ep.steps):
-                    request = prepare_input(step, history, dialect)
-                    raws = gateway.generate(request, round_idx=round_idx, seed=seed)
-                    for j, raw in enumerate(raws):
-                        parsed = dialect.parse_response(raw, step.observation.dims)
-                        evaluation = evaluate_parsed(parsed, step, dialect)
-                        rec = RunRecord(
-                            key=step_key(ep.id, i, round_idx, j),
-                            episode_id=ep.id,
-                            step_index=i,
-                            episode_length=len(ep),
-                            raw_response=raw,
-                            **prediction_fields(parsed.action),
-                            thought=parsed.thought,
-                            conclusion=parsed.conclusion,
-                            failure_reason=parsed.failure,
-                            evaluation=evaluation.to_dict(),
-                            seed=seed,
-                            round=round_idx,
-                            sample=j,
-                            benchmark=ep.source_benchmark,
-                        )
-                        fh.write(rec.to_json() + "\n")
-                        rows.append(rec)
-                    history.append(ReferenceEntry(index=i, action=step.gt_action,
-                                                  observation=step.observation))
+                records, _ = replay_episode(
+                    gateway, ep, dialect, reference_history(ep, record_sources=False),
+                    enable_thinking=args.enable_thinking, round_idx=round_idx, seed=seed)
+                fh.writelines(rec.to_json() + "\n" for rec in records)
+                rows += records
     pool = ArtifactPool.from_records(rows)
     pool.save(out_dir / "pool.jsonl")
     print(f"rollouts: {len(rows)}  pooled artifacts: {len(pool)}")
@@ -465,8 +437,8 @@ def cmd_judge(args, config: dict) -> int:
     gateways = []
     for j in range(args.judges):
         cfg = _endpoint_config(args, config, n=args.rollouts)
-        gateways.append((f"judge{j}", ModelGateway(MockBackend(judge_responder), cfg,
-                                                   dialect.id), dialect))
+        gateways.append((f"judge{j}", ModelGateway(MockBackend(judge_responder), cfg),
+                         dialect))
 
     rows = []
     labels = []
@@ -502,13 +474,9 @@ def cmd_sweep(args, config: dict) -> int:
     from .reporting import SWEEP_COLUMNS, sweep_rows, write_csv
     from .semionline import SweepConfig, run_sweep
 
-    _resolve_benchmark(args, config)
-    dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
-    episodes, _ = _episodes(args)
+    dialect, episodes, backend = _replay_inputs(args, config)
     pool = _load_pool(args.pool)
-    backend = _backend(args, episodes, dialect)
-    cfg = _endpoint_config(args, config)
-    gateway = ModelGateway(backend, cfg, dialect.id, flags={"mode": "sweep"})
+    gateway = ModelGateway(backend, _endpoint_config(args, config))
     schedule_cfg = dict(config.get("schedule") or {})
     sweep_cfg = SweepConfig(
         kappa=args.kappa if args.kappa is not None
@@ -544,8 +512,6 @@ def cmd_reward(args, config: dict) -> int:
                              result.zero_variance])
         write_csv(args.out, ("group_id", "rewards", "advantages", "zero_variance"), rows)
     elif args.steps:
-        from .store import RunRecord  # noqa: F401  (schema parity)
-
         with open(args.steps, "r", encoding="utf-8") as fh:
             for line in fh:
                 if not line.strip():
@@ -638,9 +604,14 @@ def cmd_stats(args, config: dict) -> int:
                 print(f"warning: {name}: {len(rows) - len(pairs)} of {len(rows)} rows "
                       f"dropped (a cell of {name} or {args.online_col} is not a "
                       f"finite number)", file=sys.stderr)
-            if pairs:
-                values, online = zip(*pairs)
+            values, online = zip(*pairs) if pairs else ((), ())
+            try:
                 reports.append(correlation_report(name, values, online))
+            except ValueError as exc:
+                print(f"warning: {name}: skipped ({exc})", file=sys.stderr)
+        if not reports:
+            raise InputError(f"{args.csv}: no column could be correlated with "
+                             f"{args.online_col!r}")
         write_correlation_report(args.out, reports)
         for r in reports:
             print(f"{r.metric}: rho={r.spearman_rho:.4f} "

@@ -1,8 +1,10 @@
-"""Offline trajectory-replay evaluation.
+"""Trajectory replay and offline evaluation.
 
-Step scoring follows per-kind matching rules; episode progress is the
-longest exactly-matched prefix fraction, and success means every step
-matched. Aggregation applies the 95% comparability rule per task and the
+Every replay protocol runs through one engine, ``replay_episode``; a
+protocol only chooses what the model sees at each history position (its
+``HistoryFn``). Step scoring follows per-kind matching rules; episode
+progress is the longest exactly-matched prefix fraction, and success means
+every step matched. Aggregation applies the 95% comparability rule per task and the
 benchmark-level ground-truth exclusions before any averaging.
 """
 
@@ -11,12 +13,12 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .actions import Action, ActionKind, ALL_KINDS, BBox, spatial_distance
-from .dialects import Dialect, ParsedResponse, ReferenceEntry
+from .dialects import Dialect, HistoryEntry, ParsedResponse, ReferenceEntry
 from .gateway import ModelGateway, prepare_input
-from .store import Episode, RunRecord, RunWriter, StepTask, prediction_fields
+from .store import Episode, RunRecord, RunWriter, StepTask, prediction_fields, step_key
 
 logger = logging.getLogger(__name__)
 
@@ -168,6 +170,166 @@ def episode_metrics(records: Sequence[RunRecord], episode: Episode) -> EpisodeMe
                           evaluated_steps=len(records), truncated=episode.truncated)
 
 
+# --- the replay engine -------------------------------------------------------
+
+#: Step ``i``'s history, from the records of the steps before it: the
+#: entries shown to the model, which of them are on-policy, and which
+#: positions had an on-policy entry to offer. A protocol that does not
+#: record the last two returns None for them.
+HistoryFn = Callable[[int, Sequence[RunRecord]],
+                     tuple[Sequence[HistoryEntry], Optional[list[bool]], Optional[list[bool]]]]
+
+
+@dataclass
+class Tally:
+    """What a replay that keeps no records counts: history positions shown
+    on-policy and in all, and exact-matched and scored samples."""
+
+    substituted: int = 0
+    positions: int = 0
+    exact: int = 0
+    scored: int = 0
+
+    def add(self, sources: Sequence[bool], evaluation: StepEvaluation) -> None:
+        self.substituted += sum(sources)
+        self.positions += len(sources)
+        self.exact += evaluation.exact_match
+        self.scored += 1
+
+
+def build_record(episode: Episode, step: StepTask, raw: str, parsed: ParsedResponse,
+                 evaluation: StepEvaluation, sources: Optional[list[bool]],
+                 eligible: Optional[list[bool]], round_idx: int = 0,
+                 seed: Optional[int] = None, sample: int = 0) -> RunRecord:
+    evaluation_fields = evaluation.to_dict()
+    if eligible is not None:
+        evaluation_fields["eligible_positions"] = eligible
+    return RunRecord(
+        key=step_key(episode.id, step.step_index, round_idx, sample),
+        episode_id=episode.id,
+        step_index=step.step_index,
+        episode_length=len(episode),
+        raw_response=raw,
+        **prediction_fields(parsed.action),
+        thought=parsed.thought,
+        conclusion=parsed.conclusion,
+        failure_reason=parsed.failure,
+        evaluation=evaluation_fields,
+        history_sources=sources,
+        seed=seed,
+        round=round_idx,
+        sample=sample,
+        benchmark=episode.source_benchmark,
+    )
+
+
+def replay_episode(
+    gateway: ModelGateway,
+    episode: Episode,
+    dialect: Dialect,
+    history: HistoryFn,
+    policy: EvalPolicy = DEFAULT_POLICY,
+    enable_thinking: bool = True,
+    writer: Optional[RunWriter] = None,
+    round_idx: int = 0,
+    seed: Optional[int] = None,
+    tally: Optional[Tally] = None,
+) -> tuple[list[RunRecord], EpisodeMetrics]:
+    """Replay one episode step by step; every replay protocol runs here.
+
+    The protocols differ only in ``history``. Each step yields one record
+    per completion the gateway returns (its sampling ``n``). Step ``i``'s
+    history is taken before ``writer`` is asked whether the step is already
+    persisted, so a resumed step makes the same random draws as a fresh
+    one; a persisted step is read back from its first sample's record and
+    never re-queried. With a ``tally``, samples are counted into it and no
+    records are built.
+    """
+    records: list[RunRecord] = []
+    for i, step in enumerate(episode.steps):
+        entries, sources, eligible = history(i, records)
+        key = step_key(episode.id, step.step_index, round_idx)
+        if writer is not None and writer.has(key):
+            records.append(writer.get(key))
+            continue
+        request = prepare_input(step, entries, dialect, enable_thinking=enable_thinking)
+        raws = gateway.generate(request, seed=seed)
+        for j, raw in enumerate(raws):
+            parsed = dialect.parse_response(raw, step.observation.dims)
+            evaluation = evaluate_parsed(parsed, step, dialect, policy)
+            if tally is not None:
+                tally.add(sources, evaluation)
+                continue
+            record = build_record(episode, step, raw, parsed, evaluation, sources, eligible,
+                                  round_idx, seed, j)
+            if writer is not None:
+                writer.append(record)
+            records.append(record)
+    return records, episode_metrics(records, episode)
+
+
+def replay_benchmark(
+    episodes: Sequence[Episode],
+    replay: Callable[[int, Episode], tuple[list[RunRecord], EpisodeMetrics]],
+    writer: Optional[RunWriter] = None,
+    concurrency: int = 1,
+    continue_on_error: bool = False,
+) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
+    """Run ``replay(index, episode)`` over many episodes, in order.
+
+    Steps within an episode stay sequential; ``concurrency`` episodes run at
+    once. With ``continue_on_error`` a failing episode is logged and left
+    incomplete (its persisted steps remain resumable) instead of aborting
+    the whole run; incomplete episodes carry no entry in the metrics map.
+    """
+    all_records: list[RunRecord] = []
+    metrics: dict[str, EpisodeMetrics] = {}
+
+    def run(indexed: tuple[int, Episode]):
+        idx, ep = indexed
+        try:
+            return ep.id, replay(idx, ep)
+        except Exception:
+            if not continue_on_error:
+                raise
+            logger.exception("episode %s left incomplete", ep.id)
+            return ep.id, None
+
+    if concurrency <= 1:
+        outcomes = list(map(run, enumerate(episodes)))
+    else:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            outcomes = list(pool.map(run, enumerate(episodes)))
+    for ep_id, outcome in outcomes:
+        if outcome is not None:
+            all_records += outcome[0]
+            metrics[ep_id] = outcome[1]
+    if writer is not None:
+        writer.write_manifest()
+    return all_records, metrics
+
+
+def reference_entry(step: StepTask) -> ReferenceEntry:
+    return ReferenceEntry(index=step.step_index, action=step.gt_action,
+                          observation=step.observation)
+
+
+def reference_history(episode: Episode, record_sources: bool = True) -> HistoryFn:
+    """The offline protocol: reference entries only.
+
+    ``record_sources=False`` leaves the records without ``history_sources``,
+    as rollouts are written.
+    """
+    entries: list[HistoryEntry] = []
+
+    def history(i: int, records: Sequence[RunRecord]):
+        if i:
+            entries.append(reference_entry(episode.steps[i - 1]))
+        return entries, [False] * i if record_sources else None, None
+
+    return history
+
+
 def evaluate_episode_offline(
     gateway: ModelGateway,
     episode: Episode,
@@ -178,46 +340,14 @@ def evaluate_episode_offline(
     round_idx: int = 0,
     seed: Optional[int] = None,
 ) -> tuple[list[RunRecord], EpisodeMetrics]:
-    """Replay one episode step by step against reconstructed reference history.
+    """Replay one episode against reconstructed reference history.
 
     At step ``i`` the model sees only reference entries for steps before
     ``i``. Completed step keys found in ``writer`` are reused, never
     re-queried.
     """
-    records: list[RunRecord] = []
-    history: list[ReferenceEntry] = []
-    for i, step in enumerate(episode.steps):
-        if writer is not None and writer.has(step.key):
-            cached = writer.get(step.key)
-            records.append(cached)
-            gateway.preload(step.key, cached.raw_response, round_idx)
-        else:
-            request = prepare_input(step, history, dialect, enable_thinking=enable_thinking)
-            raw = gateway.generate(request, round_idx=round_idx, seed=seed)[0]
-            parsed = dialect.parse_response(raw, step.observation.dims)
-            evaluation = evaluate_parsed(parsed, step, dialect, policy)
-            record = RunRecord(
-                key=step.key,
-                episode_id=episode.id,
-                step_index=step.step_index,
-                episode_length=len(episode),
-                raw_response=raw,
-                **prediction_fields(parsed.action),
-                thought=parsed.thought,
-                conclusion=parsed.conclusion,
-                failure_reason=parsed.failure,
-                evaluation=evaluation.to_dict(),
-                history_sources=[False] * i,
-                seed=seed,
-                round=round_idx,
-                benchmark=episode.source_benchmark,
-            )
-            if writer is not None:
-                writer.append(record)
-            records.append(record)
-        history.append(ReferenceEntry(index=i, action=step.gt_action,
-                                      observation=step.observation))
-    return records, episode_metrics(records, episode)
+    return replay_episode(gateway, episode, dialect, reference_history(episode), policy,
+                          enable_thinking, writer, round_idx, seed)
 
 
 def evaluate_benchmark_offline(
@@ -231,44 +361,12 @@ def evaluate_benchmark_offline(
     concurrency: int = 1,
     continue_on_error: bool = False,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
-    """Evaluate many episodes; steps within an episode stay sequential.
-
-    With ``continue_on_error`` a failing episode is logged and left
-    incomplete (its persisted steps remain resumable) instead of aborting
-    the whole run; incomplete episodes carry no entry in the metrics map.
-    """
-    all_records: list[RunRecord] = []
-    metrics: dict[str, EpisodeMetrics] = {}
-
-    def run(ep: Episode):
-        try:
-            return ep.id, evaluate_episode_offline(
-                gateway, ep, dialect, policy, enable_thinking, writer, seed=seed)
-        except Exception:
-            if not continue_on_error:
-                raise
-            logger.exception("episode %s left incomplete", ep.id)
-            return ep.id, None
-
-    if concurrency <= 1:
-        outcomes = map(run, episodes)
-        for ep_id, outcome in outcomes:
-            if outcome is None:
-                continue
-            recs, m = outcome
-            all_records.extend(recs)
-            metrics[ep_id] = m
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            for ep_id, outcome in pool.map(run, episodes):
-                if outcome is None:
-                    continue
-                recs, m = outcome
-                all_records.extend(recs)
-                metrics[ep_id] = m
-    if writer is not None:
-        writer.write_manifest()
-    return all_records, metrics
+    """Evaluate many episodes offline (see ``replay_benchmark``)."""
+    return replay_benchmark(
+        episodes,
+        lambda _, ep: evaluate_episode_offline(gateway, ep, dialect, policy, enable_thinking,
+                                               writer, seed=seed),
+        writer, concurrency, continue_on_error)
 
 
 # --- aggregation -------------------------------------------------------------

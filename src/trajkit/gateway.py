@@ -9,7 +9,6 @@ byte-reproducible under a fixed seed list.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 import secrets
@@ -35,10 +34,6 @@ class EndpointUnavailableError(RuntimeError):
 
 class UnresolvableObservationError(FileNotFoundError):
     """A step's screenshot reference cannot be resolved."""
-
-
-class CacheConflictError(RuntimeError):
-    """Two different payloads were stored under the same cache key."""
 
 
 @dataclass(frozen=True)
@@ -162,53 +157,6 @@ def prepare_input(
         fixed_thought=prefix,
         tag=step.key,
     )
-
-
-# --- response cache ---------------------------------------------------------
-
-
-class ResponseCache:
-    """Thread-safe response store keyed by (step key, config hash, round, sample)."""
-
-    def __init__(self) -> None:
-        self._data: dict[tuple, str] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(step_key: str, cfg_hash: str, round_idx: int = 0, sample: int = 0) -> tuple:
-        return (step_key, cfg_hash, round_idx, sample)
-
-    def get(self, key: tuple) -> Optional[str]:
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
-
-    def put(self, key: tuple, payload: str) -> None:
-        with self._lock:
-            existing = self._data.get(key)
-            if existing is not None and existing != payload:
-                raise CacheConflictError(f"conflicting payloads for cache key {key}")
-            self._data[key] = payload
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-def endpoint_config_hash(cfg: EndpointConfig, dialect_id: str, flags: Optional[dict] = None) -> str:
-    payload = {
-        "model": cfg.model_name,
-        "sampling": cfg.sampling.__dict__,
-        "dialect": dialect_id,
-        "flags": flags or {},
-    }
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 # --- backends ---------------------------------------------------------------
@@ -387,42 +335,30 @@ class HttpBackend:
 
 
 class ModelGateway:
-    """Backend plus cache plus a global admission limit.
+    """Backend plus a global admission limit.
 
     ``generate`` is safe for concurrent callers; at most ``max_in_flight``
-    requests are in the backend at any time. Completions for cached keys
-    never touch the backend.
+    requests are in the backend at any time. Every call reaches the
+    backend. ``dialect_id`` and ``flags`` are accepted for older callers
+    and not used.
     """
 
     def __init__(self, backend, cfg: EndpointConfig, dialect_id: str = "",
                  flags: Optional[dict] = None):
         self.backend = backend
         self.cfg = cfg
-        self.cache = ResponseCache()
-        self.cfg_hash = endpoint_config_hash(cfg, dialect_id, flags)
         self._gate = threading.Semaphore(cfg.max_in_flight)
 
     def generate(self, request: GenerationRequest, round_idx: int = 0,
                  seed: Optional[int] = None, n: Optional[int] = None) -> list[str]:
+        """``n`` completions of ``request``; ``seed`` and ``n`` override the
+        sampling config. ``round_idx`` is accepted for callers that tag
+        requests by round and does not change the request."""
         cfg = self.cfg
         if seed is not None or n is not None:
             sampling = replace(cfg.sampling,
                                seed=seed if seed is not None else cfg.sampling.seed,
                                n=n if n is not None else cfg.sampling.n)
             cfg = replace(cfg, sampling=sampling)
-
-        keys = [ResponseCache.key(request.tag, self.cfg_hash, round_idx, i)
-                for i in range(cfg.sampling.n)]
-        cached = [self.cache.get(k) for k in keys]
-        if all(c is not None for c in cached):
-            return list(cached)
-
         with self._gate:
-            outputs = self.backend.complete(request, cfg)
-        for key, out in zip(keys, outputs):
-            self.cache.put(key, out)
-        return outputs
-
-    def preload(self, step_key: str, payload: str, round_idx: int = 0, sample: int = 0) -> None:
-        """Seed the cache from persisted records so resumes are pure hits."""
-        self.cache.put(ResponseCache.key(step_key, self.cfg_hash, round_idx, sample), payload)
+            return self.backend.complete(request, cfg)

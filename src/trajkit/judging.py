@@ -87,14 +87,13 @@ def judge_majority(
     dialect: Dialect,
     n: int = 32,
     judge_id: str = "judge",
-    round_idx: int = 0,
 ) -> JudgeMajority:
     """One judge's modal decision over n fixed-thought rollouts."""
     request = prepare_input(
         case.as_step(), history=[], dialect=dialect,
         fixed_thought=case.reasoning_trace, check_screenshot=False,
     )
-    raws = gateway.generate(request, round_idx=round_idx, n=n)
+    raws = gateway.generate(request, n=n)
     samples = [
         ExecutionSample.from_parsed(dialect.parse_response(raw, case.observation.dims))
         for raw in raws
@@ -165,11 +164,10 @@ def judge_case(
     gateways: Sequence[tuple[str, ModelGateway, Dialect]],
     case: ConsistencyCase,
     n: int = 32,
-    round_idx: int = 0,
 ) -> JudgeVerdict:
     """Run every judge on one case and fold their votes into a verdict."""
     majorities = [
-        judge_majority(gw, case, dialect, n=n, judge_id=name, round_idx=round_idx)
+        judge_majority(gw, case, dialect, n=n, judge_id=name)
         for name, gw, dialect in gateways
     ]
     return two_stage_verdict(majorities, case.executed_action)

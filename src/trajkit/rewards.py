@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .actions import Action, ActionKind, BBox
-from .evaluate import CLICK_RADIUS, canonical_text
+from .evaluate import params_match
 
 
 @dataclass(frozen=True)
@@ -52,39 +52,19 @@ class AdvantageConfig:
 DEFAULT_ADVANTAGE_CONFIG = AdvantageConfig()
 
 
-def _params_reward(pred: Action, gt: Action, gt_bbox: Optional[BBox],
-                   flags: list[str]) -> float:
-    k = gt.kind
-    if k in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-        if gt_bbox is None:
-            # No box annotated: fall back to the evaluator's radius rule.
-            flags.append("bbox-missing-radius-fallback")
-            dx = pred.point.x - gt.point.x
-            dy = pred.point.y - gt.point.y
-            return 1.0 if math.hypot(dx, dy) <= CLICK_RADIUS else 0.0
-        return 1.0 if gt_bbox.contains(pred.point) else 0.0
-    if k is ActionKind.SCROLL:
-        return 1.0 if pred.direction == gt.direction else 0.0
-    if k is ActionKind.TYPE:
-        return 1.0 if canonical_text(pred.text) == canonical_text(gt.text) else 0.0
-    if k is ActionKind.OPEN:
-        return 1.0 if canonical_text(pred.app) == canonical_text(gt.app) else 0.0
-    if k is ActionKind.PRESS:
-        return 1.0 if pred.button == gt.button else 0.0
-    # WAIT / STOP carry no parameters; a correct type earns the full reward
-    # so totals stay comparable across kinds.
-    return 1.0
-
-
 def reward_binary(pred: Optional[Action], gt: Action,
                   gt_bbox: Optional[BBox] = None) -> RewardBreakdown:
     """Binary type + parameter reward; parse failures earn zero."""
     if pred is None:
         return RewardBreakdown(0.0, 0.0, ("parse-failure",))
-    flags: list[str] = []
-    r_type = 1.0 if pred.kind == gt.kind else 0.0
-    r_params = _params_reward(pred, gt, gt_bbox, flags) if r_type else 0.0
-    return RewardBreakdown(r_type, r_params, tuple(flags))
+    if pred.kind != gt.kind:
+        return RewardBreakdown(0.0, 0.0)
+    # A click without an annotated box is scored by the evaluator's radius
+    # rule. WAIT / STOP carry no parameters; a correct type earns the full
+    # reward so totals stay comparable across kinds.
+    fallback = gt.kind in (ActionKind.CLICK, ActionKind.LONG_PRESS) and gt_bbox is None
+    r_params = 1.0 if params_match(pred, gt, gt_bbox) else 0.0
+    return RewardBreakdown(1.0, r_params, ("bbox-missing-radius-fallback",) if fallback else ())
 
 
 def reward_gaussian_click(pred_point, gt_bbox: BBox) -> float:

@@ -18,23 +18,20 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import Action
-from .dialects import ArtifactEntry, Dialect, HistoryEntry, ReferenceEntry
+from .dialects import ArtifactEntry, Dialect, HistoryEntry
 from .evaluate import (
     DEFAULT_POLICY,
     EvalPolicy,
     EpisodeMetrics,
-    episode_metrics,
-    evaluate_parsed,
+    HistoryFn,
+    Tally,
+    reference_entry,
+    replay_benchmark,
+    replay_episode,
+    step_ratio,
 )
-from .gateway import ModelGateway, prepare_input
-from .store import (
-    Episode,
-    RunRecord,
-    RunWriter,
-    decode_action,
-    decode_prediction,
-    prediction_fields,
-)
+from .gateway import ModelGateway
+from .store import Episode, RunRecord, RunWriter, decode_action, decode_prediction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,10 +130,6 @@ def nlogi(x, kappa: float, mu: float, sign: str = "+"):
     return float(value) if value.ndim == 0 else value
 
 
-def step_ratio(t: int, total: int) -> float:
-    return (t + 1) / total
-
-
 def schedule_probability(t: int, total: int, sched: Schedule) -> float:
     """Substitution probability for history position ``t`` of ``total``."""
     if total <= 0:
@@ -212,14 +205,24 @@ def solve_mu(p_lb: float, gap: float, kappa: float, direction: str,
 # --- live semi-online evaluation ---------------------------------------------
 
 
-def _artifact_from_record(record: RunRecord, action: Action) -> OnPolicyArtifact:
-    return OnPolicyArtifact(
-        key=record.key,
-        action=action,
-        thought=record.thought,
-        conclusion=record.conclusion,
-        raw_response=record.raw_response,
-    )
+def on_policy_history(episode: Episode) -> HistoryFn:
+    """The semi-online protocol: entry ``t`` is the model's own step ``t``
+    exactly when that step's prediction exact-matched the reference."""
+    entries: list[HistoryEntry] = []
+    sources: list[bool] = []
+
+    def history(i: int, records: Sequence[RunRecord]):
+        if i:
+            record, step = records[-1], episode.steps[i - 1]
+            matched = bool(record.evaluation and record.evaluation.get("exact_match"))
+            action = decode_prediction(record) if matched else None
+            entries.append(reference_entry(step) if action is None else ArtifactEntry(
+                index=step.step_index, action=action, thought=record.thought,
+                conclusion=record.conclusion, observation=step.observation))
+            sources.append(action is not None)
+        return entries, list(sources), None
+
+    return history
 
 
 def soeval_episode(
@@ -232,60 +235,9 @@ def soeval_episode(
     round_idx: int = 0,
     seed: Optional[int] = None,
 ) -> tuple[list[RunRecord], EpisodeMetrics]:
-    """Replay an episode where matched steps feed their own artifacts forward.
-
-    History entry ``t`` is the model-side rendering exactly when step ``t``'s
-    prediction exact-matched the reference; otherwise the reference entry.
-    """
-    records: list[RunRecord] = []
-    history: list[HistoryEntry] = []
-    sources: list[bool] = []
-
-    for i, step in enumerate(episode.steps):
-        if writer is not None and writer.has(step.key):
-            record = writer.get(step.key)
-            gateway.preload(step.key, record.raw_response, round_idx)
-        else:
-            request = prepare_input(step, history, dialect, enable_thinking=enable_thinking)
-            raw = gateway.generate(request, round_idx=round_idx, seed=seed)[0]
-            parsed = dialect.parse_response(raw, step.observation.dims)
-            evaluation = evaluate_parsed(parsed, step, dialect, policy)
-            record = RunRecord(
-                key=step.key,
-                episode_id=episode.id,
-                step_index=step.step_index,
-                episode_length=len(episode),
-                raw_response=raw,
-                **prediction_fields(parsed.action),
-                thought=parsed.thought,
-                conclusion=parsed.conclusion,
-                failure_reason=parsed.failure,
-                evaluation=evaluation.to_dict(),
-                history_sources=list(sources),
-                seed=seed,
-                round=round_idx,
-                benchmark=episode.source_benchmark,
-            )
-            if writer is not None:
-                writer.append(record)
-        records.append(record)
-
-        matched = bool(record.evaluation and record.evaluation.get("exact_match"))
-        action = decode_prediction(record)
-        if matched and action is not None:
-            history.append(ArtifactEntry(
-                index=i,
-                action=action,
-                thought=record.thought,
-                conclusion=record.conclusion,
-                observation=step.observation,
-            ))
-            sources.append(True)
-        else:
-            history.append(ReferenceEntry(index=i, action=step.gt_action,
-                                          observation=step.observation))
-            sources.append(False)
-    return records, episode_metrics(records, episode)
+    """Replay an episode where matched steps feed their own artifacts forward."""
+    return replay_episode(gateway, episode, dialect, on_policy_history(episode), policy,
+                          enable_thinking, writer, round_idx, seed)
 
 
 def soeval_benchmark(
@@ -298,22 +250,11 @@ def soeval_benchmark(
     seed: Optional[int] = None,
     continue_on_error: bool = False,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
-    all_records: list[RunRecord] = []
-    metrics: dict[str, EpisodeMetrics] = {}
-    for ep in episodes:
-        try:
-            recs, m = soeval_episode(gateway, ep, dialect, policy, enable_thinking,
-                                     writer, seed=seed)
-        except Exception:
-            if not continue_on_error:
-                raise
-            logger.exception("episode %s left incomplete", ep.id)
-            continue
-        all_records.extend(recs)
-        metrics[ep.id] = m
-    if writer is not None:
-        writer.write_manifest()
-    return all_records, metrics
+    return replay_benchmark(
+        episodes,
+        lambda _, ep: soeval_episode(gateway, ep, dialect, policy, enable_thinking, writer,
+                                     seed=seed),
+        writer, continue_on_error=continue_on_error)
 
 
 # --- OSR ----------------------------------------------------------------------
@@ -479,10 +420,26 @@ def mixed_history(
             ))
             realized.append(True)
         else:
-            entries.append(ReferenceEntry(index=t, action=step.gt_action,
-                                          observation=step.observation))
+            entries.append(reference_entry(step))
             realized.append(False)
     return entries, realized, eligible
+
+
+def pooled_history(episode: Episode, pool: ArtifactPool, rng: np.random.Generator,
+                   schedule: Optional[Schedule] = None,
+                   probabilities: Optional[dict[int, list[float]]] = None) -> HistoryFn:
+    """The pooled protocol: history drawn from a pre-collected artifact pool.
+
+    Without a schedule, every position that has a pooled artifact is
+    substituted; with one, positions are sampled per its probabilities
+    (``probabilities`` as in ``sample_history_mask``).
+    """
+    def history(i: int, records: Sequence[RunRecord]):
+        mask = (sample_history_mask(i, schedule, rng, probabilities)
+                if schedule and i else [True] * i)
+        return mixed_history(episode, i, mask, pool, rng)
+
+    return history
 
 
 def pooled_episode(
@@ -497,50 +454,16 @@ def pooled_episode(
     round_idx: int = 0,
     seed: Optional[int] = None,
     probabilities: Optional[dict[int, list[float]]] = None,
+    enable_thinking: bool = True,
 ) -> tuple[list[RunRecord], EpisodeMetrics]:
     """Replay with history drawn from a pre-collected artifact pool.
 
-    Without a schedule, every position that has a pooled artifact is
-    substituted; with one, positions are sampled per its probabilities
-    (``probabilities`` as in ``sample_history_mask``). Records keep both the
-    realized substitution mask and the eligibility mask, so the
-    eligible-only OSR variant stays computable.
+    Records keep both the realized substitution mask and the eligibility
+    mask, so the eligible-only OSR variant stays computable.
     """
-    records: list[RunRecord] = []
-    for i, step in enumerate(episode.steps):
-        if writer is not None and writer.has(step.key):
-            record = writer.get(step.key)
-            gateway.preload(step.key, record.raw_response, round_idx)
-            records.append(record)
-            continue
-        mask = (sample_history_mask(i, schedule, rng, probabilities)
-                if schedule and i else [True] * i)
-        entries, realized, eligible = mixed_history(episode, i, mask, pool, rng)
-        request = prepare_input(step, entries, dialect)
-        raw = gateway.generate(request, round_idx=round_idx, seed=seed)[0]
-        parsed = dialect.parse_response(raw, step.observation.dims)
-        evaluation = evaluate_parsed(parsed, step, dialect, policy).to_dict()
-        evaluation["eligible_positions"] = eligible
-        record = RunRecord(
-            key=step.key,
-            episode_id=episode.id,
-            step_index=step.step_index,
-            episode_length=len(episode),
-            raw_response=raw,
-            **prediction_fields(parsed.action),
-            thought=parsed.thought,
-            conclusion=parsed.conclusion,
-            failure_reason=parsed.failure,
-            evaluation=evaluation,
-            history_sources=realized,
-            seed=seed,
-            round=round_idx,
-            benchmark=episode.source_benchmark,
-        )
-        if writer is not None:
-            writer.append(record)
-        records.append(record)
-    return records, episode_metrics(records, episode)
+    return replay_episode(gateway, episode, dialect,
+                          pooled_history(episode, pool, rng, schedule, probabilities),
+                          policy, enable_thinking, writer, round_idx, seed)
 
 
 def pooled_benchmark(
@@ -553,21 +476,22 @@ def pooled_benchmark(
     writer: Optional[RunWriter] = None,
     seed: Optional[int] = None,
     global_seed: int = 0,
+    enable_thinking: bool = True,
+    continue_on_error: bool = False,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
+    """Pooled replay of many episodes; episode ``idx`` draws from its own
+    generator, seeded with (``idx``, ``global_seed``)."""
     import numpy as np
 
-    all_records: list[RunRecord] = []
-    metrics: dict[str, EpisodeMetrics] = {}
     probabilities: dict[int, list[float]] = {}
-    for idx, ep in enumerate(episodes):
-        rng = np.random.default_rng((idx, global_seed))
-        recs, m = pooled_episode(gateway, ep, dialect, pool, rng, schedule,
-                                 policy, writer, seed=seed, probabilities=probabilities)
-        all_records.extend(recs)
-        metrics[ep.id] = m
-    if writer is not None:
-        writer.write_manifest()
-    return all_records, metrics
+    return replay_benchmark(
+        episodes,
+        lambda idx, ep: pooled_episode(gateway, ep, dialect, pool,
+                                       np.random.default_rng((idx, global_seed)), schedule,
+                                       policy, writer, seed=seed,
+                                       probabilities=probabilities,
+                                       enable_thinking=enable_thinking),
+        writer, continue_on_error=continue_on_error)
 
 
 # --- regime sweep ---------------------------------------------------------------
@@ -655,39 +579,22 @@ def run_sweep_setting(
     pool: ArtifactPool,
     policy: EvalPolicy = DEFAULT_POLICY,
     global_seed: int = 0,
-    fallback_log: Optional[list[str]] = None,
 ) -> SweepResult:
     """Measure (realized OSR, exact match) under one mixing schedule."""
     import numpy as np
 
     rng = np.random.default_rng((setting.index, global_seed))
     probabilities: dict[int, list[float]] = {}
-    substituted = 0
-    positions = 0
-    exact = 0
-    scored = 0
+    tally = Tally()
     for ep in episodes:
-        for i, step in enumerate(ep.steps):
-            mask = sample_history_mask(i, setting.schedule, rng, probabilities)
-            entries, realized, eligible = mixed_history(ep, i, mask, pool, rng)
-            if fallback_log is not None:
-                for t, (want, can) in enumerate(zip(mask, eligible)):
-                    if want and not can:
-                        fallback_log.append(f"{ep.id}/{t}: empty pool, reference fallback")
-            request = prepare_input(step, entries, dialect)
-            raw = gateway.generate(request, round_idx=setting.index)[0]
-            parsed = dialect.parse_response(raw, step.observation.dims)
-            evaluation = evaluate_parsed(parsed, step, dialect, policy)
-            substituted += sum(realized)
-            positions += len(realized)
-            exact += int(evaluation.exact_match)
-            scored += 1
-    osr = substituted / positions if positions else math.nan
+        replay_episode(gateway, ep, dialect,
+                       pooled_history(ep, pool, rng, setting.schedule, probabilities),
+                       policy, tally=tally)
     return SweepResult(
         setting=setting,
-        realized_osr=osr,
-        exact_match=exact / scored if scored else math.nan,
-        positions=positions,
+        realized_osr=tally.substituted / tally.positions if tally.positions else math.nan,
+        exact_match=tally.exact / tally.scored if tally.scored else math.nan,
+        positions=tally.positions,
     )
 
 

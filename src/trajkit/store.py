@@ -431,14 +431,11 @@ class RunWriter:
         self.manifest_path = self.run_dir / MANIFEST_FILENAME
         self.warnings: list[str] = []
         self._lock = threading.Lock()
-        self._completed: set[str] = set()
         self._config_hash = config_hash(config) if config is not None else None
         self._seed_list: list[int] = list(config.get("seed_list", [])) if config else []
 
-        existing = self._load_existing()
-        self._by_key = {r.key: r for r in existing}
+        self._by_key = {r.key: r for r in self._load_existing()}
         self._completed = set(self._by_key)
-        self._existing = existing
         if self._config_hash is None:
             return
         if self.manifest_path.exists():
@@ -466,10 +463,6 @@ class RunWriter:
     @property
     def completed_keys(self) -> frozenset[str]:
         return frozenset(self._completed)
-
-    @property
-    def existing_records(self) -> list[RunRecord]:
-        return list(self._existing)
 
     def has(self, key: str) -> bool:
         return key in self._completed

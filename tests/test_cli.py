@@ -527,3 +527,107 @@ class TestCorrelationPairing:
         proc = run_cli(["stats", "correlation", "--csv", str(table),
                         "--out", str(tmp_path / "out.csv")])
         assert_one_line_error(proc, "no column 'online'")
+
+
+class TestNoThinkingEveryMode:
+    """``--no-thinking`` reaches every request: the synth mock then writes
+    no ``considering step`` thought."""
+
+    def records(self, path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    def test_pool_mode(self, bench, tmp_path):
+        live = tmp_path / "live"
+        assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
+        out = tmp_path / "pooled"
+        assert main(["soeval", "--benchmark", str(bench), "--mode", "pool",
+                     "--pool", str(live / "pool.jsonl"), "--backend", "mock",
+                     "--mock-policy", "oracle", "--no-thinking",
+                     "--out-dir", str(out)]) == 0
+        records = self.records(out / "records.jsonl")
+        assert len(records) == 12
+        assert not [r for r in records if "considering step" in r["raw_response"]]
+
+    def test_rollout(self, bench, tmp_path):
+        out = tmp_path / "ro"
+        assert main(["rollout", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "oracle", "--rounds", "2", "--samples", "3",
+                     "--no-thinking", "--out-dir", str(out)]) == 0
+        records = self.records(out / "rollouts.jsonl")
+        assert len(records) == 72
+        assert not [r for r in records if "considering step" in r["raw_response"]]
+
+
+class TestPoolContinueOnError:
+    def test_failing_episode_left_resumable(self, bench, tmp_path, monkeypatch):
+        import trajkit.cli as cli
+
+        live = tmp_path / "live"
+        assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
+
+        real_backend = cli._backend
+
+        def failing_backend(args, episodes, dialect):
+            backend = real_backend(args, episodes, dialect)
+            respond = backend.responder
+
+            def responder(request, seed, n):
+                if request.tag == "ep001/2":
+                    raise RuntimeError("endpoint fell over")
+                return respond(request, seed, n)
+
+            backend.responder = responder
+            return backend
+
+        out = tmp_path / "pooled"
+        args = ["soeval", "--benchmark", str(bench), "--mode", "pool",
+                "--pool", str(live / "pool.jsonl"), "--backend", "mock",
+                "--mock-policy", "oracle", "--out-dir", str(out)]
+        monkeypatch.setattr(cli, "_backend", failing_backend)
+        assert main([*args, "--continue-on-error"]) == 0
+        keys = [json.loads(line)["key"]
+                for line in (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert keys == [f"ep000/{i}" for i in range(4)] + ["ep001/0", "ep001/1"] + \
+            [f"ep002/{i}" for i in range(4)]
+
+        monkeypatch.setattr(cli, "_backend", real_backend)
+        assert main(args) == 0
+        resumed = [json.loads(line)["key"]
+                   for line in (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert resumed == keys + ["ep001/2", "ep001/3"]
+
+
+class TestCorrelationUnusableColumn:
+    def write(self, tmp_path, header, rows):
+        table = tmp_path / "corr.csv"
+        with open(table, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return table
+
+    def test_constant_and_short_columns_are_skipped(self, tmp_path, capsys):
+        rows = [[1, 5, 0.1, 0.2], [2, 5, "-", 0.1], [3, 5, "-", 0.4], [4, 5, 0.4, 0.3]]
+        table = self.write(tmp_path, ["m", "positions", "short", "online"], rows)
+        out = tmp_path / "out.csv"
+        assert main(["stats", "correlation", "--csv", str(table), "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert [r["metric"] for r in read_csv(out)] == ["m"]
+        assert printed.out.startswith("m: rho=")
+        err = printed.err.splitlines()
+        assert "warning: positions: skipped (constant series)" in err
+        assert "warning: short: skipped (need at least 3 points)" in err
+
+    def test_no_usable_column_is_one_line_error(self, tmp_path):
+        table = self.write(tmp_path, ["positions", "online"],
+                           [[5, 0.1], [5, 0.2], [5, 0.4], [5, 0.3]])
+        out = tmp_path / "out.csv"
+        proc = run_cli(["stats", "correlation", "--csv", str(table), "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines[-1].startswith("trajkit: error: ")
+        assert "no column" in lines[-1]
+        assert not out.exists()

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import make_gateway
 from trajkit.dialects import ReferenceEntry
 from trajkit.gateway import (
-    CacheConflictError,
     EndpointConfig,
     EndpointUnavailableError,
     GenerationRequest,
@@ -20,7 +19,6 @@ from trajkit.gateway import (
     Message,
     MockBackend,
     ModelGateway,
-    ResponseCache,
     SamplingConfig,
     TextPart,
     UnresolvableObservationError,
@@ -144,62 +142,6 @@ class TestConcurrencyLimit:
             t.join()
         assert backend.calls == 24
         assert backend.max_in_flight_seen <= 3
-
-
-class TestCache:
-    def test_put_then_get_identity(self):
-        cache = ResponseCache()
-        key = ResponseCache.key("e/0", "abc")
-        cache.put(key, "payload")
-        assert cache.get(key) == "payload"
-
-    def test_cold_key_absent(self):
-        cache = ResponseCache()
-        assert cache.get(ResponseCache.key("e/0", "abc")) is None
-
-    def test_identical_put_is_idempotent(self):
-        cache = ResponseCache()
-        key = ResponseCache.key("e/0", "abc")
-        cache.put(key, "same")
-        cache.put(key, "same")
-        assert len(cache) == 1
-
-    def test_conflicting_put_raises(self):
-        cache = ResponseCache()
-        key = ResponseCache.key("e/0", "abc")
-        cache.put(key, "one")
-        with pytest.raises(CacheConflictError):
-            cache.put(key, "two")
-
-    def test_racing_identical_puts_single_entry(self):
-        cache = ResponseCache()
-        key = ResponseCache.key("e/0", "abc")
-        errors = []
-
-        def put():
-            try:
-                for _ in range(500):
-                    cache.put(key, "value")
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=put) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(cache) == 1
-
-    def test_generate_hits_cache_not_backend(self):
-        backend = MockBackend(lambda request, seed, n: "resp")
-        gateway = ModelGateway(backend, EndpointConfig())
-        req = simple_request()
-        first = gateway.generate(req)
-        second = gateway.generate(req)
-        assert first == second
-        assert backend.calls == 1
-        assert gateway.cache.hits >= 1
 
 
 class FakeResponse:
@@ -450,3 +392,19 @@ class TestHttpBodyBytes:
         assert len(posted) == 3
         assert posted == [expected_bytes(request, cfg)] * 3
         assert count_reads == {str(s): 1 for s in shots}
+
+
+def test_gateway_reused_across_replays_answers_each_request(episodes, xml_dialect):
+    """Every request reaches the backend: a second replay through the same
+    gateway gets answers to its own histories, not the first replay's."""
+    from trajkit.evaluate import evaluate_benchmark_offline
+    from trajkit.semionline import soeval_benchmark
+
+    gateway, backend = make_gateway(episodes, xml_dialect, "history-echo")
+    evaluate_benchmark_offline(gateway, episodes, xml_dialect)
+    reused, _ = soeval_benchmark(gateway, episodes, xml_dialect)
+    fresh_gateway, _ = make_gateway(episodes, xml_dialect, "history-echo")
+    fresh, _ = soeval_benchmark(fresh_gateway, episodes, xml_dialect)
+    assert [r.to_json() for r in reused] == [r.to_json() for r in fresh]
+    assert all(r.evaluation["exact_match"] for r in reused)
+    assert backend.calls == 2 * sum(len(ep) for ep in episodes)
