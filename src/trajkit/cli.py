@@ -26,6 +26,7 @@ from .evaluate import (
     EvalPolicy,
     aggregate,
     aggregate_by_benchmark,
+    complete_records,
     evaluate_benchmark_offline,
     stratify_by_horizon,
 )
@@ -85,6 +86,10 @@ def _endpoint_config(args, config: dict, n: int = 1, seed: Optional[int] = None)
         max_in_flight=int(getattr(args, "concurrency", None)
                           or section.get("max_in_flight", 4)),
     )
+
+
+#: The policy a run dir's manifest keeps for ``report`` (older manifests lack it).
+_POLICY_KEYS = ("min_comparable", "exclude_gt_kinds")
 
 
 def _policy(args, config: dict) -> EvalPolicy:
@@ -218,15 +223,35 @@ def cmd_make_fixture(args, config: dict) -> int:
     return 0
 
 
-def _run_eval(args, config: dict, mode: str) -> int:
+def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
+    """Write ``report.csv``/``report.md`` (a row per source benchmark) and
+    ``horizon.csv`` from the records of complete episodes, print the replay's
+    summary lines, and return the report over all benchmarks."""
     from .reporting import HORIZON_COLUMNS, horizon_rows, write_aggregate_report, write_csv
-    from .semionline import (
-        ArtifactPool,
-        compute_osr,
-        pool_sha256,
-        pooled_benchmark,
-        soeval_benchmark,
-    )
+
+    records = complete_records(records)
+    reports = aggregate_by_benchmark(records, episodes, policy)
+    write_aggregate_report(out_dir, {(name, mode): rep for name, rep in reports.items()})
+    write_csv(Path(out_dir) / "horizon.csv", HORIZON_COLUMNS,
+              horizon_rows(stratify_by_horizon(records)))
+    if mode != "offline":
+        from .semionline import compute_osr
+
+        try:
+            osr = f"OSR: {compute_osr(records):.4f}"
+            if mode == "pool":
+                osr += f"  (eligible-only {compute_osr(records, eligible_only=True):.4f})"
+            print(osr)
+        except ValueError:
+            pass
+    overall = aggregate(records, episodes, policy)
+    print(f"steps: {len(records)}  exact: {overall.exact_match}  "
+          f"progress: {overall.progress}")
+    return overall
+
+
+def _run_eval(args, config: dict, mode: str) -> int:
+    from .semionline import ArtifactPool, pool_sha256, pooled_benchmark, soeval_benchmark
 
     if not args.out_dir:
         raise SystemExit("--out-dir is required")
@@ -257,43 +282,29 @@ def _run_eval(args, config: dict, mode: str) -> int:
         print(f"warning: {w}", file=sys.stderr)
 
     if mode == "offline":
-        records, metrics = evaluate_benchmark_offline(
+        records, _ = evaluate_benchmark_offline(
             gateway, episodes, dialect, policy,
             enable_thinking=args.enable_thinking, writer=writer,
             seed=seeds[0], concurrency=1,
             continue_on_error=args.continue_on_error,
         )
     elif mode == "pool":
-        records, metrics = pooled_benchmark(
+        records, _ = pooled_benchmark(
             gateway, episodes, dialect, pool, policy, writer=writer,
             seed=seeds[0], global_seed=seeds[0], enable_thinking=args.enable_thinking,
             continue_on_error=args.continue_on_error,
         )
     else:
-        records, metrics = soeval_benchmark(
+        records, _ = soeval_benchmark(
             gateway, episodes, dialect, policy,
             enable_thinking=args.enable_thinking, writer=writer, seed=seeds[0],
             continue_on_error=args.continue_on_error,
         )
         ArtifactPool.from_records(records).save(out_dir / "pool.jsonl")
-    if mode != "offline":
-        try:
-            osr = f"OSR: {compute_osr(records):.4f}"
-            if mode == "pool":
-                osr += f"  (eligible-only {compute_osr(records, eligible_only=True):.4f})"
-            print(osr)
-        except ValueError:
-            pass
 
-    reports = aggregate_by_benchmark(records, episodes, policy, metrics)
-    write_aggregate_report(out_dir, {(name, mode): rep
-                                     for name, rep in reports.items()})
-    write_csv(out_dir / "horizon.csv", HORIZON_COLUMNS,
-              horizon_rows(stratify_by_horizon(records)))
-    writer.write_manifest({"mode": mode, "benchmark": str(args.benchmark)})
-    overall = aggregate(records, episodes, policy, metrics)
-    print(f"steps: {len(records)}  exact: {overall.exact_match}  "
-          f"progress: {overall.progress}")
+    _report_run(out_dir, records, episodes, policy, mode)
+    writer.write_manifest({"mode": mode, "benchmark": str(args.benchmark),
+                           **{k: run_config[k] for k in _POLICY_KEYS}})
     return 0
 
 
@@ -488,7 +499,8 @@ def cmd_sweep(args, config: dict) -> int:
         global_seed=args.global_seed,
     )
     results = run_sweep(gateway, episodes, dialect, pool, sweep_cfg,
-                        concurrency=args.concurrency or 1)
+                        concurrency=args.concurrency or 1,
+                        enable_thinking=args.enable_thinking)
     write_csv(args.out, SWEEP_COLUMNS, sweep_rows(results))
     print(f"settings: {len(results)} -> {args.out}")
     return 0
@@ -543,31 +555,19 @@ def cmd_reward(args, config: dict) -> int:
 
 
 def cmd_report(args, config: dict) -> int:
-    from .reporting import (
-        HORIZON_COLUMNS,
-        horizon_rows,
-        markdown_table,
-        write_aggregate_report,
-        write_csv,
-    )
+    from .reporting import markdown_table
 
     records, manifest, warnings = load_run(args.run_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not records:
         raise SystemExit("run directory holds no records")
-    episodes = None
-    metrics = None
-    policy = _policy(args, config)
-    if args.benchmark:
-        episodes, _ = _episodes(args, check_screenshots=False)
-    report = aggregate(records, episodes, policy, metrics)
-    mode = (manifest or {}).get("mode", "offline")
-    benchmark_name = records[0].benchmark or "benchmark"
-    out_dir = Path(args.run_dir)
-    write_aggregate_report(out_dir, {(benchmark_name, mode): report})
-    write_csv(out_dir / "horizon.csv", HORIZON_COLUMNS,
-              horizon_rows(stratify_by_horizon(records)))
+    manifest = manifest or {}
+    if not config.get("policy"):
+        config = {**config, "policy": {k: manifest[k] for k in _POLICY_KEYS if k in manifest}}
+    episodes = _episodes(args, check_screenshots=False)[0] if args.benchmark else None
+    mode = manifest.get("mode", "offline")
+    report = _report_run(args.run_dir, records, episodes, _policy(args, config), mode)
     print(markdown_table(
         ("steps", "scored", "type", "exact"),
         [[report.n_steps, report.n_steps_scored, report.type_match, report.exact_match]],

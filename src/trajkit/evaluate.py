@@ -11,6 +11,7 @@ benchmark-level ground-truth exclusions before any averaging.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -60,7 +61,6 @@ class StepEvaluation:
 class EpisodeMetrics:
     progress: float
     success: bool
-    evaluated_steps: int
     truncated: bool = False
 
     def __post_init__(self) -> None:
@@ -156,18 +156,22 @@ def evaluate_parsed(parsed: ParsedResponse, step: StepTask, dialect: Dialect,
     )
 
 
-def episode_metrics(records: Sequence[RunRecord], episode: Episode) -> EpisodeMetrics:
+def episode_metrics(records: Sequence[RunRecord],
+                    episode: Optional[Episode] = None) -> EpisodeMetrics:
+    """Progress and success from one episode's records, in step order.
+    Without ``episode`` it is not known to end in STOP, so it counts as
+    truncated: it enters progress but not success."""
     exact = [bool(r.evaluation and r.evaluation.get("exact_match")) for r in records]
     prefix = 0
     for ok in exact:
         if not ok:
             break
         prefix += 1
-    total = len(episode)
+    total = len(episode) if episode is not None else records[0].episode_length
+    truncated = episode is None or episode.truncated
     progress = prefix / total
-    success = (not episode.truncated) and prefix == total and len(exact) == total
-    return EpisodeMetrics(progress=progress, success=success,
-                          evaluated_steps=len(records), truncated=episode.truncated)
+    success = (not truncated) and prefix == total and len(exact) == total
+    return EpisodeMetrics(progress=progress, success=success, truncated=truncated)
 
 
 # --- the replay engine -------------------------------------------------------
@@ -388,9 +392,6 @@ class AggregateReport:
     success_rate: Optional[float] = None
     dropped_episodes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def _mean_matches(records: Sequence[RunRecord]) -> tuple[Optional[float], Optional[float]]:
     if not records:
@@ -400,34 +401,45 @@ def _mean_matches(records: Sequence[RunRecord]) -> tuple[Optional[float], Option
     return t, e
 
 
+def complete_records(records: Sequence[RunRecord]) -> list[RunRecord]:
+    """``records`` without the episodes that hold fewer records than their
+    ``episode_length`` (left so by ``continue_on_error``): they enter no number."""
+    counts = Counter(r.episode_id for r in records)
+    return [r for r in records if counts[r.episode_id] >= r.episode_length]
+
+
 def aggregate(
     records: Sequence[RunRecord],
     episodes: Optional[Sequence[Episode]] = None,
     policy: EvalPolicy = DEFAULT_POLICY,
     metrics: Optional[dict[str, EpisodeMetrics]] = None,
 ) -> AggregateReport:
-    """Fold run records into benchmark-level metrics.
+    """Fold the records of complete episodes into benchmark-level metrics.
 
-    Order of operations: drop excluded ground-truth kinds, drop tasks whose
+    Progress and success come from each episode's records, before any
+    exclusion. Then: drop excluded ground-truth kinds, drop tasks whose
     comparable-step fraction falls below the threshold, then average type
     and exact match over the surviving comparable steps. The gt-supported
     variant additionally removes steps whose reference action is outside the
-    model's space.
+    model's space. ``metrics`` is accepted for older callers and not used.
     """
+    records = complete_records(records)
     if not records:
         raise EmptyReportError("no records to aggregate")
 
-    gt_kind_by_key: dict[str, ActionKind] = {}
-    if episodes:
-        for ep in episodes:
-            for st in ep.steps:
-                gt_kind_by_key[st.key] = st.gt_action.kind
+    episode_by_id = {ep.id: ep for ep in episodes or ()}
+    gt_kind_by_key = {st.key: st.gt_action.kind
+                      for ep in episode_by_id.values() for st in ep.steps}
+    all_by_episode: dict[str, list[RunRecord]] = {}
+    for r in sorted(records, key=lambda r: r.step_index):
+        all_by_episode.setdefault(r.episode_id, []).append(r)
+    outcomes = [episode_metrics(recs, episode_by_id.get(ep_id))
+                for ep_id, recs in sorted(all_by_episode.items())]
+    progress = sum(m.progress for m in outcomes) / len(outcomes)
+    terminal = [m for m in outcomes if not m.truncated]
+    success = sum(1 for m in terminal if m.success) / len(terminal) if terminal else None
 
-    def excluded(r: RunRecord) -> bool:
-        kind = gt_kind_by_key.get(r.key)
-        return kind is not None and kind in policy.exclude_gt_kinds
-
-    kept = [r for r in records if not excluded(r)]
+    kept = [r for r in records if gt_kind_by_key.get(r.key) not in policy.exclude_gt_kinds]
 
     by_episode: dict[str, list[RunRecord]] = {}
     for r in kept:
@@ -445,14 +457,6 @@ def aggregate(
     type_mean, exact_mean = _mean_matches(scored)
     supported = [r for r in scored if r.evaluation.get("gt_supported")]
     type_sup, exact_sup = _mean_matches(supported)
-
-    progress = success = None
-    if metrics:
-        vals = list(metrics.values())
-        progress = sum(m.progress for m in vals) / len(vals)
-        terminal = [m for m in vals if not m.truncated]
-        if terminal:
-            success = sum(1 for m in terminal if m.success) / len(terminal)
 
     if dropped:
         logger.info("dropped %d episode(s) below the comparability threshold: %s",
@@ -478,21 +482,13 @@ def aggregate_by_benchmark(
     policy: EvalPolicy = DEFAULT_POLICY,
     metrics: Optional[dict[str, EpisodeMetrics]] = None,
 ) -> dict[str, AggregateReport]:
-    """One report per source benchmark (episode files may mix several)."""
+    """One report per source benchmark (episode files may mix several).
+    ``metrics`` is accepted for older callers and not used."""
     by_benchmark: dict[str, list[RunRecord]] = {}
     for r in records:
         by_benchmark.setdefault(r.benchmark or "benchmark", []).append(r)
-    episodes_by_benchmark: dict[str, list[Episode]] = {}
-    for ep in episodes or []:
-        episodes_by_benchmark.setdefault(ep.source_benchmark, []).append(ep)
-    out = {}
-    for name, recs in sorted(by_benchmark.items()):
-        eps = episodes_by_benchmark.get(name)
-        sub_metrics = None
-        if metrics is not None and eps is not None:
-            sub_metrics = {ep.id: metrics[ep.id] for ep in eps if ep.id in metrics}
-        out[name] = aggregate(recs, eps, policy, sub_metrics)
-    return out
+    return {name: aggregate(recs, episodes, policy)
+            for name, recs in sorted(by_benchmark.items())}
 
 
 # --- horizon stratification --------------------------------------------------

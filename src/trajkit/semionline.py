@@ -579,6 +579,7 @@ def run_sweep_setting(
     pool: ArtifactPool,
     policy: EvalPolicy = DEFAULT_POLICY,
     global_seed: int = 0,
+    enable_thinking: bool = True,
 ) -> SweepResult:
     """Measure (realized OSR, exact match) under one mixing schedule."""
     import numpy as np
@@ -589,7 +590,7 @@ def run_sweep_setting(
     for ep in episodes:
         replay_episode(gateway, ep, dialect,
                        pooled_history(ep, pool, rng, setting.schedule, probabilities),
-                       policy, tally=tally)
+                       policy, enable_thinking, tally=tally)
     return SweepResult(
         setting=setting,
         realized_osr=tally.substituted / tally.positions if tally.positions else math.nan,
@@ -606,13 +607,14 @@ def run_sweep(
     cfg: SweepConfig = SweepConfig(),
     policy: EvalPolicy = DEFAULT_POLICY,
     concurrency: int = 1,
+    enable_thinking: bool = True,
 ) -> list[SweepResult]:
     """Run the full grid; settings are independent and parallelize freely."""
     settings = build_sweep_grid(cfg)
 
     def run(setting: SweepSetting) -> SweepResult:
         return run_sweep_setting(setting, gateway, episodes, dialect, pool,
-                                 policy, cfg.global_seed)
+                                 policy, cfg.global_seed, enable_thinking)
 
     if concurrency <= 1:
         return [run(s) for s in settings]

@@ -62,8 +62,6 @@ class StepTask:
     gt_action: Action
     instruction_low: Optional[str] = None
     gt_bbox: Optional[BBox] = None
-    # Filled at evaluation time from the active dialect's action support.
-    gt_in_model_space: Optional[bool] = None
 
     @property
     def key(self) -> str:

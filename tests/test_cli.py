@@ -558,6 +558,36 @@ class TestNoThinkingEveryMode:
         assert len(records) == 72
         assert not [r for r in records if "considering step" in r["raw_response"]]
 
+    def test_sweep(self, tmp_path, monkeypatch):
+        import trajkit.cli as cli
+
+        bench = synth.make_benchmark_file(tmp_path / "bench", n_episodes=2,
+                                          steps_per_episode=3, seed=1)
+        live = tmp_path / "live"
+        assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
+        real_backend = cli._backend
+        thinking = []
+
+        def spying_backend(args, episodes, dialect):
+            backend = real_backend(args, episodes, dialect)
+            respond = backend.responder
+
+            def responder(request, seed, n):
+                thinking.append(request.enable_thinking)
+                return respond(request, seed, n)
+
+            backend.responder = responder
+            return backend
+
+        monkeypatch.setattr(cli, "_backend", spying_backend)
+        assert main(["sweep", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "history-echo", "--pool", str(live / "pool.jsonl"),
+                     "--grid", "2", "--samples-per-pair", "1", "--no-thinking",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(thinking) == 24
+        assert not any(thinking)
+
 
 class TestPoolContinueOnError:
     def test_failing_episode_left_resumable(self, bench, tmp_path, monkeypatch):

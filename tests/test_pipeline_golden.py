@@ -2,8 +2,10 @@
 
 A 4x5 fixture runs in-process through eval -> live soeval -> pool ->
 rollout -> cluster -> sweep, and the SHA-256 of each path-free output is
-compared with ``tests/golden/pipeline.sha256``. A refactor of the replay
-code must leave every digest as it is.
+compared with ``tests/golden/pipeline.sha256``: the records and pools, the
+cluster and sweep tables, and each replay's ``report.csv``, ``report.md``
+and ``horizon.csv``. A refactor of the replay or report code must leave
+every digest as it is.
 """
 
 import hashlib
@@ -37,7 +39,7 @@ def run_pipeline(root: Path) -> dict[str, Path]:
     ]
     for argv in steps:
         assert main(argv) == 0, argv
-    return {
+    outputs = {
         "eval/records.jsonl": root / "eval" / "records.jsonl",
         "live/records.jsonl": root / "live" / "records.jsonl",
         "live/pool.jsonl": root / "live" / "pool.jsonl",
@@ -47,6 +49,10 @@ def run_pipeline(root: Path) -> dict[str, Path]:
         "cells.csv": root / "cells.csv",
         "sweep.csv": root / "sweep.csv",
     }
+    outputs.update({f"{run}/{name}": root / run / name
+                    for run in ("eval", "live", "pool")
+                    for name in ("report.csv", "report.md", "horizon.csv")})
+    return outputs
 
 
 def digest_lines(outputs: dict[str, Path]) -> list[str]:
