@@ -23,6 +23,7 @@ from .actions import ActionKind, Point
 from .dialects import get_dialect
 from .evaluate import (
     DEFAULT_POLICY,
+    EmptyReportError,
     EvalPolicy,
     aggregate,
     aggregate_by_benchmark,
@@ -230,6 +231,8 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
     from .reporting import HORIZON_COLUMNS, horizon_rows, write_aggregate_report, write_csv
 
     records = complete_records(records)
+    if not records:
+        raise EmptyReportError(f"{out_dir}: no complete episode to report")
     reports = aggregate_by_benchmark(records, episodes, policy)
     write_aggregate_report(out_dir, {(name, mode): rep for name, rep in reports.items()})
     write_csv(Path(out_dir) / "horizon.csv", HORIZON_COLUMNS,
@@ -302,9 +305,9 @@ def _run_eval(args, config: dict, mode: str) -> int:
         )
         ArtifactPool.from_records(records).save(out_dir / "pool.jsonl")
 
-    _report_run(out_dir, records, episodes, policy, mode)
     writer.write_manifest({"mode": mode, "benchmark": str(args.benchmark),
                            **{k: run_config[k] for k in _POLICY_KEYS}})
+    _report_run(out_dir, records, episodes, policy, mode)
     return 0
 
 
@@ -560,8 +563,6 @@ def cmd_report(args, config: dict) -> int:
     records, manifest, warnings = load_run(args.run_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if not records:
-        raise SystemExit("run directory holds no records")
     manifest = manifest or {}
     if not config.get("policy"):
         config = {**config, "policy": {k: manifest[k] for k in _POLICY_KEYS if k in manifest}}
@@ -800,7 +801,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _load_config(getattr(args, "config", None))
     try:
         return args.func(args, config)
-    except (ConfigMismatchError, CorruptRecordsError, InputError) as exc:
+    except (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError) as exc:
         print(f"trajkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .actions import Action, ActionKind, BBox, Point, spatial_distance
+from .actions import Action, ActionKind, BBox, Point
 from .dialects import ParsedResponse
 from .evaluate import CLICK_RADIUS, params_match
 
@@ -104,11 +104,17 @@ def cluster_spatial(
     (ties to the lowest core index), which makes labels independent of
     input order. Labels are numbered by first-member order.
     """
+    return _cluster_spatial(points, epsilon, metric, min_pts)[0]
+
+
+def _cluster_spatial(points: Sequence[tuple[float, float]] | Sequence[Point], epsilon: float,
+                     metric: str, min_pts: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cluster_spatial``'s labels and the pairwise distance matrix behind them."""
     import numpy as np
 
     n = len(points)
     if n == 0:
-        return np.empty(0, dtype=int)
+        return np.empty(0, dtype=int), np.empty((0, 0))
     coords = np.asarray(
         [(p.x, p.y) if isinstance(p, Point) else (p[0], p[1]) for p in points], dtype=float
     )
@@ -139,7 +145,7 @@ def cluster_spatial(
         if reachable.size:
             best = reachable[np.argmin(dist[i, reachable])]
             labels[i] = labels[best]
-    return labels
+    return labels, dist
 
 
 # --- text clustering ------------------------------------------------------------
@@ -261,12 +267,16 @@ class DecisionDistribution:
             math.isclose(self.clusters[0].mass, self.clusters[1].mass)
 
 
-def _medoid_index(members: list[int], coords: list[tuple[int, int]], metric: str) -> int:
-    pts = [Point(*coords[m]) for m in members]
+def _medoid_index(members: list[int], dist: np.ndarray) -> int:
+    """The member with the least summed distance to the others (ties to the
+    first), from ``dist``, the cell's distance matrix. For per-mille integer
+    points each entry equals ``spatial_distance``, and ``cumsum`` adds left
+    to right, so each cost is that of summing ``spatial_distance`` over the
+    members in order."""
+    costs = dist[members][:, members].cumsum(axis=1)[:, -1].tolist()
     best = 0
     best_cost = math.inf
-    for i, p in enumerate(pts):
-        cost = sum(spatial_distance(p, q, metric) for q in pts)
+    for i, cost in enumerate(costs):
         if cost < best_cost - 1e-12:
             best, best_cost = i, cost
     return members[best]
@@ -308,7 +318,7 @@ def build_distribution(
         actions = [samples[i].action for i in idxs]
         if kind in SPATIAL_KINDS:
             coords = [(a.point.x, a.point.y) for a in actions]
-            labels = cluster_spatial(coords, epsilon, metric, min_pts)
+            labels, dist = _cluster_spatial(coords, epsilon, metric, min_pts)
             groups: dict[int, list[int]] = {}
             noise: list[int] = []
             for local, lab in enumerate(labels):
@@ -318,7 +328,7 @@ def build_distribution(
                     groups.setdefault(int(lab), []).append(local)
             for lab in sorted(groups):
                 members = groups[lab]
-                medoid_local = _medoid_index(members, coords, metric)
+                medoid_local = _medoid_index(members, dist)
                 raw.append((kind.value, [idxs[m] for m in members],
                             actions[medoid_local]))
             if noise_mode == "singleton":

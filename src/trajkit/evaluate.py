@@ -247,7 +247,9 @@ def replay_episode(
     persisted, so a resumed step makes the same random draws as a fresh
     one; a persisted step is read back from its first sample's record and
     never re-queried. With a ``tally``, samples are counted into it and no
-    records are built.
+    records are built. Screenshots are not checked here: ``load_episodes``
+    checks them once, and a backend that reads one raises
+    ``UnresolvableObservationError`` if it has gone since.
     """
     records: list[RunRecord] = []
     for i, step in enumerate(episode.steps):
@@ -256,7 +258,8 @@ def replay_episode(
         if writer is not None and writer.has(key):
             records.append(writer.get(key))
             continue
-        request = prepare_input(step, entries, dialect, enable_thinking=enable_thinking)
+        request = prepare_input(step, entries, dialect, enable_thinking=enable_thinking,
+                                check_screenshot=False)
         raws = gateway.generate(request, seed=seed)
         for j, raw in enumerate(raws):
             parsed = dialect.parse_response(raw, step.observation.dims)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
+from . import __version__
 from .dialects import Dialect, HistoryEntry
 from .store import StepTask
 
@@ -200,13 +201,34 @@ def _file_base64(path: str) -> bytes:
     return base64.b64encode(Path(path).read_bytes())
 
 
+def _post(url: str, body: bytes, headers: dict[str, str],
+          timeout: float) -> tuple[int, bytes]:
+    """POST ``body`` on a new connection; the status and the response body.
+
+    urllib's default opener takes proxies from ``http_proxy``/``https_proxy``/
+    ``no_proxy`` and verifies HTTPS against the system trust store. A status
+    other than 2xx arrives as ``HTTPError``, whose body is read here too.
+    """
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
+
+
 class HttpBackend:
     """Chat-completions client with retry/backoff; errors surface verbatim.
 
     Each request body is serialized once, as bytes, and every retry posts
     the same bytes. Screenshots are base64-encoded once per request and kept
     for the next request of the same thread, which in a replay shares all
-    history screenshots but the newest.
+    history screenshots but the newest. Every attempt opens a new connection
+    (``_post``).
     """
 
     RETRYABLE_STATUS = (408, 409, 429, 500, 502, 503, 504)
@@ -219,10 +241,11 @@ class HttpBackend:
         self._local = threading.local()
 
     def complete(self, request: GenerationRequest, cfg: EndpointConfig) -> list[str]:
-        import requests
+        import http.client
 
         url = cfg.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json",
+                   "User-Agent": f"trajkit/{__version__}"}
         api_key = os.environ.get(cfg.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -231,16 +254,17 @@ class HttpBackend:
         last_error: Optional[str] = None
         for attempt in range(cfg.max_retries + 1):
             try:
-                resp = requests.post(url, data=body, headers=headers, timeout=cfg.timeout)
-            except requests.RequestException as exc:
+                status, payload = _post(url, body, headers, cfg.timeout)
+            # OSError: refused, reset, timed out (URLError is one); HTTPException:
+            # a malformed or cut-off response; ValueError: an unusable URL.
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = str(exc)
             else:
-                if resp.status_code == 200:
-                    payload = resp.json()
-                    choices = payload.get("choices", [])
+                if status == 200:
+                    choices = json.loads(payload).get("choices", [])
                     return [c.get("message", {}).get("content", "") for c in choices]
-                last_error = f"HTTP {resp.status_code}: {resp.text}"
-                if resp.status_code not in self.RETRYABLE_STATUS:
+                last_error = f"HTTP {status}: {payload.decode('utf-8', 'replace')}"
+                if status not in self.RETRYABLE_STATUS:
                     break
             if attempt < cfg.max_retries:
                 self._sleep(self._backoff_base * (2 ** attempt))
@@ -278,7 +302,10 @@ class HttpBackend:
         for path in paths:
             if path in current:
                 continue
-            st = os.stat(path)
+            try:
+                st = os.stat(path)
+            except FileNotFoundError:
+                raise UnresolvableObservationError(path) from None
             stamp = (st.st_size, st.st_mtime_ns)
             entry = previous.get(path)
             if entry is None or entry[0] != stamp:

@@ -629,6 +629,80 @@ class TestPoolContinueOnError:
         assert resumed == keys + ["ep001/2", "ep001/3"]
 
 
+class TestEmptyReport:
+    """A replay or run dir with no complete episode ends in one error line."""
+
+    @pytest.fixture
+    def failing_at(self, monkeypatch):
+        """Make every mock backend raise from the given step index on."""
+        import trajkit.cli as cli
+
+        real_backend = cli._backend
+
+        def install(first_failing_step):
+            def failing_backend(args, episodes, dialect):
+                backend = real_backend(args, episodes, dialect)
+                respond = backend.responder
+
+                def responder(request, seed, n):
+                    if int(request.tag.split("/")[1]) >= first_failing_step:
+                        raise RuntimeError("endpoint fell over")
+                    return respond(request, seed, n)
+
+                backend.responder = responder
+                return backend
+
+            monkeypatch.setattr(cli, "_backend", failing_backend)
+
+        return install
+
+    @staticmethod
+    def assert_one_error_line(err, match):
+        errors = [line for line in err.splitlines() if line.startswith("trajkit: error: ")]
+        assert len(errors) == 1 and match in errors[0], err
+        assert "EmptyReportError" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "soeval"])
+    def test_every_episode_failing(self, tmp_path, capsys, failing_at, command):
+        synth.make_benchmark_file(tmp_path / "bench", n_episodes=2, steps_per_episode=3)
+        out = tmp_path / "run"
+        args = [command, "--benchmark", str(tmp_path / "bench" / "episodes.jsonl"),
+                "--backend", "mock", "--mock-policy", "oracle", "--out-dir", str(out)]
+        failing_at(0)
+        assert main([*args, "--continue-on-error"]) == 2
+        self.assert_one_error_line(capsys.readouterr().err, "no complete episode")
+        assert not (out / "records.jsonl").exists()
+        assert json.loads((out / "manifest.json").read_text())["mode"] == \
+            ("offline" if command == "eval" else "live")
+        assert main(["report", "--run-dir", str(out)]) == 2
+        self.assert_one_error_line(capsys.readouterr().err, "no complete episode")
+
+        failing_at(99)
+        assert main(args) == 0
+        assert len((out / "records.jsonl").read_bytes().splitlines()) == 6
+
+    def test_report_without_complete_episode(self, tmp_path, capsys, failing_at):
+        synth.make_benchmark_file(tmp_path / "bench", n_episodes=2, steps_per_episode=3)
+        bench = str(tmp_path / "bench" / "episodes.jsonl")
+        out = tmp_path / "run"
+        args = ["eval", "--benchmark", bench, "--backend", "mock",
+                "--mock-policy", "oracle", "--out-dir", str(out)]
+        failing_at(2)
+        assert main([*args, "--continue-on-error"]) == 2
+        capsys.readouterr()
+        records = (out / "records.jsonl").read_bytes()
+        assert len(records.splitlines()) == 4
+
+        assert main(["report", "--run-dir", str(out), "--benchmark", bench]) == 2
+        self.assert_one_error_line(capsys.readouterr().err, "no complete episode")
+        assert (out / "records.jsonl").read_bytes() == records
+
+        failing_at(99)
+        assert main(args) == 0
+        assert (out / "records.jsonl").read_bytes().startswith(records)
+        assert len((out / "records.jsonl").read_bytes().splitlines()) == 6
+
+
 class TestCorrelationUnusableColumn:
     def write(self, tmp_path, header, rows):
         table = tmp_path / "corr.csv"

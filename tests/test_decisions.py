@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trajkit.actions import Action, ActionKind, BBox, Point
+from trajkit.actions import Action, ActionKind, BBox, Point, spatial_distance
 from trajkit.decisions import (
     EmptyDistributionError,
     ExecutionSample,
@@ -256,6 +257,29 @@ class TestBuildDistribution:
         dist = build_distribution(samples, epsilon=70, min_pts=3)
         # medoid minimizes summed distance: the middle point
         assert dist.clusters[0].representative.point == Point(110, 100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(centre=st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+           offsets=st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                            min_size=1, max_size=40),
+           metric=st.sampled_from(["l2", "l1"]))
+    def test_medoid_matches_summed_spatial_distance(self, centre, offsets, metric):
+        """The medoid is the first member whose ``spatial_distance`` to the
+        members, summed left to right, is least by the 1e-12 rule."""
+        points = [Point(min(max(centre[0] + dx, 0), 1000), min(max(centre[1] + dy, 0), 1000))
+                  for dx, dy in offsets]
+        samples = [click_sample(p.x, p.y) for p in points]
+        dist = build_distribution(samples, metric=metric, min_pts=2)
+        for cluster in dist.clusters:
+            members = [points[i] for i in cluster.member_indices]
+            best, best_cost = 0, math.inf
+            for i, p in enumerate(members):
+                cost = 0.0
+                for q in members:
+                    cost += spatial_distance(p, q, metric)
+                if cost < best_cost - 1e-12:
+                    best, best_cost = i, cost
+            assert cluster.representative.point == members[best]
 
 
 class TestDiversityStability:

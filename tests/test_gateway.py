@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import socket
 import threading
 import time
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_gateway
+from conftest import CHOICES_OK, make_gateway
+from trajkit import synth
 from trajkit.dialects import ReferenceEntry
 from trajkit.gateway import (
     EndpointConfig,
@@ -144,16 +146,6 @@ class TestConcurrencyLimit:
         assert backend.max_in_flight_seen <= 3
 
 
-class FakeResponse:
-    def __init__(self, status_code, text="", payload=None):
-        self.status_code = status_code
-        self.text = text
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
-
-
 def assert_simple_body(data, n=1):
     """The posted bytes are the JSON body of ``simple_request()``."""
     assert isinstance(data, bytes)
@@ -163,53 +155,112 @@ def assert_simple_body(data, n=1):
                                  "content": [{"type": "text", "text": "hi"}]}]
 
 
+def refused_url():
+    """A loopback URL on a port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1"
+
+
 class TestHttpRetry:
-    def test_retries_then_typed_failure(self, monkeypatch):
-        import requests
-
-        attempts = []
-
-        def fake_post(url, data=None, headers=None, timeout=None):
-            assert_simple_body(data)
-            attempts.append(url)
-            raise requests.ConnectionError("boom")
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_retries_then_typed_failure(self, chat_server):
+        chat_server.replies = [(None, b"")]  # every connection dropped unanswered
         backend = HttpBackend(backoff_base=0.0)
-        cfg = EndpointConfig(base_url="http://example.invalid/v1", max_retries=3)
+        cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
         with pytest.raises(EndpointUnavailableError):
             backend.complete(simple_request(), cfg)
-        assert len(attempts) == cfg.max_retries + 1
-
-    def test_error_body_surfaced(self, monkeypatch):
-        import requests
-
-        def fake_post(url, data=None, headers=None, timeout=None):
+        for data in chat_server.bodies():
             assert_simple_body(data)
-            return FakeResponse(400, text="bad schema: missing field x")
+        assert len(chat_server.seen) == cfg.max_retries + 1
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        backend = HttpBackend(backoff_base=0.0)
-        cfg = EndpointConfig(base_url="http://example.invalid/v1")
+    def test_error_body_surfaced(self, chat_server):
+        chat_server.replies = [(400, b"bad schema: missing field x")]
+        sleeps = []
+        backend = HttpBackend(backoff_base=0.0, sleep=sleeps.append)
+        cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
         with pytest.raises(EndpointUnavailableError, match="bad schema"):
             backend.complete(simple_request(), cfg)
+        assert_simple_body(chat_server.bodies()[0])
+        # A 400 is not retried.
+        assert len(chat_server.seen) == 1 and sleeps == []
 
-    def test_success_extracts_choices(self, monkeypatch):
-        import requests
-
+    def test_success_extracts_choices(self, chat_server):
         payload = {"choices": [{"message": {"content": "a"}},
                                {"message": {"content": "b"}}]}
-
-        def fake_post(url, data=None, headers=None, timeout=None):
-            assert_simple_body(data, n=2)
-            assert headers["Content-Type"] == "application/json"
-            return FakeResponse(200, payload=payload)
-
-        monkeypatch.setattr(requests, "post", fake_post)
+        chat_server.replies = [(200, json.dumps(payload).encode())]
         backend = HttpBackend(backoff_base=0.0)
-        cfg = EndpointConfig(base_url="http://example.invalid/v1",
-                             sampling=SamplingConfig(n=2))
+        cfg = EndpointConfig(base_url=chat_server.url, sampling=SamplingConfig(n=2))
         assert backend.complete(simple_request(), cfg) == ["a", "b"]
+        (_, headers, data), = chat_server.seen
+        assert_simple_body(data, n=2)
+        assert headers["Content-Type"] == "application/json"
+
+    def test_request_line_and_headers(self, chat_server, monkeypatch):
+        from trajkit import __version__
+
+        monkeypatch.delenv("TRAJKIT_API_KEY", raising=False)
+        cfg = EndpointConfig(base_url=chat_server.url + "/")
+        assert HttpBackend().complete(simple_request(), cfg) == ["ok"]
+        monkeypatch.setenv("TRAJKIT_API_KEY", "sk-test")
+        assert HttpBackend().complete(simple_request(), cfg) == ["ok"]
+        (line, anonymous, data), (_, keyed, _) = chat_server.seen
+        assert line == "POST /v1/chat/completions HTTP/1.1"
+        for headers in (anonymous, keyed):
+            assert headers["Content-Type"] == "application/json"
+            assert headers["Content-Length"] == str(len(data))
+            assert headers["User-Agent"] == f"trajkit/{__version__}"
+        assert "Authorization" not in anonymous
+        assert keyed["Authorization"] == "Bearer sk-test"
+
+    def test_retryable_status_backs_off(self, chat_server):
+        chat_server.replies = [(503, b"busy"), (503, b"busy"), (200, CHOICES_OK)]
+        sleeps = []
+        cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
+        assert HttpBackend(sleep=sleeps.append).complete(simple_request(), cfg) == ["ok"]
+        assert len(chat_server.seen) == 3
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("url", ["refused", "", "nope://host/v1", "http:///v1"])
+    def test_unusable_endpoint_retried_then_typed_failure(self, monkeypatch, url):
+        import trajkit.gateway as gw
+
+        attempts = []
+        real_post = gw._post
+
+        def counted(*args):
+            attempts.append(args[0])
+            return real_post(*args)
+
+        monkeypatch.setattr(gw, "_post", counted)
+        cfg = EndpointConfig(base_url=refused_url() if url == "refused" else url,
+                             max_retries=3)
+        with pytest.raises(EndpointUnavailableError):
+            HttpBackend(backoff_base=0.0).complete(simple_request(), cfg)
+        assert len(attempts) == cfg.max_retries + 1
+
+    def test_timeout_retried(self, chat_server):
+        chat_server.replies = [(200, CHOICES_OK, 1.0), (200, CHOICES_OK)]
+        sleeps = []
+        cfg = EndpointConfig(base_url=chat_server.url, timeout=0.2, max_retries=1)
+        assert HttpBackend(sleep=sleeps.append).complete(simple_request(), cfg) == ["ok"]
+        assert len(chat_server.seen) == 2 and sleeps == [0.5]
+
+    def test_proxy_from_environment(self, chat_server, monkeypatch):
+        import urllib.request
+
+        # The upstream is a port nothing listens on: only the proxy can answer.
+        upstream = refused_url()
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{chat_server.port}")
+        monkeypatch.delenv("no_proxy")
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        # urlopen's default opener reads the proxies once, when it is built.
+        monkeypatch.setattr(urllib.request, "_opener", None)
+        cfg = EndpointConfig(base_url=upstream, max_retries=0)
+        assert HttpBackend().complete(simple_request(), cfg) == ["ok"]
+        (line, _, data), = chat_server.seen
+        assert line == f"POST {upstream}/chat/completions HTTP/1.1"
+        assert_simple_body(data)
 
 
 class TestHttpBodyEncoding:
@@ -240,8 +291,8 @@ class TestHttpBodyEncoding:
 
 
 def expected_bytes(request, cfg):
-    """What ``requests.post(json=...)`` sends for the body, reading each
-    screenshot here rather than through ``gateway._file_base64``."""
+    """The body bytes: ``json.dumps`` of ``_encode_body`` as UTF-8, reading
+    each screenshot here rather than through ``gateway._file_base64``."""
     def image_data(path):
         return base64.b64encode(Path(path).read_bytes()).decode("ascii")
 
@@ -371,24 +422,15 @@ class TestHttpBodyBytes:
         with pytest.raises(ValueError, match="2 image markers for 1 images"):
             HttpBackend()._body_bytes(request, EndpointConfig())
 
-    def test_retry_posts_equal_bytes_and_reads_once(self, tmp_path, monkeypatch, count_reads):
-        import requests
-
+    def test_retry_posts_equal_bytes_and_reads_once(self, tmp_path, chat_server, count_reads):
         shots = [tmp_path / f"{n}.png" for n in range(3)]
         for n, shot in enumerate(shots):
             shot.write_bytes(bytes([n]) * 1000)
         request = image_request(shots + shots[:1])
-        cfg = EndpointConfig(base_url="http://example.invalid/v1", max_retries=3)
-        posted = []
-
-        def fake_post(url, data=None, headers=None, timeout=None):
-            posted.append(data)
-            if len(posted) < 3:
-                return FakeResponse(503, text="busy")
-            return FakeResponse(200, payload={"choices": [{"message": {"content": "ok"}}]})
-
-        monkeypatch.setattr(requests, "post", fake_post)
+        cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
+        chat_server.replies = [(503, b"busy"), (503, b"busy"), (200, CHOICES_OK)]
         assert HttpBackend(backoff_base=0.0).complete(request, cfg) == ["ok"]
+        posted = chat_server.bodies()
         assert len(posted) == 3
         assert posted == [expected_bytes(request, cfg)] * 3
         assert count_reads == {str(s): 1 for s in shots}
@@ -408,3 +450,46 @@ def test_gateway_reused_across_replays_answers_each_request(episodes, xml_dialec
     assert [r.to_json() for r in reused] == [r.to_json() for r in fresh]
     assert all(r.evaluation["exact_match"] for r in reused)
     assert backend.calls == 2 * sum(len(ep) for ep in episodes)
+
+
+class TestScreenshotsCheckedAtLoad:
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        from trajkit.store import load_episodes
+
+        synth.make_benchmark_file(tmp_path, n_episodes=2, steps_per_episode=5, seed=3)
+        report = load_episodes(tmp_path / "episodes.jsonl", check_screenshots=True)
+        assert len(report.episodes) == 2
+        return report.episodes
+
+    def test_replay_stats_no_screenshot(self, loaded, xml_dialect, monkeypatch):
+        from trajkit.evaluate import evaluate_benchmark_offline
+        from trajkit.semionline import soeval_benchmark
+
+        shots = {step.observation.screenshot_ref for ep in loaded for step in ep.steps}
+        stats = []
+        real_stat = os.stat
+
+        def counted(path, *args, **kwargs):
+            if os.fspath(path) in shots:
+                stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counted)
+        gateway, backend = make_gateway(loaded, xml_dialect, "oracle")
+        records, _ = evaluate_benchmark_offline(gateway, loaded, xml_dialect)
+        live, _ = soeval_benchmark(gateway, loaded, xml_dialect)
+        assert len(records) == len(live) == 10 and backend.calls == 20
+        assert stats == []
+
+    def test_screenshot_gone_after_load(self, loaded, xml_dialect, chat_server):
+        from trajkit.evaluate import evaluate_benchmark_offline
+
+        gone = loaded[0].steps[0].observation.screenshot_ref
+        os.remove(gone)
+        gateway = ModelGateway(HttpBackend(backoff_base=0.0),
+                               EndpointConfig(base_url=chat_server.url))
+        with pytest.raises(UnresolvableObservationError) as excinfo:
+            evaluate_benchmark_offline(gateway, loaded, xml_dialect)
+        assert excinfo.value.args == (gone,)
+        assert chat_server.seen == []

@@ -4,6 +4,7 @@ modules are loaded only by the commands that use them."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from scipy.stats import t as student_t
 
+from trajkit import synth
 from trajkit.cli import build_parser, main
 from trajkit.decisions import DBSCAN_EPSILON, DBSCAN_MIN_PTS
 from trajkit.stats import multi_seed_summary
@@ -164,3 +166,37 @@ def test_seeds_ci_uses_student_t_quantile(capsys):
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / (k - 1))
         half = float(student_t.ppf(0.975, k - 1)) * std / math.sqrt(k)
         assert multi_seed_summary(values).ci == (mean - half, mean + half), k
+
+
+HTTP_PROBE = """
+import contextlib, io, json, sys
+import trajkit.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = trajkit.cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m.split(".")[0] in ("requests", "urllib3"))]))
+"""
+
+
+def test_http_eval_loads_no_requests(tmp_path, chat_server):
+    synth.make_benchmark_file(tmp_path / "fx", n_episodes=2, steps_per_episode=3, seed=0)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", HTTP_PROBE, "eval", "--benchmark", "fx/episodes.jsonl",
+         "--backend", "http", "--endpoint-url", chat_server.url, "--out-dir", "run"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, []]
+    assert len(chat_server.seen) == 6
+    assert all(body for body in chat_server.bodies())
+
+
+def test_no_source_or_test_imports_requests():
+    root = SRC.parent
+    imports = re.compile(r"^\s*(?:import|from)\s+requests\b", re.MULTILINE)
+    files = [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
+    assert files
+    assert [str(f) for f in files if imports.search(f.read_text(encoding="utf-8"))] == []
