@@ -334,7 +334,7 @@ def cmd_rollout(args, config: dict) -> int:
     with (out_dir / "rollouts.jsonl").open("w", encoding="utf-8") as fh:
         for round_idx, seed in enumerate(seeds):
             for ep in episodes:
-                records, _ = replay_episode(
+                records = replay_episode(
                     gateway, ep, dialect, reference_history(ep, record_sources=False),
                     enable_thinking=args.enable_thinking, round_idx=round_idx, seed=seed)
                 fh.writelines(rec.to_json() + "\n" for rec in records)

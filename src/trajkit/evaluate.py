@@ -238,25 +238,27 @@ def replay_episode(
     round_idx: int = 0,
     seed: Optional[int] = None,
     tally: Optional[Tally] = None,
-) -> tuple[list[RunRecord], EpisodeMetrics]:
+) -> list[RunRecord]:
     """Replay one episode step by step; every replay protocol runs here.
 
     The protocols differ only in ``history``. Each step yields one record
     per completion the gateway returns (its sampling ``n``). Step ``i``'s
-    history is taken before ``writer`` is asked whether the step is already
-    persisted, so a resumed step makes the same random draws as a fresh
-    one; a persisted step is read back from its first sample's record and
-    never re-queried. With a ``tally``, samples are counted into it and no
+    history is taken before ``writer`` is asked for the step's persisted
+    record, so a resumed step makes the same random draws as a fresh one; a
+    persisted step is read back from its first sample's record and never
+    re-queried. With a ``tally``, samples are counted into it and no
     records are built. Screenshots are not checked here: ``load_episodes``
     checks them once, and a backend that reads one raises
-    ``UnresolvableObservationError`` if it has gone since.
+    ``UnresolvableObservationError`` if it has gone since. An episode's
+    outcome is ``episode_metrics`` of the records returned.
     """
     records: list[RunRecord] = []
     for i, step in enumerate(episode.steps):
         entries, sources, eligible = history(i, records)
-        key = step_key(episode.id, step.step_index, round_idx)
-        if writer is not None and writer.has(key):
-            records.append(writer.get(key))
+        persisted = (writer.get(step_key(episode.id, step.step_index, round_idx))
+                     if writer is not None else None)
+        if persisted is not None:
+            records.append(persisted)
             continue
         request = prepare_input(step, entries, dialect, enable_thinking=enable_thinking,
                                 check_screenshot=False)
@@ -272,13 +274,12 @@ def replay_episode(
             if writer is not None:
                 writer.append(record)
             records.append(record)
-    return records, episode_metrics(records, episode)
+    return records
 
 
 def replay_benchmark(
     episodes: Sequence[Episode],
-    replay: Callable[[int, Episode], tuple[list[RunRecord], EpisodeMetrics]],
-    writer: Optional[RunWriter] = None,
+    replay: Callable[[int, Episode], list[RunRecord]],
     concurrency: int = 1,
     continue_on_error: bool = False,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
@@ -289,31 +290,24 @@ def replay_benchmark(
     incomplete (its persisted steps remain resumable) instead of aborting
     the whole run; incomplete episodes carry no entry in the metrics map.
     """
-    all_records: list[RunRecord] = []
-    metrics: dict[str, EpisodeMetrics] = {}
-
-    def run(indexed: tuple[int, Episode]):
+    def run(indexed: tuple[int, Episode]) -> Optional[list[RunRecord]]:
         idx, ep = indexed
         try:
-            return ep.id, replay(idx, ep)
+            return replay(idx, ep)
         except Exception:
             if not continue_on_error:
                 raise
             logger.exception("episode %s left incomplete", ep.id)
-            return ep.id, None
+            return None
 
     if concurrency <= 1:
         outcomes = list(map(run, enumerate(episodes)))
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             outcomes = list(pool.map(run, enumerate(episodes)))
-    for ep_id, outcome in outcomes:
-        if outcome is not None:
-            all_records += outcome[0]
-            metrics[ep_id] = outcome[1]
-    if writer is not None:
-        writer.write_manifest()
-    return all_records, metrics
+    done = [(ep, records) for ep, records in zip(episodes, outcomes) if records is not None]
+    return ([r for _, records in done for r in records],
+            {ep.id: episode_metrics(records, ep) for ep, records in done})
 
 
 def reference_entry(step: StepTask) -> ReferenceEntry:
@@ -337,26 +331,6 @@ def reference_history(episode: Episode, record_sources: bool = True) -> HistoryF
     return history
 
 
-def evaluate_episode_offline(
-    gateway: ModelGateway,
-    episode: Episode,
-    dialect: Dialect,
-    policy: EvalPolicy = DEFAULT_POLICY,
-    enable_thinking: bool = True,
-    writer: Optional[RunWriter] = None,
-    round_idx: int = 0,
-    seed: Optional[int] = None,
-) -> tuple[list[RunRecord], EpisodeMetrics]:
-    """Replay one episode against reconstructed reference history.
-
-    At step ``i`` the model sees only reference entries for steps before
-    ``i``. Completed step keys found in ``writer`` are reused, never
-    re-queried.
-    """
-    return replay_episode(gateway, episode, dialect, reference_history(episode), policy,
-                          enable_thinking, writer, round_idx, seed)
-
-
 def evaluate_benchmark_offline(
     gateway: ModelGateway,
     episodes: Sequence[Episode],
@@ -371,9 +345,9 @@ def evaluate_benchmark_offline(
     """Evaluate many episodes offline (see ``replay_benchmark``)."""
     return replay_benchmark(
         episodes,
-        lambda _, ep: evaluate_episode_offline(gateway, ep, dialect, policy, enable_thinking,
-                                               writer, seed=seed),
-        writer, concurrency, continue_on_error)
+        lambda _, ep: replay_episode(gateway, ep, dialect, reference_history(ep), policy,
+                                     enable_thinking, writer, seed=seed),
+        concurrency, continue_on_error)
 
 
 # --- aggregation -------------------------------------------------------------

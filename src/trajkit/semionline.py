@@ -225,21 +225,6 @@ def on_policy_history(episode: Episode) -> HistoryFn:
     return history
 
 
-def soeval_episode(
-    gateway: ModelGateway,
-    episode: Episode,
-    dialect: Dialect,
-    policy: EvalPolicy = DEFAULT_POLICY,
-    enable_thinking: bool = True,
-    writer: Optional[RunWriter] = None,
-    round_idx: int = 0,
-    seed: Optional[int] = None,
-) -> tuple[list[RunRecord], EpisodeMetrics]:
-    """Replay an episode where matched steps feed their own artifacts forward."""
-    return replay_episode(gateway, episode, dialect, on_policy_history(episode), policy,
-                          enable_thinking, writer, round_idx, seed)
-
-
 def soeval_benchmark(
     gateway: ModelGateway,
     episodes: Sequence[Episode],
@@ -250,11 +235,12 @@ def soeval_benchmark(
     seed: Optional[int] = None,
     continue_on_error: bool = False,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
+    """Live semi-online replay of many episodes (see ``replay_benchmark``)."""
     return replay_benchmark(
         episodes,
-        lambda _, ep: soeval_episode(gateway, ep, dialect, policy, enable_thinking, writer,
-                                     seed=seed),
-        writer, continue_on_error=continue_on_error)
+        lambda _, ep: replay_episode(gateway, ep, dialect, on_policy_history(ep), policy,
+                                     enable_thinking, writer, seed=seed),
+        continue_on_error=continue_on_error)
 
 
 # --- OSR ----------------------------------------------------------------------
@@ -264,8 +250,8 @@ def compute_osr(records: Sequence[RunRecord], eligible_only: bool = False) -> fl
     """Fraction of history positions filled with on-policy artifacts.
 
     ``eligible_only`` restricts the denominator to positions where an
-    artifact was actually available (records carry that mask as
-    ``history_sources`` plus an optional ``eligible`` list in evaluation).
+    artifact was actually available (pooled records carry that mask as
+    ``evaluation["eligible_positions"]`` beside ``history_sources``).
     """
     substituted = 0
     total = 0
@@ -442,30 +428,6 @@ def pooled_history(episode: Episode, pool: ArtifactPool, rng: np.random.Generato
     return history
 
 
-def pooled_episode(
-    gateway: ModelGateway,
-    episode: Episode,
-    dialect: Dialect,
-    pool: ArtifactPool,
-    rng: np.random.Generator,
-    schedule: Optional[Schedule] = None,
-    policy: EvalPolicy = DEFAULT_POLICY,
-    writer: Optional[RunWriter] = None,
-    round_idx: int = 0,
-    seed: Optional[int] = None,
-    probabilities: Optional[dict[int, list[float]]] = None,
-    enable_thinking: bool = True,
-) -> tuple[list[RunRecord], EpisodeMetrics]:
-    """Replay with history drawn from a pre-collected artifact pool.
-
-    Records keep both the realized substitution mask and the eligibility
-    mask, so the eligible-only OSR variant stays computable.
-    """
-    return replay_episode(gateway, episode, dialect,
-                          pooled_history(episode, pool, rng, schedule, probabilities),
-                          policy, enable_thinking, writer, round_idx, seed)
-
-
 def pooled_benchmark(
     gateway: ModelGateway,
     episodes: Sequence[Episode],
@@ -486,12 +448,12 @@ def pooled_benchmark(
     probabilities: dict[int, list[float]] = {}
     return replay_benchmark(
         episodes,
-        lambda idx, ep: pooled_episode(gateway, ep, dialect, pool,
-                                       np.random.default_rng((idx, global_seed)), schedule,
-                                       policy, writer, seed=seed,
-                                       probabilities=probabilities,
-                                       enable_thinking=enable_thinking),
-        writer, continue_on_error=continue_on_error)
+        lambda idx, ep: replay_episode(
+            gateway, ep, dialect,
+            pooled_history(ep, pool, np.random.default_rng((idx, global_seed)), schedule,
+                           probabilities),
+            policy, enable_thinking, writer, seed=seed),
+        continue_on_error=continue_on_error)
 
 
 # --- regime sweep ---------------------------------------------------------------

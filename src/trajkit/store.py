@@ -1,9 +1,10 @@
 """Benchmark data model: episodes, steps, run records, and resumable persistence.
 
 Episode files are line-delimited JSON, one step per line (see
-``load_episodes``). Run artifacts are an append-only ``records.jsonl`` plus a
-``manifest.json`` naming the completed step keys; re-appending an existing
-key is a no-op, which is what makes interrupted runs resumable.
+``load_episodes``). Run artifacts are an append-only ``records.jsonl``, the
+only list of completed steps, plus a ``manifest.json`` holding the run's
+configuration hash and seeds; re-appending an existing key is a no-op, which
+is what makes interrupted runs resumable.
 """
 
 from __future__ import annotations
@@ -410,12 +411,13 @@ class RunWriter:
     """Append-only, resume-safe record sink for one run directory.
 
     Appends are serialized through a lock so episode workers may be
-    concurrent. Appending a key that is already persisted is a no-op. A
-    corrupted trailing line (torn write) is detected on open; the file is
-    truncated back to the last valid record and a warning is kept. A bad
-    line with valid records after it is not a torn write: opening raises
-    ``CorruptRecordsError`` naming the file and line, and the file is left
-    untouched.
+    concurrent. ``records.jsonl`` is the only list of completed steps; the
+    manifest names none. Appending a key that is already persisted is a
+    no-op. A corrupted trailing line (torn write) is detected on open; the
+    file is truncated back to the last valid record and a warning is kept.
+    A bad line with valid records after it is not a torn write: opening
+    raises ``CorruptRecordsError`` naming the file and line, and the file
+    is left untouched.
 
     Opened with a config, the writer records the config's hash in a new
     manifest right away, so an interrupted run resumed under another
@@ -433,7 +435,6 @@ class RunWriter:
         self._seed_list: list[int] = list(config.get("seed_list", [])) if config else []
 
         self._by_key = {r.key: r for r in self._load_existing()}
-        self._completed = set(self._by_key)
         if self._config_hash is None:
             return
         if self.manifest_path.exists():
@@ -460,10 +461,7 @@ class RunWriter:
 
     @property
     def completed_keys(self) -> frozenset[str]:
-        return frozenset(self._completed)
-
-    def has(self, key: str) -> bool:
-        return key in self._completed
+        return frozenset(self._by_key)
 
     def get(self, key: str) -> Optional[RunRecord]:
         """A previously persisted record, or None for unseen keys."""
@@ -472,18 +470,17 @@ class RunWriter:
     def append(self, record: RunRecord) -> bool:
         """Persist a record; returns False when the key was already stored."""
         with self._lock:
-            if record.key in self._completed:
+            if record.key in self._by_key:
                 return False
             with self.records_path.open("a", encoding="utf-8") as fh:
                 fh.write(record.to_json() + "\n")
-            self._completed.add(record.key)
+            self._by_key[record.key] = record
         return True
 
     def write_manifest(self, extra: Optional[dict] = None) -> dict:
         manifest: dict[str, Any] = {
             "config_hash": self._config_hash,
             "seed_list": self._seed_list,
-            "completed": sorted(self._completed),
         }
         if extra:
             manifest.update(extra)

@@ -36,7 +36,7 @@ from trajkit.decisions import (
     pass_at_n,
     wasserstein_norm,
 )
-from trajkit.evaluate import evaluate_benchmark_offline, evaluate_episode_offline
+from trajkit.evaluate import evaluate_benchmark_offline, reference_history, replay_episode
 from trajkit.judging import detector_validation
 from trajkit.rewards import AdvantageConfig, clipped_term, group_advantages, \
     reward_binary
@@ -45,8 +45,8 @@ from trajkit.semionline import (
     SweepConfig,
     build_sweep_grid,
     nlogi,
+    on_policy_history,
     sample_history_mask,
-    soeval_episode,
     solve_mu,
 )
 from trajkit.stats import (
@@ -305,7 +305,7 @@ def test_criterion_09_psi_gate_audit(xml_dialect):
     violations = 0
     audited_positions = 0
     for ep in episodes:
-        records, _ = soeval_episode(gateway, ep, xml_dialect)
+        records = replay_episode(gateway, ep, xml_dialect, on_policy_history(ep))
         matches = [bool(r.evaluation["exact_match"]) for r in records]
         for i, rec in enumerate(records):
             expected_mask = matches[:i]
@@ -326,7 +326,7 @@ def test_criterion_10_reward_advantage_suite(xml_dialect):
     for policy in ("oracle", "alternating", "wrong"):
         gateway, _ = make_gateway(episodes, xml_dialect, policy)
         for ep in episodes:
-            records, _ = evaluate_episode_offline(gateway, ep, xml_dialect)
+            records = replay_episode(gateway, ep, xml_dialect, reference_history(ep))
             for rec, step in zip(records, ep.steps):
                 r = reward_binary(decode_prediction(rec), step.gt_action, step.gt_bbox)
                 ev = rec.evaluation

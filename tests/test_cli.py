@@ -63,8 +63,9 @@ class TestEvalCommands:
         rows = read_csv(out / "report.csv")
         assert rows[0]["exact_match"] == "1.0"
         assert rows[0]["success_rate"] == "1.0"
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert len(manifest["completed"]) == 12
+        lines = (out / "records.jsonl").read_text().splitlines()
+        assert len({json.loads(line)["key"] for line in lines}) == 12
+        assert "completed" not in json.loads((out / "manifest.json").read_text())
 
     def test_exclusion_flag(self, bench, tmp_path):
         out = tmp_path / "run"

@@ -8,10 +8,12 @@ from trajkit.evaluate import (
     EvalPolicy,
     StepEvaluation,
     aggregate,
+    episode_metrics,
     evaluate_benchmark_offline,
-    evaluate_episode_offline,
     evaluate_step,
     ratio_bucket,
+    reference_history,
+    replay_episode,
     stratify_by_horizon,
 )
 from trajkit.store import RunRecord
@@ -109,7 +111,9 @@ class TestEvaluateStep:
 class TestEpisodeReplay:
     def test_oracle_agent_full_progress(self, episodes, xml_dialect):
         gateway, _ = make_gateway(episodes, xml_dialect, "oracle")
-        records, metrics = evaluate_episode_offline(gateway, episodes[0], xml_dialect)
+        records = replay_episode(gateway, episodes[0], xml_dialect,
+                                 reference_history(episodes[0]))
+        metrics = episode_metrics(records, episodes[0])
         assert metrics.progress == 1.0
         assert metrics.success
         assert all(r.evaluation["exact_match"] for r in records)
@@ -120,7 +124,8 @@ class TestEpisodeReplay:
         backend = MockBackend(synth.make_responder(episodes, xml_dialect, policy))
         from trajkit.gateway import ModelGateway
         gateway = ModelGateway(backend, EndpointConfig(), xml_dialect.id)
-        _, metrics = evaluate_episode_offline(gateway, episodes[0], xml_dialect)
+        metrics = episode_metrics(replay_episode(gateway, episodes[0], xml_dialect,
+                                                 reference_history(episodes[0])), episodes[0])
         assert metrics.progress == 0.0
         assert not metrics.success
 
@@ -130,18 +135,21 @@ class TestEpisodeReplay:
         from trajkit.gateway import MockBackend, EndpointConfig, ModelGateway
         backend = MockBackend(synth.make_responder(episodes, xml_dialect, policy))
         gateway = ModelGateway(backend, EndpointConfig(), xml_dialect.id)
-        _, metrics = evaluate_episode_offline(gateway, episodes[0], xml_dialect)
+        metrics = episode_metrics(replay_episode(gateway, episodes[0], xml_dialect,
+                                                 reference_history(episodes[0])), episodes[0])
         assert metrics.progress == pytest.approx(0.6)
 
     def test_history_is_reference_only(self, episodes, xml_dialect):
         gateway, _ = make_gateway(episodes, xml_dialect, "oracle")
-        records, _ = evaluate_episode_offline(gateway, episodes[0], xml_dialect)
+        records = replay_episode(gateway, episodes[0], xml_dialect,
+                                 reference_history(episodes[0]))
         for i, r in enumerate(records):
             assert r.history_sources == [False] * i
 
     def test_progress_is_prefix_fraction(self, episodes, xml_dialect):
         gateway, _ = make_gateway(episodes, xml_dialect, "alternating")
-        _, metrics = evaluate_episode_offline(gateway, episodes[0], xml_dialect)
+        metrics = episode_metrics(replay_episode(gateway, episodes[0], xml_dialect,
+                                                 reference_history(episodes[0])), episodes[0])
         # alternating: correct on even steps -> wrong at step 1 -> prefix 1/5
         assert metrics.progress == pytest.approx(0.2)
 

@@ -10,6 +10,7 @@ import hashlib
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajkit import synth
@@ -137,3 +138,22 @@ def test_fixture_exercises_the_draws():
         pooled_benchmark(gateway, EPISODES, DIALECT, POOL, writer=RunWriter(d, CONFIG),
                          seed=3, global_seed=9)
         assert (Path(d) / "records.jsonl").read_bytes() != uninterrupted("pooled")
+
+
+@pytest.mark.parametrize("replay", [evaluate_benchmark_offline, soeval_benchmark],
+                         ids=["offline", "live"])
+def test_second_replay_through_one_writer_reads_back(replay, tmp_path):
+    """A second replay through the writer that persisted the first returns
+    the persisted records and makes no backend call."""
+    episodes = synth.make_episodes(n_episodes=2, steps_per_episode=3, seed=5)
+    backend = MockBackend(synth.make_responder(episodes, DIALECT, synth.oracle_policy))
+    gateway = ModelGateway(backend, EndpointConfig(), DIALECT.id)
+    writer = RunWriter(tmp_path, CONFIG)
+    first, _ = replay(gateway, episodes, DIALECT, writer=writer)
+    assert backend.calls == 6
+    second, metrics = replay(gateway, episodes, DIALECT, writer=writer)
+    assert backend.calls == 6
+    assert len(second) == 6
+    assert [r.to_json() for r in second] == [r.to_json() for r in first]
+    assert sorted(metrics) == sorted(ep.id for ep in episodes)
+    assert all(m.success for m in metrics.values())

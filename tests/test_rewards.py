@@ -5,7 +5,7 @@ import pytest
 from conftest import make_gateway
 from trajkit import synth
 from trajkit.actions import Action, ActionKind, BBox, Point
-from trajkit.evaluate import evaluate_episode_offline
+from trajkit.evaluate import reference_history, replay_episode
 from trajkit.rewards import (
     AdvantageConfig,
     RewardBreakdown,
@@ -78,7 +78,7 @@ class TestRewardBinary:
         for policy_name in ("oracle", "alternating", "wrong"):
             gateway, _ = make_gateway(episodes, xml_dialect, policy_name)
             for ep in episodes:
-                records, _ = evaluate_episode_offline(gateway, ep, xml_dialect)
+                records = replay_episode(gateway, ep, xml_dialect, reference_history(ep))
                 for rec, step in zip(records, ep.steps):
                     from trajkit.store import decode_prediction
                     pred = decode_prediction(rec)

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_gateway
 from trajkit import synth
 from trajkit.actions import Action, ActionKind, Point
+from trajkit.evaluate import episode_metrics, reference_history, replay_episode
 from trajkit.gateway import EndpointConfig, MockBackend, ModelGateway
 from trajkit.semionline import (
     ArtifactPool,
@@ -18,12 +19,13 @@ from trajkit.semionline import (
     compute_osr,
     mixed_history,
     nlogi,
+    on_policy_history,
+    pooled_history,
     run_sweep,
     sample_history_mask,
     schedule_mean,
     schedule_probabilities,
     schedule_probability,
-    soeval_episode,
     solve_mu,
 )
 from trajkit.store import RunRecord
@@ -128,21 +130,24 @@ def click(x, y):
 class TestPsiOperator:
     def test_always_correct_fully_on_policy(self, episodes, xml_dialect):
         gateway, _ = make_gateway(episodes, xml_dialect, "oracle")
-        records, metrics = soeval_episode(gateway, episodes[0], xml_dialect)
-        assert metrics.success
+        records = replay_episode(gateway, episodes[0], xml_dialect,
+                                 on_policy_history(episodes[0]))
+        assert episode_metrics(records, episodes[0]).success
         for i, r in enumerate(records):
             assert r.history_sources == [True] * i
 
     def test_always_wrong_identical_to_offline(self, episodes, xml_dialect):
         gateway, _ = make_gateway(episodes, xml_dialect, "wrong")
-        records, _ = soeval_episode(gateway, episodes[0], xml_dialect)
+        records = replay_episode(gateway, episodes[0], xml_dialect,
+                                 on_policy_history(episodes[0]))
         for i, r in enumerate(records):
             assert r.history_sources == [False] * i
 
     def test_alternating_matches_hand_simulation(self, xml_dialect):
         episodes = synth.make_episodes(1, 4, seed=13)
         gateway, _ = make_gateway(episodes, xml_dialect, "alternating")
-        records, _ = soeval_episode(gateway, episodes[0], xml_dialect)
+        records = replay_episode(gateway, episodes[0], xml_dialect,
+                                 on_policy_history(episodes[0]))
         # Hand-simulated psi trace: step parity decides the match, history at
         # step i mirrors the matches of steps < i.
         # step0 correct, step1 wrong, step2 correct, step3 (STOP) correct.
@@ -163,7 +168,7 @@ class TestPsiOperator:
             return original(request, seed, n)
 
         backend.responder = spy
-        soeval_episode(gateway, episodes[0], xml_dialect)
+        replay_episode(gateway, episodes[0], xml_dialect, on_policy_history(episodes[0]))
         assert "did-0" in texts[1]
         assert "did-0" in texts[-1] and "did-3" in texts[-1]
 
@@ -380,16 +385,15 @@ class TestSweepExecution:
 class TestPooledMode:
     def test_full_pool_substitutes_everywhere(self, episodes, xml_dialect):
         import numpy as np
-        from trajkit.semionline import pooled_episode
 
         pool = build_pool(episodes, xml_dialect)
         backend = MockBackend(synth.make_responder(episodes, xml_dialect,
                                                    synth.oracle_policy))
         gateway = ModelGateway(backend, EndpointConfig(), xml_dialect.id)
         rng = np.random.default_rng(0)
-        records, metrics = pooled_episode(gateway, episodes[0], xml_dialect,
-                                          pool, rng)
-        assert metrics.success
+        records = replay_episode(gateway, episodes[0], xml_dialect,
+                                 pooled_history(episodes[0], pool, rng))
+        assert episode_metrics(records, episodes[0]).success
         for i, rec in enumerate(records):
             assert rec.history_sources == [True] * i
             assert rec.evaluation["eligible_positions"] == [True] * i
@@ -398,7 +402,6 @@ class TestPooledMode:
 
     def test_partial_pool_eligible_only_variant(self, episodes, xml_dialect):
         import numpy as np
-        from trajkit.semionline import pooled_episode
 
         ep = episodes[0]
         pool = ArtifactPool()
@@ -413,7 +416,7 @@ class TestPooledMode:
                                                    synth.oracle_policy))
         gateway = ModelGateway(backend, EndpointConfig(), xml_dialect.id)
         rng = np.random.default_rng(0)
-        records, _ = pooled_episode(gateway, ep, xml_dialect, pool, rng)
+        records = replay_episode(gateway, ep, xml_dialect, pooled_history(ep, pool, rng))
         # all-positions OSR counts reference fallbacks; eligible-only is 1
         assert compute_osr(records) < 1.0
         assert compute_osr(records, eligible_only=True) == 1.0
@@ -432,7 +435,8 @@ class TestPooledMode:
         want = []
         for idx, ep in enumerate(episodes):
             rng = np.random.default_rng((idx, 3))
-            want += so.pooled_episode(gateway, ep, xml_dialect, pool, rng, sched)[0]
+            want += replay_episode(gateway, ep, xml_dialect,
+                                   so.pooled_history(ep, pool, rng, sched))
 
         lengths = []
         real = so.schedule_probabilities
@@ -448,7 +452,6 @@ class TestPooledMode:
 
 class TestGatewayFailureResume:
     def test_partial_episode_is_resumable(self, episodes, xml_dialect, tmp_path):
-        from trajkit.evaluate import evaluate_episode_offline
         from trajkit.store import RunWriter, load_run
 
         calls = {"n": 0}
@@ -463,16 +466,16 @@ class TestGatewayFailureResume:
         writer = RunWriter(tmp_path, {"seed_list": [1]})
         gateway = ModelGateway(MockBackend(flaky), EndpointConfig(), xml_dialect.id)
         with pytest.raises(RuntimeError):
-            evaluate_episode_offline(gateway, episodes[0], xml_dialect,
-                                     writer=writer)
+            replay_episode(gateway, episodes[0], xml_dialect,
+                           reference_history(episodes[0]), writer=writer)
         records, _, _ = load_run(tmp_path)
         assert len(records) == 2  # steps before the failure are durable
 
         resumed = RunWriter(tmp_path, {"seed_list": [1]})
         gateway2, backend2 = make_gateway(episodes, xml_dialect, "oracle")
-        recs, metrics = evaluate_episode_offline(gateway2, episodes[0], xml_dialect,
-                                                 writer=resumed)
-        assert metrics.success
+        recs = replay_episode(gateway2, episodes[0], xml_dialect,
+                              reference_history(episodes[0]), writer=resumed)
+        assert episode_metrics(recs, episodes[0]).success
         assert backend2.calls == len(episodes[0]) - 2
 
 

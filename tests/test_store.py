@@ -151,7 +151,8 @@ class TestRunWriter:
         records, manifest, warnings = load_run(tmp_path)
         assert len(records) == 10
         assert warnings == []
-        assert len(manifest["completed"]) == 10
+        assert len({r.key for r in records}) == 10
+        assert "completed" not in manifest
 
     def test_duplicate_key_is_noop(self, tmp_path):
         writer = RunWriter(tmp_path)
@@ -169,7 +170,7 @@ class TestRunWriter:
 
         resumed = RunWriter(tmp_path, {"seed_list": [1]})
         assert resumed.completed_keys == {f"e1/{i}" for i in range(5)}
-        assert resumed.has("e1/3")
+        assert resumed.get("e1/3") is not None
         assert not resumed.append(make_record(3))
 
     def test_config_mismatch_refused(self, tmp_path):
