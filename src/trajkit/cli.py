@@ -42,15 +42,14 @@ from .gateway import (
 from .store import (
     ConfigMismatchError,
     CorruptRecordsError,
+    InputError,
     RunWriter,
     decode_action,
+    decode_bbox,
     load_episodes,
     load_run,
+    read_jsonl,
 )
-
-
-class InputError(Exception):
-    """An input named on the command line cannot be used; reported in one line."""
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -354,17 +353,16 @@ def _load_cells(path) -> dict[str, list]:
     from .decisions import ExecutionSample
     from .store import RunRecord, decode_prediction
 
+    def cell_sample(raw: dict):
+        r = RunRecord(**raw)
+        action = decode_prediction(r)
+        return f"{r.episode_id}/{r.step_index}", ExecutionSample(
+            action=action, thought=r.thought, seed=r.seed, round=r.round,
+            parse_ok=action is not None, failure_reason=r.failure_reason)
+
     cells: dict[str, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            r = RunRecord.from_json(line)
-            action = decode_prediction(r)
-            sample = ExecutionSample(action=action, thought=r.thought, seed=r.seed,
-                                     round=r.round, parse_ok=action is not None,
-                                     failure_reason=r.failure_reason)
-            cells.setdefault(f"{r.episode_id}/{r.step_index}", []).append(sample)
+    for key, sample in read_jsonl(path, cell_sample):
+        cells.setdefault(key, []).append(sample)
     return cells
 
 
@@ -513,43 +511,33 @@ def cmd_reward(args, config: dict) -> int:
     from .reporting import write_csv
     from .rewards import group_advantages, reward_binary, reward_gaussian_click
 
-    rows = []
     if args.groups:
-        with open(args.groups, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                result = group_advantages(rec["rewards"])
-                rows.append([rec.get("group_id", len(rows)),
-                             json.dumps(rec["rewards"]),
-                             json.dumps([round(a, 6) for a in result.advantages]),
-                             result.zero_variance])
+        def group_row(rec: dict):
+            result = group_advantages(rec["rewards"])
+            return rec, [json.dumps(rec["rewards"]),
+                         json.dumps([round(a, 6) for a in result.advantages]),
+                         result.zero_variance]
+
+        rows = [[rec.get("group_id", i), *cols]
+                for i, (rec, cols) in enumerate(read_jsonl(args.groups, group_row))]
         write_csv(args.out, ("group_id", "rewards", "advantages", "zero_variance"), rows)
     elif args.steps:
-        with open(args.steps, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                gt = decode_action(rec["gt_kind"], rec.get("gt_params") or {})
-                pred = None
-                if rec.get("pred_kind"):
-                    pred = decode_action(rec["pred_kind"], rec.get("pred_params") or {})
-                bbox = None
-                if rec.get("gt_bbox"):
-                    from .actions import BBox
+        def step_row(rec: dict):
+            gt = decode_action(rec["gt_kind"], rec.get("gt_params") or {})
+            pred = None
+            if rec.get("pred_kind"):
+                pred = decode_action(rec["pred_kind"], rec.get("pred_params") or {})
+            bbox = decode_bbox(rec["gt_bbox"]) if rec.get("gt_bbox") else None
+            breakdown = reward_binary(pred, gt, bbox)
+            total = breakdown.total
+            if (args.mode == "gaussian" and breakdown.r_type == 1.0
+                    and pred is not None and pred.kind.value in ("CLICK",)
+                    and bbox is not None):
+                total = breakdown.r_type + reward_gaussian_click(pred.point, bbox)
+            return rec, [breakdown.r_type, breakdown.r_params, total]
 
-                    bb = rec["gt_bbox"]
-                    bbox = BBox(bb["x1"], bb["y1"], bb["x2"], bb["y2"])
-                breakdown = reward_binary(pred, gt, bbox)
-                total = breakdown.total
-                if (args.mode == "gaussian" and breakdown.r_type == 1.0
-                        and pred is not None and pred.kind.value in ("CLICK",)
-                        and bbox is not None):
-                    total = breakdown.r_type + reward_gaussian_click(pred.point, bbox)
-                rows.append([rec.get("id", len(rows)), breakdown.r_type,
-                             breakdown.r_params, total])
+        rows = [[rec.get("id", i), *cols]
+                for i, (rec, cols) in enumerate(read_jsonl(args.steps, step_row))]
         write_csv(args.out, ("id", "r_type", "r_params", "total"), rows)
     else:
         raise SystemExit("reward needs --groups or --steps")

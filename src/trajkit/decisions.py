@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .actions import Action, ActionKind, BBox, Point
 from .dialects import ParsedResponse
-from .evaluate import CLICK_RADIUS, params_match
+from .evaluate import CLICK_RADIUS, actions_match
 
 if TYPE_CHECKING:
     import numpy as np
@@ -387,9 +387,7 @@ def stability(dist: DecisionDistribution, gt: Action, gt_bbox: Optional[BBox] = 
     total = 0.0
     for c in dist.clusters:
         rep = c.representative
-        if rep is None or rep.kind != gt.kind:
-            continue
-        if params_match(rep, gt, gt_bbox, click_radius):
+        if rep is not None and actions_match(rep, gt, gt_bbox, click_radius):
             total += c.mass
     return total
 
@@ -400,12 +398,13 @@ def member_stability(samples: Sequence[ExecutionSample], gt: Action,
     """Per-sample exact-match mean; the audit counterpart of ``stability``."""
     if not samples:
         raise EmptyDistributionError("no samples")
-    hits = sum(
-        1 for s in samples
-        if s.parse_ok and s.action.kind == gt.kind
-        and params_match(s.action, gt, gt_bbox, click_radius)
-    )
-    return hits / len(samples)
+    return _exact_hits(samples, gt, gt_bbox, click_radius) / len(samples)
+
+
+def _exact_hits(samples: Sequence[ExecutionSample], gt: Action, gt_bbox: Optional[BBox],
+                click_radius: float) -> int:
+    return sum(1 for s in samples
+               if s.parse_ok and actions_match(s.action, gt, gt_bbox, click_radius))
 
 
 # --- discretizations ---------------------------------------------------------------
@@ -458,11 +457,7 @@ def pass_at_n(samples: Sequence[ExecutionSample], n: int, gt: Action,
     total = len(samples)
     if n < 1 or n > total:
         raise ValueError(f"n={n} outside [1, {total}]")
-    c = sum(
-        1 for s in samples
-        if s.parse_ok and s.action.kind == gt.kind
-        and params_match(s.action, gt, gt_bbox, click_radius)
-    )
+    c = _exact_hits(samples, gt, gt_bbox, click_radius)
     return 1.0 - math.comb(total - c, n) / math.comb(total, n)
 
 

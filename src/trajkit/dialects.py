@@ -26,19 +26,15 @@ from .actions import (
     ActionKind,
     AmbiguousGestureError,
     Point,
-    PRESS_BUTTONS,
     SCROLL_DIRECTIONS,
     derive_scroll_direction,
     normalize_point,
 )
-from .store import Observation
+from .store import Observation, decode_action, decode_duration, encode_gt_params
 
 FAILURE_NO_ACTION = "no-action"
 FAILURE_BAD_PARAMS = "bad-params"
 FAILURE_UNSUPPORTED = "unsupported"
-
-NATIVE_PIXEL = "native-pixel"
-PER_MILLE = "per-mille"
 
 PERMILLE_DIMS = (1000.0, 1000.0)
 
@@ -126,19 +122,12 @@ class Dialect:
 
     id: str = ""
     action_support: frozenset[ActionKind] = frozenset()
-    coordinate_space: str = PER_MILLE
     supports_thought: bool = False
 
     # -- decoding ------------------------------------------------------------
 
     def parse_response(self, text: str, dims: tuple[float, float] = PERMILLE_DIMS) -> ParsedResponse:
         raise NotImplementedError
-
-    def _decode_point(self, raw: tuple[float, float], dims: tuple[float, float],
-                      warnings: list[str]) -> Point:
-        if self.coordinate_space == NATIVE_PIXEL:
-            return normalize_point(raw, dims, warnings)
-        return normalize_point(raw, PERMILLE_DIMS, warnings)
 
     # -- encoding ------------------------------------------------------------
 
@@ -158,12 +147,6 @@ class Dialect:
             raise UnrepresentableActionError(
                 f"dialect {self.id} cannot represent {action.kind.value}"
             )
-
-    def _encode_pixel_pair(self, point: Point, dims: tuple[float, float]) -> tuple[int, int]:
-        if self.coordinate_space == NATIVE_PIXEL:
-            w, h = dims
-            return round(point.x / 1000 * w), round(point.y / 1000 * h)
-        return point.x, point.y
 
     # -- prompting -----------------------------------------------------------
 
@@ -196,7 +179,6 @@ class XmlToolcallDialect(Dialect):
 
     id = "xml-toolcall"
     action_support = frozenset(ActionKind)
-    coordinate_space = NATIVE_PIXEL
     supports_thought = True
 
     TOOL_NAME = "mobile_use"
@@ -254,14 +236,14 @@ class XmlToolcallDialect(Dialect):
                      warnings: list[str]) -> Action:
         if name == "click":
             return Action(ActionKind.CLICK,
-                          point=self._decode_point(_to_pair(args.get("coordinate")), dims, warnings))
+                          point=normalize_point(_to_pair(args.get("coordinate")), dims, warnings))
         if name == "long_press":
             return Action(ActionKind.LONG_PRESS,
-                          point=self._decode_point(_to_pair(args.get("coordinate")), dims, warnings),
-                          duration=_opt_num(args.get("time")))
+                          point=normalize_point(_to_pair(args.get("coordinate")), dims, warnings),
+                          duration=decode_duration(args.get("time")))
         if name == "swipe":
-            start = self._decode_point(_to_pair(args.get("coordinate")), dims, warnings)
-            end = self._decode_point(_to_pair(args.get("coordinate2")), dims, warnings)
+            start = normalize_point(_to_pair(args.get("coordinate")), dims, warnings)
+            end = normalize_point(_to_pair(args.get("coordinate2")), dims, warnings)
             return Action(ActionKind.SCROLL, point=start,
                           direction=derive_scroll_direction(start, end))
         if name == "type":
@@ -279,7 +261,7 @@ class XmlToolcallDialect(Dialect):
                 raise ValueError(f"unknown system button {args.get('button')!r}")
             return Action(ActionKind.PRESS, button=button)
         if name == "wait":
-            return Action(ActionKind.WAIT, duration=_opt_num(args.get("time")))
+            return Action(ActionKind.WAIT, duration=decode_duration(args.get("time")))
         if name == "terminate":
             return Action(ActionKind.STOP, status=str(args.get("status", "finish")))
         raise UnrepresentableActionError(name)
@@ -287,10 +269,9 @@ class XmlToolcallDialect(Dialect):
     def _encode_call(self, action: Action, dims: tuple[float, float]) -> dict:
         k = action.kind
         if k is ActionKind.CLICK:
-            return {"action": "click", "coordinate": list(self._encode_pixel_pair(action.point, dims))}
+            return {"action": "click", "coordinate": _to_pixels(action.point, dims)}
         if k is ActionKind.LONG_PRESS:
-            call: dict = {"action": "long_press",
-                          "coordinate": list(self._encode_pixel_pair(action.point, dims))}
+            call: dict = {"action": "long_press", "coordinate": _to_pixels(action.point, dims)}
             if action.duration is not None:
                 call["time"] = action.duration
             return call
@@ -310,8 +291,8 @@ class XmlToolcallDialect(Dialect):
                     f"scroll {action.direction} from {start} points off-frame"
                 )
             return {"action": "swipe",
-                    "coordinate": list(self._encode_pixel_pair(start, dims)),
-                    "coordinate2": list(self._encode_pixel_pair(Point(ex, ey), dims))}
+                    "coordinate": _to_pixels(start, dims),
+                    "coordinate2": _to_pixels(Point(ex, ey), dims)}
         if k is ActionKind.TYPE:
             return {"action": "type", "text": action.text}
         if k is ActionKind.OPEN:
@@ -379,10 +360,9 @@ def _strip_tagged(text: str) -> str:
     return _CONCLUSION_RE.sub(" ", text)
 
 
-def _opt_num(v: object) -> Optional[float]:
-    if v is None:
-        return None
-    return float(v)
+def _to_pixels(point: Point, dims: tuple[float, float]) -> list[int]:
+    w, h = dims
+    return [round(point.x / 1000 * w), round(point.y / 1000 * h)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +383,6 @@ class ThoughtActionDialect(Dialect):
 
     id = "thought-action"
     action_support = frozenset(ActionKind) - {ActionKind.WAIT}
-    coordinate_space = PER_MILLE
     supports_thought = True
 
     def parse_response(self, text: str, dims: tuple[float, float] = PERMILLE_DIMS) -> ParsedResponse:
@@ -452,7 +431,7 @@ class ThoughtActionDialect(Dialect):
         m = _BOX_RE.search(cleaned)
         if not m:
             raise ValueError(f"cannot parse coordinates from {value!r}")
-        return self._decode_point((float(m.group(1)), float(m.group(2))), PERMILLE_DIMS, warnings)
+        return normalize_point((float(m.group(1)), float(m.group(2))), PERMILLE_DIMS, warnings)
 
     def _decode_call(self, name: str, args: dict[str, str],
                      warnings: list[str]) -> tuple[Action, Optional[str]]:
@@ -585,7 +564,6 @@ class PlainJsonDialect(Dialect):
 
     id = "plain-json"
     action_support = frozenset(ActionKind)
-    coordinate_space = PER_MILLE
     supports_thought = False
 
     def parse_response(self, text: str, dims: tuple[float, float] = PERMILLE_DIMS) -> ParsedResponse:
@@ -604,66 +582,29 @@ class PlainJsonDialect(Dialect):
             return resp
         name = str(obj["action"])
         try:
-            kind = ActionKind(name)
+            ActionKind(name)
         except ValueError:
             resp.failure = FAILURE_UNSUPPORTED
             resp.warnings.append(f"unknown action name {name!r}")
             return resp
+
+        # The params are the episode-file grammar; only model points are
+        # rounded and clamped instead of rejected.
+        def point(pair) -> Point:
+            return normalize_point((float(pair[0]), float(pair[1])), PERMILLE_DIMS, resp.warnings)
+
         try:
-            resp.action = self._decode(kind, obj, resp.warnings)
+            resp.action = decode_action(name, obj, point=point)
         except (ValueError, TypeError) as exc:
             resp.failure = FAILURE_BAD_PARAMS
             resp.warnings.append(str(exc))
         return resp
 
-    def _decode(self, kind: ActionKind, obj: dict, warnings: list[str]) -> Action:
-        if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS, ActionKind.SCROLL):
-            point = self._decode_point(_to_pair(obj.get("point")), PERMILLE_DIMS, warnings)
-            if kind is ActionKind.SCROLL:
-                direction = obj.get("to")
-                if direction not in SCROLL_DIRECTIONS:
-                    raise ValueError(f"SCROLL requires to in {SCROLL_DIRECTIONS}")
-                return Action(kind, point=point, direction=direction)
-            return Action(kind, point=point, duration=_opt_num(obj.get("duration")))
-        if kind is ActionKind.TYPE:
-            if "input" not in obj:
-                raise ValueError("TYPE requires input")
-            return Action(kind, text=str(obj["input"]), submit=bool(obj.get("submit", False)))
-        if kind is ActionKind.OPEN:
-            if not obj.get("app"):
-                raise ValueError("OPEN requires app")
-            return Action(kind, app=str(obj["app"]))
-        if kind is ActionKind.PRESS:
-            button = obj.get("press")
-            if button not in PRESS_BUTTONS:
-                raise ValueError(f"PRESS requires press in {PRESS_BUTTONS}")
-            return Action(kind, button=button)
-        if kind is ActionKind.WAIT:
-            return Action(kind, duration=_opt_num(obj.get("duration")))
-        return Action(kind, status=str(obj.get("status", "finish")))
-
     def render_response(self, action: Action, thought: Optional[str] = None,
                         conclusion: Optional[str] = None,
                         dims: tuple[float, float] = PERMILLE_DIMS) -> str:
-        self._check_supported(action)
-        obj: dict = {"action": action.kind.value}
-        if action.point is not None:
-            obj["point"] = [action.point.x, action.point.y]
-        if action.direction is not None:
-            obj["to"] = action.direction
-        if action.text is not None:
-            obj["input"] = action.text
-        if action.submit:
-            obj["submit"] = True
-        if action.app is not None:
-            obj["app"] = action.app
-        if action.button is not None:
-            obj["press"] = action.button
-        if action.duration is not None:
-            obj["duration"] = action.duration
-        if action.kind is ActionKind.STOP:
-            obj["status"] = action.status
-        return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+        return json.dumps({"action": action.kind.value, **encode_gt_params(action)},
+                          ensure_ascii=False, sort_keys=True)
 
     def render_history_entry(self, entry: HistoryEntry) -> str:
         self._check_supported(entry.action)

@@ -106,6 +106,12 @@ def params_match(pred: Action, gt: Action, gt_bbox: Optional[BBox],
     return True
 
 
+def actions_match(pred: Action, gt: Action, gt_bbox: Optional[BBox] = None,
+                  click_radius: float = CLICK_RADIUS) -> bool:
+    """Exact match: the same kind and matching parameters."""
+    return pred.kind == gt.kind and params_match(pred, gt, gt_bbox, click_radius)
+
+
 def evaluate_step(
     pred: Optional[Action],
     gt: Action,
@@ -132,7 +138,7 @@ def evaluate_step(
             failure_reason=failure_reason or "no prediction",
         )
     type_match = pred.kind == gt.kind
-    exact = type_match and params_match(pred, gt, gt_bbox, click_radius)
+    exact = actions_match(pred, gt, gt_bbox, click_radius)
     comparable = pred.kind in benchmark_space and pred.kind in model_space
     return StepEvaluation(
         type_match=type_match,

@@ -8,7 +8,6 @@ cases are classified into a three-way failure taxonomy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -16,10 +15,10 @@ from typing import Optional, Sequence
 from .actions import Action, ActionKind
 from .decisions import ExecutionSample, build_distribution
 from .dialects import Dialect
-from .evaluate import CLICK_RADIUS, params_match
+from .evaluate import actions_match
 from .gateway import ModelGateway, prepare_input
 from .stats import wilson_interval
-from .store import Observation, StepTask, decode_action
+from .store import Observation, StepTask, decode_action, read_jsonl
 
 
 class UndecidableError(RuntimeError):
@@ -76,11 +75,6 @@ class JudgeVerdict:
     failure: Optional[str] = None
 
 
-def decisions_match(a: Action, b: Action, click_radius: float = CLICK_RADIUS) -> bool:
-    """Decision-level equivalence, reusing the exact-match parameter rules."""
-    return a.kind == b.kind and params_match(a, b, None, click_radius)
-
-
 def judge_majority(
     gateway: ModelGateway,
     case: ConsistencyCase,
@@ -125,7 +119,7 @@ def two_stage_verdict(majorities: Sequence[JudgeMajority],
     groups: list[list[Action]] = []
     for decision in ordered:
         for group in groups:
-            if decisions_match(decision, group[0]):
+            if actions_match(decision, group[0]):
                 group.append(decision)
                 break
         else:
@@ -137,7 +131,7 @@ def two_stage_verdict(majorities: Sequence[JudgeMajority],
     if tied:
         verdict_consistent = False
     else:
-        verdict_consistent = executed is not None and decisions_match(executed, consensus)
+        verdict_consistent = executed is not None and actions_match(executed, consensus)
 
     failure = None
     if not verdict_consistent:
@@ -225,28 +219,23 @@ def detector_validation(labels: Sequence[bool], predictions: Sequence[bool],
 
 def load_cases(path: str | Path) -> list[ConsistencyCase]:
     """Read line-delimited consistency cases (see docs for the schema)."""
-    cases = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            executed = None
-            if raw.get("executed_kind"):
-                executed = decode_action(raw["executed_kind"],
-                                         raw.get("executed_params") or {})
-            label = raw.get("human_label")
-            cases.append(ConsistencyCase(
-                case_id=str(raw["case_id"]),
-                instruction=str(raw["instruction"]),
-                observation=Observation(
-                    screenshot_ref=str(raw.get("screenshot_path", "")),
-                    dims=(float(raw.get("img_w", 1000)), float(raw.get("img_h", 1000))),
-                    text_desc=raw.get("screen_desc"),
-                ),
-                reasoning_trace=str(raw["reasoning_trace"]),
-                executed_action=executed,
-                human_label=None if label is None else bool(label),
-            ))
-    return cases
+    return read_jsonl(path, _decode_case)
+
+
+def _decode_case(raw: dict) -> ConsistencyCase:
+    executed = None
+    if raw.get("executed_kind"):
+        executed = decode_action(raw["executed_kind"], raw.get("executed_params") or {})
+    label = raw.get("human_label")
+    return ConsistencyCase(
+        case_id=str(raw["case_id"]),
+        instruction=str(raw["instruction"]),
+        observation=Observation(
+            screenshot_ref=str(raw.get("screenshot_path", "")),
+            dims=(float(raw.get("img_w", 1000)), float(raw.get("img_h", 1000))),
+            text_desc=raw.get("screen_desc"),
+        ),
+        reasoning_trace=str(raw["reasoning_trace"]),
+        executed_action=executed,
+        human_label=None if label is None else bool(label),
+    )

@@ -31,7 +31,15 @@ from .evaluate import (
     step_ratio,
 )
 from .gateway import ModelGateway
-from .store import Episode, RunRecord, RunWriter, decode_action, decode_prediction
+from .store import (
+    Episode,
+    RunRecord,
+    RunWriter,
+    decode_action,
+    decode_prediction,
+    encode_gt_params,
+    read_jsonl,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,8 +73,6 @@ class OnPolicyArtifact:
     raw_response: str
 
     def to_dict(self) -> dict:
-        from .store import encode_gt_params
-
         return {
             "key": self.key,
             "action": self.action.encode(),
@@ -76,6 +82,16 @@ class OnPolicyArtifact:
             "conclusion": self.conclusion,
             "raw_response": self.raw_response,
         }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "OnPolicyArtifact":
+        return cls(
+            key=raw["key"],
+            action=decode_action(raw["kind"], raw.get("params") or {}),
+            thought=raw.get("thought"),
+            conclusion=raw.get("conclusion"),
+            raw_response=raw.get("raw_response", ""),
+        )
 
 
 @dataclass(frozen=True)
@@ -302,19 +318,8 @@ class ArtifactPool:
         """Read one pool file, or merge every ``*.jsonl`` in a directory."""
         pool = cls()
         for file in _pool_files(path):
-            with file.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    raw = json.loads(line)
-                    pool.add(OnPolicyArtifact(
-                        key=raw["key"],
-                        action=decode_action(raw["kind"], raw.get("params") or {}),
-                        thought=raw.get("thought"),
-                        conclusion=raw.get("conclusion"),
-                        raw_response=raw.get("raw_response", ""),
-                    ))
+            for artifact in read_jsonl(file, OnPolicyArtifact.from_dict):
+                pool.add(artifact)
         return pool
 
     @classmethod

@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from .actions import (
     Action,
@@ -32,6 +32,10 @@ MANIFEST_FILENAME = "manifest.json"
 
 class EpisodeFileError(ValueError):
     """Raised when an episode file cannot be read at all."""
+
+
+class InputError(Exception):
+    """An input named on the command line cannot be used; reported in one line."""
 
 
 class CorruptRecordsError(ValueError):
@@ -136,24 +140,33 @@ _REQUIRED_FIELDS = (
 _KNOWN_FIELDS = set(_REQUIRED_FIELDS) | {"instruction_low", "screen_desc", "gt_bbox"}
 
 
-def decode_action(kind_name: str, params: dict) -> Action:
-    """An action from its kind name and parameter dict, the episode-file grammar."""
+def _exact_point(pair: Sequence) -> Point:
+    return Point(int(pair[0]), int(pair[1]))
+
+
+def decode_action(kind_name: str, params: dict,
+                  point: Callable[[Sequence], Point] = _exact_point) -> Action:
+    """An action from its kind name and parameter dict, the episode-file grammar.
+
+    ``point`` turns the ``[x, y]`` pair into a Point. The default coerces each
+    coordinate with ``int()`` and lets the Point reject it when out of range;
+    a dialect decoding model output passes a rule that rounds and clamps.
+    """
     try:
         kind = ActionKind(kind_name)
     except ValueError:
         raise ValueError(f"unknown gt_kind {kind_name!r}")
     if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS, ActionKind.SCROLL):
-        pt = params.get("point")
-        if not (isinstance(pt, (list, tuple)) and len(pt) == 2):
+        pair = params.get("point")
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"{kind.value} gt_params requires point=[x,y]")
-        point = Point(int(pt[0]), int(pt[1]))
+        pt = point(pair)
         if kind is ActionKind.SCROLL:
             direction = params.get("to")
             if direction not in SCROLL_DIRECTIONS:
                 raise ValueError(f"SCROLL gt_params requires to in {SCROLL_DIRECTIONS}")
-            return Action(kind, point=point, direction=direction)
-        duration = params.get("duration")
-        return Action(kind, point=point, duration=duration)
+            return Action(kind, point=pt, direction=direction)
+        return Action(kind, point=pt, duration=decode_duration(params.get("duration")))
     if kind is ActionKind.TYPE:
         if "input" not in params:
             raise ValueError("TYPE gt_params requires input")
@@ -168,8 +181,21 @@ def decode_action(kind_name: str, params: dict) -> Action:
             raise ValueError(f"PRESS gt_params requires press in {PRESS_BUTTONS}")
         return Action(kind, button=button)
     if kind is ActionKind.WAIT:
-        return Action(kind, duration=params.get("duration"))
+        return Action(kind, duration=decode_duration(params.get("duration")))
     return Action(kind, status=str(params.get("status", "finish")))
+
+
+def decode_duration(value: object) -> Optional[float]:
+    """An optional duration, as a float."""
+    return None if value is None else float(value)
+
+
+def decode_bbox(raw: dict) -> BBox:
+    """A ``gt_bbox`` object; coordinates are coerced to int like ``point``."""
+    try:
+        return BBox(int(raw["x1"]), int(raw["y1"]), int(raw["x2"]), int(raw["y2"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed gt_bbox: {exc}")
 
 
 def encode_gt_params(action: Action) -> dict:
@@ -212,11 +238,7 @@ def _decode_step(rec: dict, base_dir: Path, check_screenshots: bool) -> StepTask
 
     gt_bbox = None
     if rec.get("gt_bbox") is not None:
-        bb = rec["gt_bbox"]
-        try:
-            gt_bbox = BBox(int(bb["x1"]), int(bb["y1"]), int(bb["x2"]), int(bb["y2"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed gt_bbox: {exc}")
+        gt_bbox = decode_bbox(rec["gt_bbox"])
         if gt_action.kind not in CLICKABLE_KINDS:
             raise ValueError(f"gt_bbox present for non-clickable kind {gt_action.kind.value}")
 
@@ -334,14 +356,36 @@ def write_episodes(episodes: Iterable[Episode], path: str | Path) -> None:
                 if st.observation.text_desc is not None:
                     rec["screen_desc"] = st.observation.text_desc
                 if st.gt_bbox is not None:
-                    rec["gt_bbox"] = {
-                        "x1": st.gt_bbox.x1,
-                        "y1": st.gt_bbox.y1,
-                        "x2": st.gt_bbox.x2,
-                        "y2": st.gt_bbox.y2,
-                    }
+                    rec["gt_bbox"] = asdict(st.gt_bbox)
                 rec.update(ep.extra)
                 fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+T = TypeVar("T")
+
+
+def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
+    """``decode`` applied to each object of a JSONL file, skipping blank lines.
+
+    A line that is not a JSON object, or that ``decode`` rejects with a
+    ValueError, TypeError or KeyError, raises ``InputError`` naming the file
+    and line.
+    """
+    out: list[T] = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("line is not a JSON object")
+                out.append(decode(obj))
+            except KeyError as exc:
+                raise InputError(f"{path}:{line_no}: missing field {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise InputError(f"{path}:{line_no}: {exc}") from None
+    return out
 
 
 # --- run records -----------------------------------------------------------

@@ -42,6 +42,21 @@ class TestIngest:
         assert len(rows) == 1
         assert rows[0]["episode_id"] == "broken"
 
+    def test_non_numeric_duration_rejected_with_its_line(self, bench, tmp_path, capsys):
+        lines = bench.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[0])
+        rec.pop("gt_bbox", None)
+        rec.update(episode_id="late", gt_kind="WAIT", gt_params={"duration": "soon"})
+        with open(bench, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        rc = main(["ingest", "--benchmark", str(bench), "--no-check-screenshots",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        rows = read_csv(tmp_path / "out" / "rejections.csv")
+        assert [(r["line"], r["episode_id"]) for r in rows] == [(str(len(lines) + 1), "late")]
+        assert "soon" in rows[0]["reason"]
+        assert f"line {len(lines) + 1} (late): " in capsys.readouterr().err
+
 
 class TestMakeFixture:
     def test_generates_loadable_benchmark(self, tmp_path):
@@ -233,6 +248,21 @@ class TestRewardCommand:
         total = float(read_csv(out_g)[0]["total"])
         # off-center (150,150) in a 200x100 box centered at (200,150)
         assert 1.0 < total < 2.0
+
+    def test_steps_gt_bbox_coerced_like_ingest(self, tmp_path):
+        """Fractional box corners are truncated to int, as ``ingest`` does."""
+        rec = {"pred_kind": "CLICK", "pred_params": {"point": [150, 150]},
+               "gt_kind": "CLICK", "gt_params": {"point": [150, 150]}}
+        totals = []
+        for bbox in ({"x1": 100, "y1": 100, "x2": 300, "y2": 200},
+                     {"x1": 100.5, "y1": 100.9, "x2": 300.2, "y2": 200.7}):
+            steps = tmp_path / "steps.jsonl"
+            steps.write_text(json.dumps({**rec, "gt_bbox": bbox}) + "\n", encoding="utf-8")
+            out = tmp_path / "gauss.csv"
+            assert main(["reward", "--steps", str(steps), "--mode", "gaussian",
+                         "--out", str(out)]) == 0
+            totals.append(read_csv(out)[0]["total"])
+        assert totals[0] == totals[1]
 
 
 class TestReportCommand:
@@ -736,3 +766,42 @@ class TestCorrelationUnusableColumn:
         assert lines[-1].startswith("trajkit: error: ")
         assert "no column" in lines[-1]
         assert not out.exists()
+
+
+class TestJsonlInputErrors:
+    """A bad line in a JSONL input is one error line naming the file and line."""
+
+    CASE = {"case_id": "c0", "instruction": "tap it", "reasoning_trace": "tap it",
+            "executed_kind": "CLICK", "executed_params": {"point": [200, 300]}}
+    STEP = {"gt_kind": "CLICK", "gt_params": {"point": [150, 150]}}
+
+    # (command, file flag, a good line, the bad line, words of the reason)
+    INPUTS = {
+        "pool": (["soeval", "--mode", "pool"], "--pool",
+                 {"key": "ep000/0", "kind": "STOP", "params": {}}, "{not json", "Expecting"),
+        "rollouts": (["cluster"], "--rollouts", None, "[1, 2]", "not a JSON object"),
+        "cases": (["judge", "--rollouts", "2"], "--cases", CASE,
+                  {"case_id": "c1", "reasoning_trace": "x"}, "missing field 'instruction'"),
+        "groups": (["reward"], "--groups", {"group_id": "g0", "rewards": [0.0, 1.0]},
+                   {"group_id": "g1"}, "missing field 'rewards'"),
+        "steps": (["reward"], "--steps", STEP, {**STEP, "gt_bbox": {"x1": 1}},
+                  "malformed gt_bbox"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_bad_line_is_one_error_line(self, bench, tmp_path, capsys, name):
+        command, flag, good, bad, reason = self.INPUTS[name]
+        path = tmp_path / f"{name}.jsonl"
+        lines = ["" if good is None else json.dumps(good), "",
+                 bad if isinstance(bad, str) else json.dumps(bad)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = [*command, flag, str(path)]
+        if name == "pool":
+            args += ["--benchmark", str(bench), "--out-dir", str(tmp_path / "run")]
+        else:
+            args += ["--out", str(tmp_path / "out.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith(f"trajkit: error: {path}:3: "), err
+        assert reason in err[0]
+        assert not (tmp_path / "out.csv").exists()

@@ -1,3 +1,4 @@
+import json
 import random
 import string
 
@@ -166,6 +167,24 @@ class TestPlainJson:
     def test_no_thought_extracted(self, json_dialect):
         parsed = json_dialect.parse_response('{"action": "STOP", "status": "finish"}')
         assert parsed.thought is None
+
+    def test_model_points_rounded_and_clamped_where_ground_truth_is_rejected(
+            self, json_dialect):
+        from trajkit.store import decode_action
+
+        params = {"point": [1200, 499.6], "duration": "2"}
+        parsed = json_dialect.parse_response(json.dumps({"action": "LONG_PRESS", **params}))
+        assert parsed.action == Action(ActionKind.LONG_PRESS, point=Point(1000, 500),
+                                       duration=2.0)
+        assert any("clamped" in w for w in parsed.warnings)
+        with pytest.raises(ValueError, match="outside"):
+            decode_action("LONG_PRESS", params)
+
+    @pytest.mark.parametrize("duration", ["soon", [1], {"s": 1}])
+    def test_non_numeric_duration_is_bad_params(self, json_dialect, duration):
+        parsed = json_dialect.parse_response(
+            json.dumps({"action": "WAIT", "duration": duration}))
+        assert parsed.failure == FAILURE_BAD_PARAMS
 
 
 class TestRoundTrip:
