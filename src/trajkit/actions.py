@@ -171,6 +171,22 @@ def _num(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else str(v)
 
 
+def finite_float(value: object) -> float:
+    """``float(value)``, rejecting NaN, infinities and numbers beyond a float.
+
+    Every rejection is a ``ValueError``, never an ``OverflowError``, so the
+    decoders that turn ``ValueError`` into a parse failure or an ingest
+    rejection stay total.
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("number too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"number is not finite: {number}")
+    return number
+
+
 def normalize_point(
     raw: tuple[float, float],
     dims: tuple[float, float],
@@ -180,7 +196,8 @@ def normalize_point(
 
     Each axis maps by ``round(raw/dim * 1000)`` and clamps to ``[0, 1000]``.
     Out-of-frame inputs are clamped, with a note appended to ``warnings``
-    when a list is supplied. Idempotent on dims of 1000x1000.
+    when a list is supplied. A coordinate that is not finite, or scales
+    beyond a float, raises ``ValueError``. Idempotent on dims of 1000x1000.
     """
     w, h = dims
     if w <= 0 or h <= 0:
@@ -188,7 +205,7 @@ def normalize_point(
     out = []
     clamped = False
     for v, d in ((raw[0], w), (raw[1], h)):
-        scaled = round(v / d * PERMILLE_MAX)
+        scaled = round(finite_float(finite_float(v) / d * PERMILLE_MAX))
         if scaled < 0 or scaled > PERMILLE_MAX:
             clamped = True
             scaled = min(max(scaled, 0), PERMILLE_MAX)

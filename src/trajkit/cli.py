@@ -71,6 +71,7 @@ def _parse_seed_list(text: Optional[str], config: dict) -> list[int]:
 
 def _endpoint_config(args, config: dict, n: int = 1, seed: Optional[int] = None) -> EndpointConfig:
     section = dict(config.get("endpoint") or {})
+    concurrency = getattr(args, "concurrency", None)
     sampling_keys = ("temperature", "top_p", "top_k", "repetition_penalty",
                      "presence_penalty", "max_tokens")
     sampling = SamplingConfig(
@@ -83,9 +84,15 @@ def _endpoint_config(args, config: dict, n: int = 1, seed: Optional[int] = None)
         sampling=sampling,
         timeout=float(section.get("timeout", 120.0)),
         max_retries=int(section.get("max_retries", 3)),
-        max_in_flight=int(getattr(args, "concurrency", None)
-                          or section.get("max_in_flight", 4)),
+        max_in_flight=int(section.get("max_in_flight", 4) if concurrency is None else concurrency),
     )
+
+
+def _episode_concurrency(args, cfg: EndpointConfig) -> int:
+    """Episodes replayed at once: the request cap over HTTP, where each step
+    waits on the network; one with an in-process mock, which threads would
+    only slow down."""
+    return cfg.max_in_flight if args.backend == "http" else 1
 
 
 #: The policy a run dir's manifest keeps for ``report`` (older manifests lack it).
@@ -283,25 +290,32 @@ def _run_eval(args, config: dict, mode: str) -> int:
     for w in writer.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    if mode == "offline":
-        records, _ = evaluate_benchmark_offline(
-            gateway, episodes, dialect, policy,
-            enable_thinking=args.enable_thinking, writer=writer,
-            seed=seeds[0], concurrency=1,
-            continue_on_error=args.continue_on_error,
-        )
-    elif mode == "pool":
-        records, _ = pooled_benchmark(
-            gateway, episodes, dialect, pool, policy, writer=writer,
-            seed=seeds[0], global_seed=seeds[0], enable_thinking=args.enable_thinking,
-            continue_on_error=args.continue_on_error,
-        )
-    else:
-        records, _ = soeval_benchmark(
-            gateway, episodes, dialect, policy,
-            enable_thinking=args.enable_thinking, writer=writer, seed=seeds[0],
-            continue_on_error=args.continue_on_error,
-        )
+    concurrency = _episode_concurrency(args, cfg)
+    try:
+        if mode == "offline":
+            records, _ = evaluate_benchmark_offline(
+                gateway, episodes, dialect, policy,
+                enable_thinking=args.enable_thinking, writer=writer,
+                seed=seeds[0], concurrency=concurrency,
+                continue_on_error=args.continue_on_error,
+            )
+        elif mode == "pool":
+            records, _ = pooled_benchmark(
+                gateway, episodes, dialect, pool, policy, writer=writer,
+                seed=seeds[0], global_seed=seeds[0], enable_thinking=args.enable_thinking,
+                continue_on_error=args.continue_on_error, concurrency=concurrency,
+            )
+        else:
+            records, _ = soeval_benchmark(
+                gateway, episodes, dialect, policy,
+                enable_thinking=args.enable_thinking, writer=writer, seed=seeds[0],
+                continue_on_error=args.continue_on_error, concurrency=concurrency,
+            )
+    finally:
+        # Episodes in parallel append in completion order; a serial run's
+        # order is restored even when the replay was cut short.
+        writer.canonicalize([ep.id for ep in episodes])
+    if mode == "live":
         ArtifactPool.from_records(records).save(out_dir / "pool.jsonl")
 
     writer.write_manifest({"mode": mode, "benchmark": str(args.benchmark),
@@ -325,19 +339,24 @@ def cmd_rollout(args, config: dict) -> int:
     seeds = _parse_seed_list(args.seed_list, config)[: args.rounds]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .evaluate import reference_history, replay_episode
+    from .evaluate import map_in_order, reference_history, replay_episode
     from .semionline import ArtifactPool
 
-    gateway = ModelGateway(backend, _endpoint_config(args, config, n=args.samples))
+    cfg = _endpoint_config(args, config, n=args.samples)
+    gateway = ModelGateway(backend, cfg)
+
+    def replay(job):
+        round_idx, seed, ep = job
+        return replay_episode(
+            gateway, ep, dialect, reference_history(ep, record_sources=False),
+            enable_thinking=args.enable_thinking, round_idx=round_idx, seed=seed)
+
+    jobs = [(round_idx, seed, ep) for round_idx, seed in enumerate(seeds) for ep in episodes]
     rows = []
     with (out_dir / "rollouts.jsonl").open("w", encoding="utf-8") as fh:
-        for round_idx, seed in enumerate(seeds):
-            for ep in episodes:
-                records = replay_episode(
-                    gateway, ep, dialect, reference_history(ep, record_sources=False),
-                    enable_thinking=args.enable_thinking, round_idx=round_idx, seed=seed)
-                fh.writelines(rec.to_json() + "\n" for rec in records)
-                rows += records
+        for records in map_in_order(replay, jobs, _episode_concurrency(args, cfg)):
+            fh.writelines(rec.to_json() + "\n" for rec in records)
+            rows += records
     pool = ArtifactPool.from_records(rows)
     pool.save(out_dir / "pool.jsonl")
     print(f"rollouts: {len(rows)}  pooled artifacts: {len(pool)}")
@@ -645,6 +664,16 @@ def _add_common(p: argparse.ArgumentParser, benchmark: bool = True) -> None:
         p.add_argument("--limit-episodes", type=int)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dialect", choices=["xml-toolcall", "thought-action", "plain-json"])
     p.add_argument("--backend", choices=["mock", "http"], default="mock")
@@ -652,7 +681,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="oracle | wrong | alternating | history-echo | noisy-oracle")
     p.add_argument("--endpoint-url")
     p.add_argument("--model")
-    p.add_argument("--concurrency", type=int)
+    p.add_argument("--concurrency", type=_positive_int,
+                   help="requests in flight; over HTTP also episodes replayed at once")
     p.add_argument("--enable-thinking", dest="enable_thinking", action="store_true",
                    default=True)
     p.add_argument("--no-thinking", dest="enable_thinking", action="store_false")

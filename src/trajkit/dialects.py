@@ -28,6 +28,7 @@ from .actions import (
     Point,
     SCROLL_DIRECTIONS,
     derive_scroll_direction,
+    finite_float,
     normalize_point,
 )
 from .store import Observation, decode_action, decode_duration, encode_gt_params
@@ -114,7 +115,7 @@ def _unescape(value: str) -> str:
 def _to_pair(value: object) -> tuple[float, float]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError(f"expected [x, y], got {value!r}")
-    return float(value[0]), float(value[1])
+    return finite_float(value[0]), finite_float(value[1])
 
 
 class Dialect:
@@ -591,7 +592,7 @@ class PlainJsonDialect(Dialect):
         # The params are the episode-file grammar; only model points are
         # rounded and clamped instead of rejected.
         def point(pair) -> Point:
-            return normalize_point((float(pair[0]), float(pair[1])), PERMILLE_DIMS, resp.warnings)
+            return normalize_point(_to_pair(pair), PERMILLE_DIMS, resp.warnings)
 
         try:
             resp.action = decode_action(name, obj, point=point)

@@ -14,7 +14,7 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .actions import Action, ActionKind, ALL_KINDS, BBox, spatial_distance
 from .dialects import Dialect, HistoryEntry, ParsedResponse, ReferenceEntry
@@ -22,6 +22,9 @@ from .gateway import ModelGateway, prepare_input
 from .store import Episode, RunRecord, RunWriter, StepTask, prediction_fields, step_key
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 #: Fallback click radius (per-mille, L2) when the ground truth has no bbox.
 #: Matches the spatial clustering neighborhood so the evaluator and the
@@ -283,6 +286,18 @@ def replay_episode(
     return records
 
 
+def map_in_order(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 1) -> Iterator[R]:
+    """``map(fn, items)`` with up to ``concurrency`` calls at once, yielding
+    results in the order of ``items``. One call at a time runs in this
+    thread; more run on a thread pool, whose pending calls are cancelled
+    if the consumer stops early or a call raises."""
+    if concurrency <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        yield from pool.map(fn, items)
+
+
 def replay_benchmark(
     episodes: Sequence[Episode],
     replay: Callable[[int, Episode], list[RunRecord]],
@@ -292,9 +307,12 @@ def replay_benchmark(
     """Run ``replay(index, episode)`` over many episodes, in order.
 
     Steps within an episode stay sequential; ``concurrency`` episodes run at
-    once. With ``continue_on_error`` a failing episode is logged and left
-    incomplete (its persisted steps remain resumable) instead of aborting
-    the whole run; incomplete episodes carry no entry in the metrics map.
+    once, and the records come back in episode order whatever order the
+    episodes finish in (a writer's appends do not: see
+    ``RunWriter.canonicalize``). With ``continue_on_error`` a failing
+    episode is logged and left incomplete (its persisted steps remain
+    resumable) instead of aborting the whole run; incomplete episodes carry
+    no entry in the metrics map.
     """
     def run(indexed: tuple[int, Episode]) -> Optional[list[RunRecord]]:
         idx, ep = indexed
@@ -306,11 +324,7 @@ def replay_benchmark(
             logger.exception("episode %s left incomplete", ep.id)
             return None
 
-    if concurrency <= 1:
-        outcomes = list(map(run, enumerate(episodes)))
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            outcomes = list(pool.map(run, enumerate(episodes)))
+    outcomes = list(map_in_order(run, enumerate(episodes), concurrency))
     done = [(ep, records) for ep, records in zip(episodes, outcomes) if records is not None]
     return ([r for _, records in done for r in records],
             {ep.id: episode_metrics(records, ep) for ep, records in done})

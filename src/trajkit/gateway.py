@@ -201,34 +201,99 @@ def _file_base64(path: str) -> bytes:
     return base64.b64encode(Path(path).read_bytes())
 
 
-def _post(url: str, body: bytes, headers: dict[str, str],
+def _post(url: str, body: Sequence[bytes], headers: dict[str, str],
           timeout: float) -> tuple[int, bytes]:
-    """POST ``body`` on a new connection; the status and the response body.
+    """POST the ``body`` pieces on a new connection; the status and the response body.
 
-    urllib's default opener takes proxies from ``http_proxy``/``https_proxy``/
-    ``no_proxy`` and verifies HTTPS against the system trust store. A status
-    other than 2xx arrives as ``HTTPError``, whose body is read here too.
+    The pieces go out one by one under an explicit ``Content-Length``, so the
+    body is never joined in memory. The request says ``Connection: close``;
+    once the response is read, the client half-closes its end and waits,
+    for at most ``timeout``, until the server has closed first. That keeps
+    a server's count of open connections at most the number of requests in
+    flight. Errors in that wait are ignored: the response is complete.
+
+    Proxies come from ``http_proxy``/``https_proxy``/``no_proxy``, with a
+    ``CONNECT`` tunnel for HTTPS; HTTPS is verified against the system trust
+    store (``ssl.create_default_context()``). A URL that is not http or
+    https, or names no host, raises ``ValueError``.
     """
-    import urllib.error
+    import http.client
+    import urllib.parse
     import urllib.request
 
-    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    target = urllib.parse.urlsplit(url)
+    if target.scheme not in ("http", "https") or not target.hostname:
+        raise ValueError(f"unusable endpoint URL {url!r}")
+    headers = {**headers, "Connection": "close",
+               "Content-Length": str(sum(len(piece) for piece in body))}
+    proxy = urllib.request.getproxies().get(target.scheme)
+    proxy_headers = {}
+    if proxy and not urllib.request.proxy_bypass(target.netloc):
+        proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if proxy.username and proxy.password:
+            credentials = urllib.parse.unquote(f"{proxy.username}:{proxy.password}")
+            proxy_headers["Proxy-Authorization"] = \
+                "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+        host, port = proxy.hostname, proxy.port
+    else:
+        proxy = None
+        host, port = target.hostname, target.port
+    path = urllib.parse.urlunsplit(("", "", target.path or "/", target.query, ""))
+    if target.scheme == "https":
+        import ssl
+
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                           context=ssl.create_default_context())
+        if proxy:
+            conn.set_tunnel(target.hostname, target.port, headers=proxy_headers)
+    else:
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        if proxy:
+            # Through a plain HTTP proxy the request line carries the absolute URL.
+            path = url
+            headers.update(proxy_headers)
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return exc.code, exc.read()
+        conn.request("POST", path, body=body, headers=headers)
+        # The response is read off the socket here, not by getresponse,
+        # which would close the socket as soon as the body is in.
+        response = http.client.HTTPResponse(conn.sock, method="POST")
+        try:
+            response.begin()
+            status, payload = response.status, response.read()
+        finally:
+            response.close()
+        _await_close(conn.sock, timeout)
+        return status, payload
+    finally:
+        conn.close()
+
+
+def _await_close(sock, timeout: float) -> None:
+    """Half-close ``sock`` and read until the peer closes, for at most ``timeout``."""
+    import socket
+
+    deadline = time.monotonic() + timeout
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        while (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            if not sock.recv(4096):
+                break
+    except OSError:
+        pass
 
 
 class HttpBackend:
     """Chat-completions client with retry/backoff; errors surface verbatim.
 
-    Each request body is serialized once, as bytes, and every retry posts
-    the same bytes. Screenshots are base64-encoded once per request and kept
-    for the next request of the same thread, which in a replay shares all
-    history screenshots but the newest. Every attempt opens a new connection
-    (``_post``).
+    Each request body is serialized once, as a list of byte pieces (the
+    JSON between images and each image's base64), and every retry posts the
+    same pieces; they are never joined into one buffer. Screenshots are
+    base64-encoded once per request and kept for the next request of the
+    same thread, which in a replay shares all history screenshots but the
+    newest. Every attempt opens a new connection (``_post``). Safe for
+    concurrent callers: a replay with N episodes in flight holds at most N
+    connections.
     """
 
     RETRYABLE_STATUS = (408, 409, 429, 500, 502, 503, 504)
@@ -250,12 +315,12 @@ class HttpBackend:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        body = self._body_bytes(request, cfg)
+        body = self._body_pieces(request, cfg)
         last_error: Optional[str] = None
         for attempt in range(cfg.max_retries + 1):
             try:
                 status, payload = _post(url, body, headers, cfg.timeout)
-            # OSError: refused, reset, timed out (URLError is one); HTTPException:
+            # OSError: refused, reset, timed out; HTTPException:
             # a malformed or cut-off response; ValueError: an unusable URL.
             except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = str(exc)
@@ -270,8 +335,9 @@ class HttpBackend:
                 self._sleep(self._backoff_base * (2 ** attempt))
         raise EndpointUnavailableError(last_error or "endpoint unreachable")
 
-    def _body_bytes(self, request: GenerationRequest, cfg: EndpointConfig) -> bytes:
-        """``json.dumps(_encode_body(request, cfg), allow_nan=False)`` as UTF-8 bytes.
+    def _body_pieces(self, request: GenerationRequest, cfg: EndpointConfig) -> list[bytes]:
+        """``json.dumps(_encode_body(request, cfg), allow_nan=False)`` as UTF-8
+        bytes, in pieces whose concatenation is the body.
 
         The JSON is dumped with a marker in place of each image's base64,
         and the base64 bytes are spliced in at the markers: base64 uses no
@@ -292,7 +358,7 @@ class HttpBackend:
         chunks = [pieces[0].encode("utf-8")]
         for path, piece in zip(paths, pieces[1:]):
             chunks += (images[path][1], piece.encode("utf-8"))
-        return b"".join(chunks)
+        return chunks
 
     def _screenshots(self, paths: Sequence[str]) -> dict[str, tuple[tuple[int, int], bytes]]:
         """Stamp and base64 of each path; a file whose size and mtime match

@@ -25,6 +25,7 @@ from .evaluate import (
     EpisodeMetrics,
     HistoryFn,
     Tally,
+    map_in_order,
     reference_entry,
     replay_benchmark,
     replay_episode,
@@ -250,13 +251,14 @@ def soeval_benchmark(
     writer: Optional[RunWriter] = None,
     seed: Optional[int] = None,
     continue_on_error: bool = False,
+    concurrency: int = 1,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
     """Live semi-online replay of many episodes (see ``replay_benchmark``)."""
     return replay_benchmark(
         episodes,
         lambda _, ep: replay_episode(gateway, ep, dialect, on_policy_history(ep), policy,
                                      enable_thinking, writer, seed=seed),
-        continue_on_error=continue_on_error)
+        concurrency, continue_on_error)
 
 
 # --- OSR ----------------------------------------------------------------------
@@ -445,9 +447,11 @@ def pooled_benchmark(
     global_seed: int = 0,
     enable_thinking: bool = True,
     continue_on_error: bool = False,
+    concurrency: int = 1,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
     """Pooled replay of many episodes; episode ``idx`` draws from its own
-    generator, seeded with (``idx``, ``global_seed``)."""
+    generator, seeded with (``idx``, ``global_seed``), so the draws do not
+    depend on ``concurrency``."""
     import numpy as np
 
     probabilities: dict[int, list[float]] = {}
@@ -458,7 +462,7 @@ def pooled_benchmark(
             pooled_history(ep, pool, np.random.default_rng((idx, global_seed)), schedule,
                            probabilities),
             policy, enable_thinking, writer, seed=seed),
-        continue_on_error=continue_on_error)
+        concurrency, continue_on_error)
 
 
 # --- regime sweep ---------------------------------------------------------------
@@ -583,9 +587,4 @@ def run_sweep(
         return run_sweep_setting(setting, gateway, episodes, dialect, pool,
                                  policy, cfg.global_seed, enable_thinking)
 
-    if concurrency <= 1:
-        return [run(s) for s in settings]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=concurrency) as executor:
-        return list(executor.map(run, settings))
+    return list(map_in_order(run, settings, concurrency))

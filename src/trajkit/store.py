@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from .actions import (
     Point,
     PRESS_BUTTONS,
     SCROLL_DIRECTIONS,
+    finite_float,
 )
 
 RECORDS_FILENAME = "records.jsonl"
@@ -141,7 +143,10 @@ _KNOWN_FIELDS = set(_REQUIRED_FIELDS) | {"instruction_low", "screen_desc", "gt_b
 
 
 def _exact_point(pair: Sequence) -> Point:
-    return Point(int(pair[0]), int(pair[1]))
+    try:
+        return Point(int(pair[0]), int(pair[1]))
+    except OverflowError:
+        raise ValueError(f"point {list(pair)} is not finite") from None
 
 
 def decode_action(kind_name: str, params: dict,
@@ -186,15 +191,15 @@ def decode_action(kind_name: str, params: dict,
 
 
 def decode_duration(value: object) -> Optional[float]:
-    """An optional duration, as a float."""
-    return None if value is None else float(value)
+    """An optional duration, as a finite float."""
+    return None if value is None else finite_float(value)
 
 
 def decode_bbox(raw: dict) -> BBox:
     """A ``gt_bbox`` object; coordinates are coerced to int like ``point``."""
     try:
         return BBox(int(raw["x1"]), int(raw["y1"]), int(raw["x2"]), int(raw["y2"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed gt_bbox: {exc}")
 
 
@@ -249,7 +254,7 @@ def _decode_step(rec: dict, base_dir: Path, check_screenshots: bool) -> StepTask
         instruction_low=rec.get("instruction_low"),
         observation=Observation(
             screenshot_ref=str(resolved),
-            dims=(float(rec["img_w"]), float(rec["img_h"])),
+            dims=(finite_float(rec["img_w"]), finite_float(rec["img_h"])),
             text_desc=rec.get("screen_desc"),
         ),
         gt_action=gt_action,
@@ -287,7 +292,8 @@ def load_episodes(path: str | Path, check_screenshots: bool = True) -> LoadRepor
                     raise ValueError("record is not an object")
                 episode_id = rec.get("episode_id")
                 step = _decode_step(rec, base_dir, check_screenshots)
-            except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+            except (json.JSONDecodeError, ValueError, TypeError, KeyError,
+                    OverflowError) as exc:
                 rejections.append(Rejection(line_no, episode_id, str(exc)))
                 if episode_id is not None:
                     poisoned.add(str(episode_id))
@@ -455,10 +461,14 @@ class RunWriter:
     """Append-only, resume-safe record sink for one run directory.
 
     Appends are serialized through a lock so episode workers may be
-    concurrent. ``records.jsonl`` is the only list of completed steps; the
-    manifest names none. Appending a key that is already persisted is a
-    no-op. A corrupted trailing line (torn write) is detected on open; the
-    file is truncated back to the last valid record and a warning is kept.
+    concurrent; each step's records are appended as soon as they exist, in
+    completion order, so an interrupted run resumes step by step. When a
+    replay ends, ``canonicalize`` puts the file in canonical order, which
+    makes it byte-identical to a serial run's. ``records.jsonl`` is the only
+    list of completed steps; the manifest names none. Appending a key that
+    is already persisted is a no-op. A corrupted trailing line (torn write)
+    is detected on open; the file is truncated back to the last valid
+    record and a warning is kept.
     A bad line with valid records after it is not a torn write: opening
     raises ``CorruptRecordsError`` naming the file and line, and the file
     is left untouched.
@@ -478,7 +488,10 @@ class RunWriter:
         self._config_hash = config_hash(config) if config is not None else None
         self._seed_list: list[int] = list(config.get("seed_list", [])) if config else []
 
-        self._by_key = {r.key: r for r in self._load_existing()}
+        existing = self._load_existing()
+        self._by_key = {r.key: r for r in existing}
+        # The key on each line of the file, in file order.
+        self._lines = [r.key for r in existing]
         if self._config_hash is None:
             return
         if self.manifest_path.exists():
@@ -519,6 +532,38 @@ class RunWriter:
             with self.records_path.open("a", encoding="utf-8") as fh:
                 fh.write(record.to_json() + "\n")
             self._by_key[record.key] = record
+            self._lines.append(record.key)
+        return True
+
+    def canonicalize(self, episode_ids: Sequence[str]) -> bool:
+        """Put ``records.jsonl`` in canonical order; True if it was rewritten.
+
+        The order is by episode, as in ``episode_ids`` (records of other
+        episodes follow, in file order), then round, step and sample. A file
+        already in that order is left untouched. Otherwise its lines are
+        moved, not re-serialized, into a temporary file that replaces it
+        atomically.
+        """
+        position = {episode_id: i for i, episode_id in enumerate(episode_ids)}
+
+        def rank(key: str) -> tuple[int, int, int, int]:
+            r = self._by_key[key]
+            return position.get(r.episode_id, len(position)), r.round, r.step_index, r.sample
+
+        with self._lock:
+            ranks = [rank(key) for key in self._lines]
+            if all(a <= b for a, b in zip(ranks, ranks[1:])):
+                return False
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)
+            with self.records_path.open("rb") as fh:
+                lines = fh.readlines()
+            if len(lines) != len(order):
+                raise CorruptRecordsError(f"{self.records_path} changed while it was open")
+            tmp = self.records_path.with_name(self.records_path.name + ".tmp")
+            with tmp.open("wb") as fh:
+                fh.writelines(lines[i] for i in order)
+            os.replace(tmp, self.records_path)
+            self._lines = [self._lines[i] for i in order]
         return True
 
     def write_manifest(self, extra: Optional[dict] = None) -> dict:

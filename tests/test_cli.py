@@ -42,6 +42,20 @@ class TestIngest:
         assert len(rows) == 1
         assert rows[0]["episode_id"] == "broken"
 
+    def test_infinite_point_rejected_with_its_line(self, bench, tmp_path):
+        lines = bench.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[0])
+        rec.pop("gt_bbox", None)
+        rec.update(episode_id="far", gt_kind="CLICK", gt_params={"point": ["x", 5]})
+        with open(bench, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec).replace('"x"', "1e999") + "\n")
+        rc = main(["ingest", "--benchmark", str(bench), "--no-check-screenshots",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        rows = read_csv(tmp_path / "out" / "rejections.csv")
+        assert [(r["line"], r["episode_id"]) for r in rows] == [(str(len(lines) + 1), "far")]
+        assert "finite" in rows[0]["reason"]
+
     def test_non_numeric_duration_rejected_with_its_line(self, bench, tmp_path, capsys):
         lines = bench.read_text(encoding="utf-8").splitlines()
         rec = json.loads(lines[0])
@@ -620,6 +634,19 @@ class TestNoThinkingEveryMode:
         assert not any(thinking)
 
 
+class TestConcurrencyFlag:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_is_a_usage_error(self, bench, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--benchmark", str(bench), "--concurrency", value,
+                  "--out-dir", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"trajkit eval: error: argument --concurrency: "
+                          f"must be an integer >= 1, got '{value}'"]
+        assert not (tmp_path / "run").exists()
+
+
 class TestPoolContinueOnError:
     def test_failing_episode_left_resumable(self, bench, tmp_path, monkeypatch):
         import trajkit.cli as cli
@@ -657,7 +684,9 @@ class TestPoolContinueOnError:
         assert main(args) == 0
         resumed = [json.loads(line)["key"]
                    for line in (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
-        assert resumed == keys + ["ep001/2", "ep001/3"]
+        # The resumed steps are appended last, then the file is put in
+        # canonical order: episode, round, step, sample.
+        assert resumed == [f"ep{e:03d}/{i}" for e in range(3) for i in range(4)]
 
 
 class TestEmptyReport:
@@ -730,8 +759,11 @@ class TestEmptyReport:
 
         failing_at(99)
         assert main(args) == 0
-        assert (out / "records.jsonl").read_bytes().startswith(records)
-        assert len((out / "records.jsonl").read_bytes().splitlines()) == 6
+        # Each episode's third step is appended on resume; the file ends in
+        # canonical order, as an uninterrupted run writes it.
+        fresh = tmp_path / "fresh"
+        assert main([*args[:-1], str(fresh)]) == 0
+        assert (out / "records.jsonl").read_bytes() == (fresh / "records.jsonl").read_bytes()
 
 
 class TestCorrelationUnusableColumn:

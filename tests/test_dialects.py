@@ -288,6 +288,32 @@ class TestTotality:
         parsed = get_dialect(dialect_id).parse_response("")
         assert parsed.failure == FAILURE_NO_ACTION
 
+    def test_infinite_point_is_bad_params(self):
+        parsed = get_dialect("plain-json").parse_response(
+            '{"action": "CLICK", "point": [1e999, 0]}')
+        assert parsed.failure == FAILURE_BAD_PARAMS
+
+    def test_duration_beyond_a_float_is_bad_params(self):
+        parsed = get_dialect("plain-json").parse_response(
+            '{"action": "WAIT", "duration": 1' + "0" * 400 + "}")
+        assert parsed.failure == FAILURE_BAD_PARAMS
+
+    def test_box_beyond_a_float_is_bad_params(self):
+        parsed = get_dialect("thought-action").parse_response(
+            "Action: click(start_box='(" + "9" * 400 + ",1)')")
+        assert parsed.failure == FAILURE_BAD_PARAMS
+
+    def test_nan_duration_is_bad_params(self):
+        parsed = get_dialect("plain-json").parse_response(
+            '{"action": "WAIT", "duration": NaN}')
+        assert parsed.failure == FAILURE_BAD_PARAMS
+
+    def test_coordinate_beyond_a_float_is_bad_params(self):
+        parsed = get_dialect("xml-toolcall").parse_response(
+            '<tool_call>{"name": "mobile_use", "arguments": {"action": "click", '
+            '"coordinate": [1' + "0" * 400 + ", 3]}}</tool_call>")
+        assert parsed.failure == FAILURE_BAD_PARAMS
+
 
 # hypothesis-driven round trip over generated actions
 from hypothesis import given, settings, strategies as hst

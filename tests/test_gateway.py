@@ -246,16 +246,50 @@ class TestHttpRetry:
         assert HttpBackend(sleep=sleeps.append).complete(simple_request(), cfg) == ["ok"]
         assert len(chat_server.seen) == 2 and sleeps == [0.5]
 
-    def test_proxy_from_environment(self, chat_server, monkeypatch):
-        import urllib.request
+    def test_reset_after_reply_is_not_retried(self, chat_server):
+        chat_server.reset_after_reply = True
+        cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
+        assert HttpBackend(backoff_base=0.0).complete(simple_request(), cfg) == ["ok"]
+        assert len(chat_server.seen) == 1
 
+    def test_https_proxy_tunnel(self, monkeypatch):
+        """An HTTPS endpoint behind ``https_proxy`` is reached through a
+        CONNECT tunnel that carries the proxy's credentials."""
+        seen = []
+        with socket.socket() as proxy:
+            proxy.bind(("127.0.0.1", 0))
+            proxy.listen(1)
+
+            def refuse_tunnel():
+                conn, _ = proxy.accept()
+                with conn:
+                    head = b""
+                    while b"\r\n\r\n" not in head:
+                        head += conn.recv(4096)
+                    seen.append(head.decode("latin-1"))
+                    conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
+
+            worker = threading.Thread(target=refuse_tunnel, daemon=True)
+            worker.start()
+            monkeypatch.setenv("https_proxy",
+                               f"http://us%40r:pw@127.0.0.1:{proxy.getsockname()[1]}")
+            monkeypatch.delenv("no_proxy", raising=False)
+            monkeypatch.delenv("NO_PROXY", raising=False)
+            cfg = EndpointConfig(base_url="https://chat.invalid/v1", max_retries=0)
+            with pytest.raises(EndpointUnavailableError, match="502"):
+                HttpBackend().complete(simple_request(), cfg)
+            worker.join(timeout=10)
+        request_line, *header_lines = seen[0].split("\r\n")
+        assert request_line.startswith("CONNECT chat.invalid:443 HTTP/")
+        credentials = base64.b64encode(b"us@r:pw").decode()
+        assert f"Proxy-Authorization: Basic {credentials}" in header_lines
+
+    def test_proxy_from_environment(self, chat_server, monkeypatch):
         # The upstream is a port nothing listens on: only the proxy can answer.
         upstream = refused_url()
         monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{chat_server.port}")
         monkeypatch.delenv("no_proxy")
         monkeypatch.delenv("NO_PROXY", raising=False)
-        # urlopen's default opener reads the proxies once, when it is built.
-        monkeypatch.setattr(urllib.request, "_opener", None)
         cfg = EndpointConfig(base_url=upstream, max_retries=0)
         assert HttpBackend().complete(simple_request(), cfg) == ["ok"]
         (line, _, data), = chat_server.seen
@@ -300,6 +334,11 @@ def expected_bytes(request, cfg):
     return json.dumps(body, allow_nan=False).encode("utf-8")
 
 
+def body_bytes(backend, request, cfg):
+    """The body ``backend`` posts for ``request``: its pieces, joined."""
+    return b"".join(backend._body_pieces(request, cfg))
+
+
 def image_request(paths, text="look"):
     return GenerationRequest(messages=(
         Message("system", (TextPart("sys"),)),
@@ -333,7 +372,7 @@ class TestHttpBodyBytes:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_bytes_equal_json_dumps_of_encode_body(self, tmp_path, data):
+    def test_bytes_equal_json_dumps_of_encode_body(self, tmp_path, chat_server, data):
         shots = []
         for i in range(3):
             shot = tmp_path / f"s{i}.png"
@@ -358,12 +397,14 @@ class TestHttpBodyBytes:
             presence_penalty=data.draw(st.sampled_from([0.0, -0.5, 1.5])),
             seed=data.draw(st.none() | st.integers(0, 2**31)),
         )
-        cfg = EndpointConfig(model_name=data.draw(TEXT), sampling=sampling)
+        cfg = EndpointConfig(base_url=chat_server.url, model_name=data.draw(TEXT),
+                             sampling=sampling)
         backend = HttpBackend()
         want = json.dumps(HttpBackend._encode_body(request, cfg), allow_nan=False).encode("utf-8")
-        assert backend._body_bytes(request, cfg) == want
-        # Again, with this request's screenshots now cached.
-        assert backend._body_bytes(request, cfg) == want
+        assert body_bytes(backend, request, cfg) == want
+        # Again, with this request's screenshots now cached, and on the wire.
+        assert backend.complete(request, cfg) == ["ok"]
+        assert chat_server.bodies()[-1] == want
 
     def test_rewritten_screenshot_is_encoded_again(self, tmp_path, count_reads):
         shot = tmp_path / "s.png"
@@ -371,19 +412,19 @@ class TestHttpBodyBytes:
         request = image_request([shot])
         cfg = EndpointConfig()
         backend = HttpBackend()
-        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
-        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+        assert body_bytes(backend, request, cfg) == expected_bytes(request, cfg)
+        assert body_bytes(backend, request, cfg) == expected_bytes(request, cfg)
         assert count_reads == {str(shot): 1}
         # Same size, later mtime.
         shot.write_bytes(b"secnd")
         st_ = shot.stat()
         os.utime(shot, ns=(st_.st_atime_ns, st_.st_mtime_ns + 1_000_000))
-        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+        assert body_bytes(backend, request, cfg) == expected_bytes(request, cfg)
         # Other size, same mtime.
         mtime = shot.stat().st_mtime_ns
         shot.write_bytes(b"third!")
         os.utime(shot, ns=(mtime, mtime))
-        assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+        assert body_bytes(backend, request, cfg) == expected_bytes(request, cfg)
         assert count_reads == {str(shot): 3}
 
     def test_cache_holds_only_last_request_images(self, tmp_path, count_reads):
@@ -394,7 +435,7 @@ class TestHttpBodyBytes:
         cfg = EndpointConfig()
         for paths in ([a, b], [b, c, c], [a]):
             request = image_request(paths)
-            assert backend._body_bytes(request, cfg) == expected_bytes(request, cfg)
+            assert body_bytes(backend, request, cfg) == expected_bytes(request, cfg)
             assert set(backend._local.images) == {str(p) for p in paths}
         # b is reused once; a was dropped by the second request and read again.
         assert count_reads == {str(a): 2, str(b): 1, str(c): 1}
@@ -404,8 +445,8 @@ class TestHttpBodyBytes:
         shot.write_bytes(b"png")
         backend = HttpBackend()
         request = image_request([shot])
-        backend._body_bytes(request, EndpointConfig())
-        worker = threading.Thread(target=backend._body_bytes,
+        backend._body_pieces(request, EndpointConfig())
+        worker = threading.Thread(target=backend._body_pieces,
                                   args=(request, EndpointConfig()))
         worker.start()
         worker.join(timeout=10)
@@ -420,7 +461,7 @@ class TestHttpBodyBytes:
         monkeypatch.setattr(gw.secrets, "token_hex", lambda n: "0" * (2 * n))
         request = image_request([shot], text="trajkit-image-" + "0" * 32)
         with pytest.raises(ValueError, match="2 image markers for 1 images"):
-            HttpBackend()._body_bytes(request, EndpointConfig())
+            HttpBackend()._body_pieces(request, EndpointConfig())
 
     def test_retry_posts_equal_bytes_and_reads_once(self, tmp_path, chat_server, count_reads):
         shots = [tmp_path / f"{n}.png" for n in range(3)]

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -79,6 +81,20 @@ class TestLoadEpisodes:
         report = load_episodes(path)
         assert len(report.episodes) == 1
         assert report.rejections[0].line_no == 2
+
+    @pytest.mark.parametrize("overrides, number", [
+        ({"step_index": "N"}, "1e999"),
+        ({"img_w": "N"}, "1e999"),
+        ({"img_w": "N"}, "1" + "0" * 400),
+        ({"gt_kind": "CLICK", "gt_params": {"point": [5, 5]},
+          "gt_bbox": {"x1": "N", "y1": 0, "x2": 10, "y2": 10}}, "-1e999"),
+        ({"gt_kind": "WAIT", "gt_params": {"duration": "N"}}, "NaN"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, overrides, number):
+        line = json.dumps(base_record(tmp_path, **overrides)).replace('"N"', number)
+        (tmp_path / "b.jsonl").write_text(line + "\n", encoding="utf-8")
+        report = load_episodes(tmp_path / "b.jsonl")
+        assert report.episodes == [] and len(report.rejections) == 1
 
     def test_bbox_on_nonclickable_rejected(self, tmp_path):
         rec = base_record(
@@ -230,6 +246,78 @@ class TestRunWriter:
         assert path.read_bytes() == corrupted
         with pytest.raises(CorruptRecordsError):
             load_run(tmp_path)
+
+    @staticmethod
+    def record(episode, step, round_=0, sample=0):
+        return make_record(step, key=f"{episode}/{step}/r{round_}/s{sample}",
+                           episode_id=episode, round=round_, sample=sample)
+
+    def test_canonicalize_orders_by_episode_round_step_sample(self, tmp_path):
+        canonical = [self.record("b", 0), self.record("b", 1), self.record("a", 0),
+                     self.record("a", 1, sample=0), self.record("a", 1, sample=1),
+                     self.record("a", 0, round_=1), self.record("x", 0)]
+        shuffled = [canonical[i] for i in (6, 4, 2, 1, 5, 0, 3)]
+        writer = RunWriter(tmp_path / "run")
+        for rec in shuffled:
+            writer.append(rec)
+        lines = (tmp_path / "run" / "records.jsonl").read_bytes().splitlines(keepends=True)
+        # Episodes in the given order; one that is not given goes last.
+        assert writer.canonicalize(["b", "a"])
+        want = [lines[shuffled.index(rec)] for rec in canonical]
+        assert (tmp_path / "run" / "records.jsonl").read_bytes() == b"".join(want)
+        assert not (tmp_path / "run" / "records.jsonl.tmp").exists()
+
+    def test_canonicalize_moves_lines_without_reserializing(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        # A persisted line in a layout ``to_json`` would not write.
+        odd = json.dumps(json.loads(self.record("e1", 1).to_json()), indent=None,
+                         separators=(" , ", " : ")).encode() + b"\n"
+        path.write_bytes(odd)
+        writer = RunWriter(tmp_path)
+        writer.append(self.record("e1", 0))
+        assert writer.canonicalize(["e1"])
+        assert path.read_bytes().endswith(odd)
+        # The writer follows its own rewrite when more records come.
+        writer.append(self.record("e1", 2))
+        assert not writer.canonicalize(["e1"])
+        assert [r.step_index for r in load_run(tmp_path)[0]] == [0, 1, 2]
+
+    def test_parallel_appends_then_canonicalize(self, tmp_path):
+        """Eight threads append 40 records each with frequent thread switches;
+        none is lost, and the rewrite orders every line."""
+        episodes = [f"e{i}" for i in range(8)]
+        writer = RunWriter(tmp_path)
+
+        def work(episode):
+            for step in range(40):
+                writer.append(self.record(episode, step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(e,)) for e in reversed(episodes)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        writer.canonicalize(episodes)
+        records, _, warnings = load_run(tmp_path)
+        assert warnings == []
+        assert [(r.episode_id, r.step_index) for r in records] == \
+            [(e, step) for e in episodes for step in range(40)]
+
+    def test_canonical_file_left_untouched(self, tmp_path):
+        writer = RunWriter(tmp_path)
+        for i in range(3):
+            writer.append(make_record(i))
+        path = tmp_path / "records.jsonl"
+        before = path.stat()
+        assert not writer.canonicalize(["e1"])
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_record_json_roundtrip(self):
         rec = make_record(2, history_sources=[True, False], seed=9, round=1)
