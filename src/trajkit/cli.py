@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .actions import ActionKind, Point
+from .actions import ActionKind, Point, finite_float
 from .dialects import get_dialect
 from .evaluate import (
     DEFAULT_POLICY,
@@ -627,21 +627,36 @@ def cmd_stats(args, config: dict) -> int:
                   f"(transposed {r.legendre_r2_transposed:.4f}) "
                   f"linear_r2={r.linear_r2:.4f}")
     elif args.stat == "contingency":
-        t = Contingency2x2(args.a, args.b, args.c, args.d)
-        s = contingency_stats(t)
-        print(f"match ratios: {s.match_ratio_first:.2f} / {s.match_ratio_second:.2f}")
-        print(f"relative risk: {s.relative_risk:.4f}  odds ratio: {s.odds_ratio:.4f}")
+        try:
+            s = contingency_stats(Contingency2x2(args.a, args.b, args.c, args.d))
+        except ValueError as exc:
+            raise InputError(f"contingency: {exc}") from None
+        print(f"match ratios: {_defined(s.match_ratio_first, '.2f')} / "
+              f"{_defined(s.match_ratio_second, '.2f')}")
+        print(f"relative risk: {_defined(s.relative_risk, '.4f')}  "
+              f"odds ratio: {_defined(s.odds_ratio, '.4f')}")
         print(f"chi2: {s.chi2:.2f}  phi: {s.phi:.4f}")
     elif args.stat == "wilson":
-        lo, hi = wilson_interval(args.successes, args.n)
+        try:
+            lo, hi = wilson_interval(args.successes, args.n)
+        except ValueError as exc:
+            raise InputError(f"wilson: {exc}") from None
         print(f"[{lo:.4f}, {hi:.4f}]")
     elif args.stat == "seeds":
-        summary = multi_seed_summary(args.values)
+        try:
+            summary = multi_seed_summary(args.values)
+        except ValueError as exc:
+            raise InputError(f"seeds: {exc}") from None
         if summary.ci:
             print(f"mean {summary.mean:.4f}  CI [{summary.ci[0]:.4f}, {summary.ci[1]:.4f}]")
         else:
             print(f"mean {summary.mean:.4f}")
     return 0
+
+
+def _defined(value: Optional[float], spec: str) -> str:
+    """``value`` formatted by ``spec``, or ``undefined`` for a ratio over zero."""
+    return "undefined" if value is None else format(value, spec)
 
 
 def _finite_or_none(cell: Optional[str]) -> Optional[float]:
@@ -672,6 +687,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        return finite_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -806,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--config")
     q.set_defaults(func=cmd_stats)
     q = stat_sub.add_parser("seeds")
-    q.add_argument("values", type=float, nargs="+")
+    q.add_argument("values", type=_finite_float, nargs="+")
     q.add_argument("--config")
     q.set_defaults(func=cmd_stats)
 

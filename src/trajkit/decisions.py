@@ -486,26 +486,128 @@ def discrete_w1(points_a: np.ndarray, weights_a: np.ndarray,
                 points_b: np.ndarray, weights_b: np.ndarray) -> float:
     """Exact 1-Wasserstein distance between small discrete measures."""
     import numpy as np
-    from scipy.optimize import linprog
 
     if abs(weights_a.sum() - weights_b.sum()) > 1e-9:
         raise InvalidMeasureError("measures carry unequal total mass")
     m, n = len(weights_a), len(weights_b)
     if m > MAX_OT_SUPPORT or n > MAX_OT_SUPPORT:
         raise InvalidMeasureError(f"support exceeds {MAX_OT_SUPPORT}")
+    if not m or not n:
+        raise InvalidMeasureError("empty measure")
     diff = points_a[:, None, :] - points_b[None, :, :]
-    cost = np.sqrt((diff ** 2).sum(axis=-1)).reshape(-1)
+    cost = np.sqrt((diff ** 2).sum(axis=-1))
+    plan = _transport_plan(cost, weights_a.tolist(), weights_b.tolist())
+    return math.fsum(cost[i, j] * x for (i, j), x in plan.items())
 
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([weights_a, weights_b])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport solve failed: {res.message}")
-    return float(res.fun)
+
+def _transport_plan(cost: np.ndarray, supply: list[float], demand: list[float]
+                    ) -> dict[tuple[int, int], float]:
+    """An optimal plan of the transportation problem, by network simplex.
+
+    Rows 0..m-1 and columns m..m+n-1 are the nodes of a bipartite graph,
+    and a basis is a spanning tree of m+n-1 cells. Each pivot takes the
+    potentials u, v from the tree, prices every cell at once as
+    c_ij - u_i - v_j, enters the most negative, and pushes flow round the
+    cycle it closes. The leaving cell is the last blocking one met going
+    round the cycle from its apex, along the entering cell (Cunningham's
+    rule against cycling on degenerate pivots; it is a proof only from a
+    strongly feasible first tree, which this one need not be, so the
+    pivots are also capped).
+    """
+    import numpy as np
+
+    m, n = cost.shape
+    flow = _least_cost_basis(cost, supply, demand)
+    adj: list[set[int]] = [set() for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    c = cost.tolist()
+    tol = 1e-12 * float(cost.max())
+    for _ in range((m + n) ** 2):
+        # The tree rooted at row 0: potentials (u_0 = 0, u_i + v_j = c_ij on
+        # tree cells), parents and depths.
+        pot = [0.0] * (m + n)
+        parent = [-1] * (m + n)
+        depth = [0] * (m + n)
+        order = [0]
+        for a in order:
+            for b in adj[a]:
+                if b != parent[a]:
+                    parent[b] = a
+                    depth[b] = depth[a] + 1
+                    pot[b] = (c[a][b - m] if a < m else c[b][a - m]) - pot[a]
+                    order.append(b)
+        reduced = cost - np.array(pot[:m])[:, None] - np.array(pot[m:])
+        k = int(reduced.argmin())
+        if reduced.flat[k] >= -tol:
+            return flow
+        i, j = divmod(k, n)
+        # Climb from both ends of the entering cell to the apex. Going
+        # round the cycle, flow falls on every other cell, starting with
+        # the tree cell next to each end.
+        side_i, side_j = [], []
+        a, b = i, m + j
+        while a != b:
+            if depth[a] >= depth[b]:
+                side_i.append(a)
+                a = parent[a]
+            else:
+                side_j.append(b)
+                b = parent[b]
+        cells = {node: _cell(node, parent[node], m) for node in side_i + side_j}
+        falling = side_i[::2][::-1] + side_j[::2]
+        leaving = min(reversed(falling), key=lambda node: flow[cells[node]])
+        theta = max(flow[cells[leaving]], 0.0)
+        for side in (side_i, side_j):
+            for pos, node in enumerate(side):
+                flow[cells[node]] += theta if pos % 2 else -theta
+        del flow[cells[leaving]]
+        adj[leaving].discard(parent[leaving])
+        adj[parent[leaving]].discard(leaving)
+        flow[(i, j)] = theta
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    raise RuntimeError(f"transport solve failed: no optimum after {(m + n) ** 2} pivots")
+
+
+def _cell(a: int, b: int, m: int) -> tuple[int, int]:
+    """The (row, column) of the tree edge between nodes ``a`` and ``b``."""
+    return (a, b - m) if a < m else (b, a - m)
+
+
+def _least_cost_basis(cost: np.ndarray, supply: list[float], demand: list[float]
+                      ) -> dict[tuple[int, int], float]:
+    """A first basis: cells in increasing cost, each shipping what its row
+    or column has left and closing that one line (so the m+n-1 cells form a
+    spanning tree; the last row or column is closed only with the other)."""
+    import numpy as np
+
+    m, n = cost.shape
+    s, d = list(supply), list(demand)
+    row_open, col_open = [True] * m, [True] * n
+    rows, cols = m, n
+    flow = {}
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(k, n)
+        if not (row_open[i] and col_open[j]):
+            continue
+        if rows == 1 and cols == 1:
+            flow[(i, j)] = max(0.0, min(s[i], d[j]))
+            return flow
+        if cols == 1 or (rows > 1 and s[i] <= d[j]):
+            x = s[i]
+            row_open[i] = False
+            rows -= 1
+        else:
+            x = d[j]
+            col_open[j] = False
+            cols -= 1
+        x = max(0.0, x)
+        s[i] -= x
+        d[j] -= x
+        flow[(i, j)] = x
+    raise AssertionError("unreachable: every line closes")
 
 
 def wasserstein_norm(dist_a: DecisionDistribution, dist_b: DecisionDistribution,

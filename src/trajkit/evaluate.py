@@ -11,6 +11,7 @@ benchmark-level ground-truth exclusions before any averaging.
 from __future__ import annotations
 
 import logging
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +35,15 @@ CLICK_RADIUS = 70.0
 
 class EmptyReportError(ValueError):
     """Raised when aggregation is asked to summarize zero records."""
+
+
+class ReplayStopped(Exception):
+    """Raised at a step boundary in a ``map_in_order`` worker whose consumer
+    has stopped: Ctrl-C, an error, or an early exit."""
+
+
+# ``stop``: the Event of the ``map_in_order`` that runs this thread's call.
+_worker = threading.local()
 
 
 @dataclass(frozen=True)
@@ -259,10 +269,15 @@ def replay_episode(
     records are built. Screenshots are not checked here: ``load_episodes``
     checks them once, and a backend that reads one raises
     ``UnresolvableObservationError`` if it has gone since. An episode's
-    outcome is ``episode_metrics`` of the records returned.
+    outcome is ``episode_metrics`` of the records returned. Under a
+    ``map_in_order`` whose consumer has stopped, the next step raises
+    ``ReplayStopped``; the steps persisted so far stay resumable.
     """
     records: list[RunRecord] = []
+    stop = getattr(_worker, "stop", None)
     for i, step in enumerate(episode.steps):
+        if stop is not None and stop.is_set():
+            raise ReplayStopped(episode.id)
         entries, sources, eligible = history(i, records)
         persisted = (writer.get(step_key(episode.id, step.step_index, round_idx))
                      if writer is not None else None)
@@ -289,13 +304,27 @@ def replay_episode(
 def map_in_order(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 1) -> Iterator[R]:
     """``map(fn, items)`` with up to ``concurrency`` calls at once, yielding
     results in the order of ``items``. One call at a time runs in this
-    thread; more run on a thread pool, whose pending calls are cancelled
-    if the consumer stops early or a call raises."""
+    thread; more run on a thread pool. If the consumer stops early, a call
+    raises or Ctrl-C arrives, pending calls are cancelled and running
+    replays stop at their next step (``replay_episode`` checks the stop
+    flag) before this returns."""
     if concurrency <= 1:
         yield from map(fn, items)
         return
+    stop = threading.Event()
+
+    def call(item: T) -> R:
+        _worker.stop = stop
+        try:
+            return fn(item)
+        finally:
+            _worker.stop = None
+
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        yield from pool.map(fn, items)
+        try:
+            yield from pool.map(call, items)
+        finally:
+            stop.set()
 
 
 def replay_benchmark(
@@ -318,6 +347,8 @@ def replay_benchmark(
         idx, ep = indexed
         try:
             return replay(idx, ep)
+        except ReplayStopped:
+            raise
         except Exception:
             if not continue_on_error:
                 raise

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field
@@ -142,19 +143,29 @@ _REQUIRED_FIELDS = (
 _KNOWN_FIELDS = set(_REQUIRED_FIELDS) | {"instruction_low", "screen_desc", "gt_bbox"}
 
 
+def _exact_int(value: object) -> int:
+    """A coordinate as written: an int, an integral float or an integer
+    string. A fraction or a boolean is a ``ValueError``, not truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"coordinate {value!r} is a boolean")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {value!r} is not finite")
+        if not value.is_integer():
+            raise ValueError(f"coordinate {value!r} is not an integer")
+    return int(value)
+
+
 def _exact_point(pair: Sequence) -> Point:
-    try:
-        return Point(int(pair[0]), int(pair[1]))
-    except OverflowError:
-        raise ValueError(f"point {list(pair)} is not finite") from None
+    return Point(_exact_int(pair[0]), _exact_int(pair[1]))
 
 
 def decode_action(kind_name: str, params: dict,
                   point: Callable[[Sequence], Point] = _exact_point) -> Action:
     """An action from its kind name and parameter dict, the episode-file grammar.
 
-    ``point`` turns the ``[x, y]`` pair into a Point. The default coerces each
-    coordinate with ``int()`` and lets the Point reject it when out of range;
+    ``point`` turns the ``[x, y]`` pair into a Point. The default takes each
+    coordinate as an exact integer and lets the Point reject it when out of range;
     a dialect decoding model output passes a rule that rounds and clamps.
     """
     try:
@@ -196,10 +207,10 @@ def decode_duration(value: object) -> Optional[float]:
 
 
 def decode_bbox(raw: dict) -> BBox:
-    """A ``gt_bbox`` object; coordinates are coerced to int like ``point``."""
+    """A ``gt_bbox`` object; coordinates are read like ``point``'s."""
     try:
-        return BBox(int(raw["x1"]), int(raw["y1"]), int(raw["x2"]), int(raw["y2"]))
-    except (KeyError, TypeError, OverflowError) as exc:
+        return BBox(*(_exact_int(raw[k]) for k in ("x1", "y1", "x2", "y2")))
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed gt_bbox: {exc}")
 
 

@@ -56,6 +56,26 @@ class TestIngest:
         assert [(r["line"], r["episode_id"]) for r in rows] == [(str(len(lines) + 1), "far")]
         assert "finite" in rows[0]["reason"]
 
+    @pytest.mark.parametrize("point, reason", [
+        ([616.7, 211], "coordinate 616.7 is not an integer"),
+        (["616", True], "coordinate True is a boolean"),
+    ])
+    def test_inexact_point_rejected_with_its_line(self, bench, tmp_path, capsys,
+                                                  point, reason):
+        lines = bench.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[0])
+        rec.pop("gt_bbox", None)
+        rec.update(episode_id="odd", gt_kind="CLICK", gt_params={"point": point})
+        with open(bench, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        rc = main(["ingest", "--benchmark", str(bench), "--no-check-screenshots",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        rows = read_csv(tmp_path / "out" / "rejections.csv")
+        assert [(r["line"], r["episode_id"], r["reason"]) for r in rows] == [
+            (str(len(lines) + 1), "odd", reason)]
+        assert f"line {len(lines) + 1} (odd): {reason}" in capsys.readouterr().err
+
     def test_non_numeric_duration_rejected_with_its_line(self, bench, tmp_path, capsys):
         lines = bench.read_text(encoding="utf-8").splitlines()
         rec = json.loads(lines[0])
@@ -263,20 +283,28 @@ class TestRewardCommand:
         # off-center (150,150) in a 200x100 box centered at (200,150)
         assert 1.0 < total < 2.0
 
-    def test_steps_gt_bbox_coerced_like_ingest(self, tmp_path):
-        """Fractional box corners are truncated to int, as ``ingest`` does."""
+    def test_steps_gt_bbox_coerced_like_ingest(self, tmp_path, capsys):
+        """Integral float box corners read as ints and fractional ones are
+        rejected, as ``ingest`` reads them."""
         rec = {"pred_kind": "CLICK", "pred_params": {"point": [150, 150]},
                "gt_kind": "CLICK", "gt_params": {"point": [150, 150]}}
+        steps = tmp_path / "steps.jsonl"
+        out = tmp_path / "gauss.csv"
         totals = []
         for bbox in ({"x1": 100, "y1": 100, "x2": 300, "y2": 200},
-                     {"x1": 100.5, "y1": 100.9, "x2": 300.2, "y2": 200.7}):
-            steps = tmp_path / "steps.jsonl"
+                     {"x1": 100.0, "y1": 100.0, "x2": 300.0, "y2": 200.0}):
             steps.write_text(json.dumps({**rec, "gt_bbox": bbox}) + "\n", encoding="utf-8")
-            out = tmp_path / "gauss.csv"
             assert main(["reward", "--steps", str(steps), "--mode", "gaussian",
                          "--out", str(out)]) == 0
             totals.append(read_csv(out)[0]["total"])
         assert totals[0] == totals[1]
+
+        capsys.readouterr()
+        bbox = {"x1": 100.5, "y1": 100.9, "x2": 300.2, "y2": 200.7}
+        steps.write_text(json.dumps({**rec, "gt_bbox": bbox}) + "\n", encoding="utf-8")
+        assert main(["reward", "--steps", str(steps), "--mode", "gaussian",
+                     "--out", str(out)]) == 2
+        assert "coordinate 100.5 is not an integer" in capsys.readouterr().err
 
 
 class TestReportCommand:
@@ -325,6 +353,41 @@ class TestStatsCommand:
         rc = main(["stats", "seeds", *values])
         assert rc == 0
         assert "CI [0.1872, 0.1932]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["wilson", "5", "0"], "wilson: n must be positive"),
+        (["wilson", "7", "5"], "wilson: successes 7 outside [0, 5]"),
+        (["contingency", "0", "0", "0", "0"], "contingency: empty table"),
+        (["contingency", "5", "-1", "3", "0"], "contingency: counts must be nonnegative"),
+        (["seeds", "1e200", "3e200"],
+         "seeds: the mean or variance of the values is not a finite float"),
+        (["seeds", "1.7e308", "1.7e308"],
+         "seeds: the mean or variance of the values is not a finite float"),
+    ])
+    def test_invalid_input_ends_in_one_error_line(self, capsys, argv, reason):
+        assert main(["stats", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"trajkit: error: {reason}\n"
+
+    def test_undefined_ratios_print_as_undefined(self, capsys):
+        # The second column is empty: its match ratio, the relative risk and
+        # the odds ratio divide by zero.
+        assert main(["stats", "contingency", "5", "0", "3", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "match ratios: 62.50 / undefined\n"
+            "relative risk: undefined  odds ratio: undefined\n"
+            "chi2: 0.00  phi: 0.0000\n")
+
+    @pytest.mark.parametrize("values", [["nan", "0.5", "0.6"], ["inf", "0.5"],
+                                        ["--", "0.5", "-inf"], ["1e999", "0.5"]])
+    def test_seeds_rejects_non_finite_values(self, capsys, values):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "seeds", *values])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a finite number" in captured.err
 
 
 class TestConfigFile:

@@ -5,6 +5,8 @@ jittered delay, so parallel episodes finish in a different order each run.
 """
 
 import json
+import signal
+import threading
 
 import pytest
 
@@ -109,6 +111,37 @@ def test_interrupted_parallel_replay_resumes_byte_identical(serial, bench, monke
     server.fail = set()
     assert main(args) == 0
     assert run_files(out / command) == files[command]
+
+
+def test_ctrl_c_stops_parallel_replay_at_the_next_step(serial, bench, monkeypatch):
+    """SIGINT while ep000's second step is on the wire: the episodes in
+    flight stop after the step they are in, instead of running to their
+    end, and the run resumes to a serial run's bytes."""
+    files, server, runs = serial
+    out = runs / "ctrl-c-k2"
+    args = args_for("eval", bench, server, 2, out)
+    reply = server.reply
+    main_thread = threading.main_thread().ident
+
+    def interrupt_once(handler, body):
+        if b"step 1 of task 0" in body and not interrupted:
+            interrupted.append(True)
+            signal.pthread_kill(main_thread, signal.SIGINT)
+        return reply(handler, body)
+
+    interrupted = []
+    monkeypatch.setattr(server, "reply", interrupt_once)
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    cut = keys(out / "eval")
+    # ep000 and ep001 were in flight; run to their end they leave 8 records.
+    assert [k.split("/")[1] for k in cut if k.startswith("ep000/")] == ["0", "1"]
+    assert len(cut) < 8
+    assert cut == canonical(cut)
+
+    interrupted.append(True)
+    assert main(args) == 0
+    assert run_files(out / "eval") == files["eval"]
 
 
 @pytest.mark.parametrize("k", [2, 3])

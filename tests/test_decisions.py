@@ -489,6 +489,87 @@ class TestWasserstein:
         with pytest.raises(InvalidMeasureError):
             wasserstein_norm(d, scrolls)
 
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_translate_of_largest_measure_moves_by_its_offset(self, uniform):
+        # Moving every atom by v is an optimal plan, so W1 is |v|: the
+        # 1-Lipschitz f(x) = <x, v/|v|> bounds it from below.
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0, 900, (256, 2))
+        w = np.full(256, 1 / 256) if uniform else rng.dirichlet(np.ones(256))
+        v = np.array([37.0, -21.5])
+        assert discrete_w1(pts, w, pts + v, w) == pytest.approx(math.hypot(*v), abs=1e-9)
+
+    def test_support_mass_and_empty_checks(self):
+        one = (np.zeros((1, 2)), np.ones(1))
+        big = (np.zeros((257, 2)), np.full(257, 1 / 257))
+        with pytest.raises(InvalidMeasureError, match="support exceeds"):
+            discrete_w1(*big, *one)
+        with pytest.raises(InvalidMeasureError, match="unequal total mass"):
+            discrete_w1(*one, np.zeros((1, 2)), np.array([0.5]))
+        with pytest.raises(InvalidMeasureError, match="empty"):
+            discrete_w1(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_linprog(self, data):
+        pa, wa, pb, wb = data.draw(measure_pair(32))
+        assert discrete_w1(pa, wa, pb, wb) == pytest.approx(
+            linprog_w1(pa, wa, pb, wb), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_vertex_enumeration(self, data):
+        pa, wa, pb, wb = data.draw(measure_pair(3))
+        assert discrete_w1(pa, wa, pb, wb) == pytest.approx(
+            oracle_w1(pa.tolist(), wa, pb.tolist(), wb), abs=1e-9)
+
+
+@st.composite
+def measure_pair(draw, max_atoms):
+    """Two probability measures of 1..max_atoms atoms on the per-mille
+    square. Draws favour degenerate plans: integer grids with repeated
+    costs, atoms the measures share, equal weights and zero weights."""
+    def measure(shared=None):
+        k = draw(st.integers(1, max_atoms))
+        if draw(st.booleans()):
+            coord = st.integers(0, draw(st.sampled_from((3, 1000)))).map(float)
+        else:
+            coord = st.floats(0.0, 1000.0)
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k)))
+        if shared is not None and draw(st.booleans()):
+            n = min(k, len(shared))
+            pts[:n] = shared[:n]
+        if draw(st.booleans()):
+            w = np.ones(k)
+        else:
+            w = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), float)
+            w[draw(st.integers(0, k - 1))] += 1.0
+        return pts, w / w.sum()
+
+    pa, wa = measure()
+    pb, wb = measure(shared=pa)
+    return pa, wa, pb, wb
+
+
+def linprog_w1(pa, wa, pb, wb):
+    """W1 as the transport linear program, solved by HiGHS. Its default
+    1e-7 feasibility tolerances can miss 1e-7 cost differences, so they are
+    tightened to 1e-10."""
+    from scipy.optimize import linprog
+
+    m, n = len(wa), len(wb)
+    cost = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1)).reshape(-1)
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n:(i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    res = linprog(cost, A_eq=a_eq, b_eq=np.concatenate([wa, wb]), bounds=(0, None),
+                  method="highs", options={"dual_feasibility_tolerance": 1e-10,
+                                           "primal_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return res.fun
+
 
 class TestEpsilonSensitivity:
     def make_cells(self):

@@ -177,8 +177,10 @@ class TestPlainJson:
         assert parsed.action == Action(ActionKind.LONG_PRESS, point=Point(1000, 500),
                                        duration=2.0)
         assert any("clamped" in w for w in parsed.warnings)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="not an integer"):
             decode_action("LONG_PRESS", params)
+        with pytest.raises(ValueError, match="outside"):
+            decode_action("LONG_PRESS", {**params, "point": [1200, 499]})
 
     @pytest.mark.parametrize("duration", ["soon", [1], {"s": 1}])
     def test_non_numeric_duration_is_bad_params(self, json_dialect, duration):

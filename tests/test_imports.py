@@ -1,5 +1,5 @@
-"""The CLI's import graph: numpy, scipy, yaml and the command-only trajkit
-modules are loaded only by the commands that use them."""
+"""The CLI's import graph: numpy, yaml and the command-only trajkit modules
+are loaded only by the commands that use them, and no command needs scipy."""
 
 import json
 import math
@@ -24,14 +24,14 @@ COMMAND_ONLY = ("decisions", "judging", "reporting", "rewards", "semionline",
 
 # Runs in a fresh interpreter, after a COMMAND_ONLY assignment, in a scratch
 # directory, and prints after each stage its exit code and the watched
-# modules present in sys.modules.
+# modules loaded (a None entry in sys.modules blocks a module, not loads it).
 PROBE = """
 import contextlib, io, json, sys
 
 def watched():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("numpy", "scipy", "yaml")
-                  or m.startswith("trajkit.") and m.split(".")[1] in COMMAND_ONLY)
+    return sorted(m for m, module in sys.modules.items() if module is not None
+                  and (m.split(".")[0] in ("numpy", "scipy", "yaml")
+                       or m.startswith("trajkit.") and m.split(".")[1] in COMMAND_ONLY))
 
 B = "fx/episodes.jsonl"
 COMMANDS = [
@@ -46,8 +46,8 @@ COMMANDS = [
                       "--out", "steps.csv"]),
     ("wilson", ["stats", "wilson", "3", "4"]),
     ("contingency", ["stats", "contingency", "5531", "456", "1976", "2037"]),
-    ("correlation", ["stats", "correlation", "--csv", "corr.csv", "--out", "corr_out.csv"]),
     ("seeds", ["stats", "seeds", "0.1892", "0.1932", "0.1858"]),
+    ("correlation", ["stats", "correlation", "--csv", "corr.csv", "--out", "corr_out.csv"]),
     ("config", ["eval", "--benchmark", B, "--config", "config.yaml",
                 "--out-dir", "cfg_eval"]),
 ]
@@ -63,12 +63,25 @@ print(json.dumps(stages))
 """
 
 LIGHT_COMMANDS = ("make-fixture", "eval", "soeval", "report", "ingest",
-                  "reward-groups", "reward-steps", "wilson", "contingency")
+                  "reward-groups", "reward-steps", "wilson", "contingency", "seeds")
+
+# Makes every import of scipy or of a scipy submodule fail.
+BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
 
 
 @pytest.fixture(scope="module")
 def probe(tmp_path_factory):
-    work = tmp_path_factory.mktemp("probe")
+    return run_probe(tmp_path_factory.mktemp("probe"))
+
+
+@pytest.fixture(scope="module")
+def probe_without_scipy(tmp_path_factory):
+    return run_probe(tmp_path_factory.mktemp("probe-no-scipy"), prelude=BLOCK_SCIPY)
+
+
+def run_probe(work, prelude=""):
+    """Runs PROBE in ``work``; every stage must exit 0. Returns ``work`` and
+    each stage's watched modules."""
     (work / "groups.jsonl").write_text(
         json.dumps({"group_id": "g0", "rewards": [0.0, 1.0, 2.0]}) + "\n",
         encoding="utf-8")
@@ -86,7 +99,7 @@ def probe(tmp_path_factory):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = f"COMMAND_ONLY = {COMMAND_ONLY!r}\n" + PROBE
+    code = prelude + f"COMMAND_ONLY = {COMMAND_ONLY!r}\n" + PROBE
     proc = subprocess.run([sys.executable, "-c", code],
                           env=env, cwd=work, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -97,7 +110,7 @@ def probe(tmp_path_factory):
 
 def test_cli_start_and_scipy_free_commands_load_no_scipy(probe):
     _, stages = probe
-    for name in ("import", *LIGHT_COMMANDS):
+    for name in stages:
         assert [m for m in stages[name] if m.startswith("scipy")] == [], name
 
 
@@ -108,10 +121,17 @@ def test_stats_commands_load_no_scipy_stats(probe):
     assert (work / "corr_out.csv").exists()
     assert [m for m in stages["correlation"] if m.startswith("scipy")] == []
     assert "numpy" in stages["correlation"]
-    for name in ("correlation", "seeds"):
-        assert [m for m in stages[name]
-                if m == "scipy.stats" or m.startswith("scipy.stats.")] == [], name
-    assert "scipy.special" in stages["seeds"]
+    assert [m for m in stages["seeds"] if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_every_command_runs_with_scipy_blocked(probe, probe_without_scipy):
+    """The fixture asserts that every stage exits 0 with scipy unimportable;
+    the commands also write what they write with scipy installed."""
+    work, stages = probe_without_scipy
+    assert stages == probe[1]
+    for name in ("eval/records.jsonl", "so/records.jsonl", "adv.csv", "steps.csv",
+                 "corr_out.csv", "cfg_eval/manifest.json"):
+        assert (work / name).read_bytes() == (probe[0] / name).read_bytes(), name
 
 
 def test_cli_start_loads_no_numpy_yaml_or_command_modules(probe):
@@ -153,7 +173,7 @@ def test_seeds_ci_uses_student_t_quantile(capsys):
     half = float(student_t.ppf(0.975, k - 1)) * std / math.sqrt(k)
 
     summary = multi_seed_summary(values)
-    assert summary.ci == (mean - half, mean + half)
+    assert summary.ci == pytest.approx((mean - half, mean + half), rel=1e-12, abs=0)
 
     rc = main(["stats", "seeds", *map(str, values)])
     assert rc == 0
@@ -165,7 +185,8 @@ def test_seeds_ci_uses_student_t_quantile(capsys):
         mean = sum(values) / k
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / (k - 1))
         half = float(student_t.ppf(0.975, k - 1)) * std / math.sqrt(k)
-        assert multi_seed_summary(values).ci == (mean - half, mean + half), k
+        assert multi_seed_summary(values).ci == pytest.approx(
+            (mean - half, mean + half), rel=1e-12, abs=0), k
 
 
 HTTP_PROBE = """

@@ -16,6 +16,7 @@ from trajkit.stats import (
     multi_seed_summary,
     pearson,
     spearman,
+    t_quantile,
     wilson_interval,
 )
 
@@ -234,10 +235,46 @@ class TestMultiSeed:
             multi_seed_summary([])
 
 
-# --- bit identity with scipy.stats -------------------------------------------------
+# --- agreement with scipy ----------------------------------------------------------
 #
-# spearman, pearson and multi_seed_summary compute without scipy.stats, with
-# the float operations scipy.stats uses; these properties compare with ==.
+# spearman and pearson compute without scipy.stats, with the float operations
+# scipy.stats uses; these properties compare with ==. The t quantile behind
+# multi_seed_summary is computed without scipy and agrees with
+# scipy.special.stdtrit to a relative 1e-12.
+
+
+class TestTQuantile:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 10_000))
+    def test_seed_interval_quantile_matches_stdtrit(self, df):
+        from scipy.special import stdtrit
+
+        assert t_quantile(0.975, df) == pytest.approx(float(stdtrit(df, 0.975)),
+                                                      rel=1e-12, abs=0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 10_000), st.floats(0.6, 0.999))
+    def test_matches_stdtrit(self, df, p):
+        from scipy.special import stdtrit
+
+        assert t_quantile(p, df) == pytest.approx(float(stdtrit(df, p)), rel=1e-12, abs=0)
+
+    def test_small_df_every_one(self):
+        from scipy.special import stdtrit
+
+        for df in range(1, 301):
+            assert t_quantile(0.975, df) == pytest.approx(float(stdtrit(df, 0.975)),
+                                                          rel=1e-12, abs=0), df
+
+    def test_median_and_closed_forms(self):
+        assert t_quantile(0.5, 7) == 0.0
+        assert t_quantile(0.75, 1) == pytest.approx(1.0, rel=1e-15)
+        assert t_quantile(0.975, 2) == pytest.approx(4.302652729749464, rel=1e-15)
+
+    @pytest.mark.parametrize("p, df", [(0.4, 3), (1.0, 3), (math.nan, 3), (0.975, 0)])
+    def test_outside_domain_rejected(self, p, df):
+        with pytest.raises(ValueError):
+            t_quantile(p, df)
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 

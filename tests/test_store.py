@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from trajkit import synth
-from trajkit.actions import ActionKind
+from trajkit.actions import ActionKind, BBox
 from trajkit.store import (
     ConfigMismatchError,
     CorruptRecordsError,
@@ -51,6 +51,31 @@ class TestLoadEpisodes:
         for ep in report.episodes:
             assert len(ep) == 5
             assert not ep.truncated
+
+    @pytest.mark.parametrize("params, bbox", [
+        ({"point": [616.7, 211]}, None),
+        ({"point": ["616", True]}, None),
+        ({"point": [616, 211]}, {"x1": 600, "y1": 200.5, "x2": 630, "y2": 220}),
+        ({"point": [616, 211]}, {"x1": 600, "y1": False, "x2": 630, "y2": 220}),
+    ])
+    def test_inexact_coordinates_rejected_not_truncated(self, tmp_path, params, bbox):
+        extra = {"gt_bbox": bbox} if bbox else {}
+        rec = base_record(tmp_path, gt_kind="CLICK", gt_params=params, **extra)
+        write_lines(tmp_path / "b.jsonl", [rec, base_record(tmp_path, step_index=1)])
+        report = load_episodes(tmp_path / "b.jsonl")
+        assert report.episodes == []
+        assert report.rejections[0].line_no == 1
+        assert "coordinate" in report.rejections[0].reason
+
+    def test_integral_float_coordinates_accepted(self, tmp_path):
+        rec = base_record(tmp_path, gt_kind="CLICK", gt_params={"point": [616.0, "211"]},
+                          gt_bbox={"x1": 600.0, "y1": 200, "x2": 630, "y2": 220.0})
+        write_lines(tmp_path / "b.jsonl", [rec, base_record(tmp_path, step_index=1)])
+        report = load_episodes(tmp_path / "b.jsonl")
+        assert report.ok
+        step = report.episodes[0].steps[0]
+        assert (step.gt_action.point.x, step.gt_action.point.y) == (616, 211)
+        assert step.gt_bbox == BBox(600, 200, 630, 220)
 
     def test_click_without_bbox_is_legal(self, tmp_path):
         rec = base_record(tmp_path, gt_kind="CLICK", gt_params={"point": [5, 5]})
