@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: ingest, make-fixture, eval, soeval, rollout, cluster, judge,
-sweep, reward, report, stats. Global flags: --config (YAML), --seed-list,
---out-dir. The mock backend plus a scripted policy makes every command
-runnable offline and byte-reproducibly.
+sweep, reward, report, stats. Every command takes --config (YAML); a flag
+given on the command line wins over the config (see ``SETTINGS``). The mock
+backend plus a scripted policy makes every command runnable offline and
+byte-reproducibly.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .actions import ActionKind, Point, finite_float
-from .dialects import get_dialect
+from .actions import Action, ActionKind, Point, finite_float
+from .dialects import dialect_ids, get_dialect
 from .evaluate import (
-    DEFAULT_POLICY,
     EmptyReportError,
     EvalPolicy,
     aggregate,
@@ -40,6 +40,7 @@ from .gateway import (
     SamplingConfig,
 )
 from .store import (
+    MANIFEST_FILENAME,
     ConfigMismatchError,
     CorruptRecordsError,
     InputError,
@@ -52,40 +53,130 @@ from .store import (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        return finite_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
+
+
+def _seed_list(text: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in text.replace(",", " ").split()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"must be integers separated by commas, got {text!r}")
+    return seeds
+
+
+def _gt_kinds(text: str) -> frozenset:
+    try:
+        return frozenset(ActionKind(k.strip()) for k in text.split(",") if k.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _dialect_id(text: str) -> str:
+    if text not in dialect_ids():
+        raise argparse.ArgumentTypeError(
+            f"unknown dialect {text!r}; known: {', '.join(dialect_ids())}")
+    return text
+
+
+_SAMPLING_KEYS = ("temperature", "top_p", "top_k", "repetition_penalty",
+                  "presence_penalty", "max_tokens")
+
+#: Every setting a ``--config`` file can hold: argparse dest -> (section, or
+#: None at top level; key; converter; default). A flag given on the command
+#: line wins; ``main`` fills every other dest the command declares from the
+#: config, else the default. A config value is converted as its flag's text
+#: (a list joined with commas). A None default leaves the value to the
+#: command: ``EvalPolicy``'s default, or for ``report`` the run's manifest.
+SETTINGS = {
+    "benchmark": (None, "benchmark", str, None),
+    "dialect": (None, "dialect", _dialect_id, "xml-toolcall"),
+    "seed_list": (None, "seed_list", _seed_list, list(DEFAULT_SEEDS)),
+    "endpoint_url": ("endpoint", "base_url", str, EndpointConfig.base_url),
+    "model": ("endpoint", "model_name", str, EndpointConfig.model_name),
+    "concurrency": ("endpoint", "max_in_flight", _positive_int, EndpointConfig.max_in_flight),
+    "timeout": ("endpoint", "timeout", _finite_float, EndpointConfig.timeout),
+    "max_retries": ("endpoint", "max_retries", int, EndpointConfig.max_retries),
+    **{key: ("endpoint", key, int if key in ("top_k", "max_tokens") else _finite_float,
+             getattr(SamplingConfig, key)) for key in _SAMPLING_KEYS},
+    "min_comparable": ("policy", "min_comparable", _finite_float, None),
+    "exclude_gt_kinds": ("policy", "exclude_gt_kinds", _gt_kinds, None),
+    "kappa": ("schedule", "kappa", float, 16.0),
+    "grid": ("schedule", "grid", int, 4),
+    "samples_per_pair": ("schedule", "samples_per_pair", int, 50),
+}
+
+
+def _dests(section: str) -> list[str]:
+    return [dest for dest, row in SETTINGS.items() if row[0] == section]
+
+
+def _setting_value(dest: str, value, source) -> object:
+    """``value`` of ``dest`` read from ``source`` (a config file or a
+    manifest), converted as the flag's text would be."""
+    section, key, convert, _ = SETTINGS[dest]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        return convert(text)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise InputError(f"{source}: {key if section is None else f'{section}.{key}'}: "
+                         f"{exc}") from None
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
     import yaml
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise InputError(f"{path}: not a mapping of settings")
+    return config
 
 
-def _parse_seed_list(text: Optional[str], config: dict) -> list[int]:
-    if text:
-        return [int(s) for s in text.replace(",", " ").split()]
-    if config.get("seed_list"):
-        return [int(s) for s in config["seed_list"]]
-    return list(DEFAULT_SEEDS)
+def _resolve_settings(args) -> None:
+    """Fill each setting the command declares and the command line left
+    unset: from ``--config``, else from its default."""
+    config = _load_config(args.config)
+    for dest, (section, key, _, default) in SETTINGS.items():
+        if getattr(args, dest, False) is not None:
+            continue
+        block = config if section is None else config.get(section) or {}
+        if not isinstance(block, dict):
+            raise InputError(f"{args.config}: {section}: not a mapping of settings")
+        value = block.get(key)
+        setattr(args, dest, default if value is None else
+                _setting_value(dest, value, args.config))
 
 
-def _endpoint_config(args, config: dict, n: int = 1, seed: Optional[int] = None) -> EndpointConfig:
-    section = dict(config.get("endpoint") or {})
-    concurrency = getattr(args, "concurrency", None)
-    sampling_keys = ("temperature", "top_p", "top_k", "repetition_penalty",
-                     "presence_penalty", "max_tokens")
-    sampling = SamplingConfig(
-        **{k: section[k] for k in sampling_keys if k in section},
-        n=n, seed=seed,
-    )
-    return EndpointConfig(
-        base_url=getattr(args, "endpoint_url", None) or section.get("base_url", ""),
-        model_name=getattr(args, "model", None) or section.get("model_name", "mock"),
-        sampling=sampling,
-        timeout=float(section.get("timeout", 120.0)),
-        max_retries=int(section.get("max_retries", 3)),
-        max_in_flight=int(section.get("max_in_flight", 4) if concurrency is None else concurrency),
-    )
+def _endpoint_config(args, n: int = 1, seed: Optional[int] = None) -> EndpointConfig:
+    try:
+        sampling = SamplingConfig(**{k: getattr(args, k) for k in _SAMPLING_KEYS},
+                                  n=n, seed=seed)
+        return EndpointConfig(base_url=args.endpoint_url, model_name=args.model,
+                              sampling=sampling, timeout=args.timeout,
+                              max_retries=args.max_retries, max_in_flight=args.concurrency)
+    except ValueError as exc:
+        raise InputError(f"endpoint: {exc}") from None
 
 
 def _episode_concurrency(args, cfg: EndpointConfig) -> int:
@@ -95,42 +186,25 @@ def _episode_concurrency(args, cfg: EndpointConfig) -> int:
     return cfg.max_in_flight if args.backend == "http" else 1
 
 
-#: The policy a run dir's manifest keeps for ``report`` (older manifests lack it).
-_POLICY_KEYS = ("min_comparable", "exclude_gt_kinds")
+def _policy(args) -> EvalPolicy:
+    """The evaluation policy; a setting left None keeps ``EvalPolicy``'s default."""
+    return EvalPolicy(**{dest: getattr(args, dest) for dest in _dests("policy")
+                         if getattr(args, dest) is not None})
 
 
-def _policy(args, config: dict) -> EvalPolicy:
-    section = dict(config.get("policy") or {})
-    exclude = getattr(args, "exclude_gt_kinds", None)
-    if exclude is None:
-        exclude = section.get("exclude_gt_kinds", [])
-    elif isinstance(exclude, str):
-        exclude = exclude.split(",")
-    min_comparable = getattr(args, "min_comparable", None)
-    if min_comparable is None:
-        min_comparable = section.get("min_comparable", DEFAULT_POLICY.min_comparable)
-    return EvalPolicy(
-        min_comparable=float(min_comparable),
-        exclude_gt_kinds=frozenset(ActionKind(k.strip()) for k in exclude if k),
-    )
-
-
-def _resolve_benchmark(args, config: dict) -> str:
-    benchmark = getattr(args, "benchmark", None) or config.get("benchmark")
-    if not benchmark:
+def _benchmark(args) -> str:
+    if not args.benchmark:
         raise SystemExit("no benchmark given (flag --benchmark or config key)")
-    args.benchmark = benchmark
-    return benchmark
+    return args.benchmark
 
 
 def _episodes(args, check_screenshots: bool = True):
-    report = load_episodes(args.benchmark, check_screenshots=check_screenshots)
+    report = load_episodes(_benchmark(args), check_screenshots=check_screenshots)
     if report.rejections:
         print(f"warning: {len(report.rejections)} rejected records", file=sys.stderr)
     episodes = report.episodes
-    limit = getattr(args, "limit_episodes", None)
-    if limit:
-        episodes = episodes[:limit]
+    if args.limit_episodes:
+        episodes = episodes[:args.limit_episodes]
     return episodes, report
 
 
@@ -143,10 +217,9 @@ def _load_pool(path: str):
         raise InputError(str(exc)) from None
 
 
-def _replay_inputs(args, config: dict):
+def _replay_inputs(args):
     """The dialect, episodes and model backend a replay command runs on."""
-    _resolve_benchmark(args, config)
-    dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
+    dialect = get_dialect(args.dialect)
     episodes, _ = _episodes(args)
     return dialect, episodes, _backend(args, episodes, dialect)
 
@@ -156,13 +229,12 @@ def _backend(args, episodes, dialect):
 
     if args.backend == "http":
         return HttpBackend()
-    policy_name = getattr(args, "mock_policy", "oracle") or "oracle"
-    if policy_name == "noisy-oracle":
+    if args.mock_policy == "noisy-oracle":
         return MockBackend(make_noisy_responder(episodes, dialect))
     try:
-        policy = synth.POLICIES[policy_name]
+        policy = synth.POLICIES[args.mock_policy]
     except KeyError:
-        raise SystemExit(f"unknown mock policy {policy_name!r}; "
+        raise SystemExit(f"unknown mock policy {args.mock_policy!r}; "
                          f"known: {sorted(synth.POLICIES)} + ['noisy-oracle']")
     return MockBackend(synth.make_responder(episodes, dialect, policy))
 
@@ -183,11 +255,9 @@ def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: fl
             if rng.random() < wrong_rate:
                 action = synth.wrong_action_for(action)
             elif action.point is not None:
-                jittered = Point(
-                    min(max(int(action.point.x + rng.gauss(0, jitter)), 0), 1000),
-                    min(max(int(action.point.y + rng.gauss(0, jitter)), 0), 1000),
-                )
-                action = replace(action, point=jittered)
+                x, y = (min(max(int(v + rng.gauss(0, jitter)), 0), 1000)
+                        for v in (action.point.x, action.point.y))
+                action = replace(action, point=Point(x, y))
             out.append(dialect.render_response(
                 action, thought=f"sample {j}", conclusion=f"did-{step.step_index}",
                 dims=step.observation.dims))
@@ -199,34 +269,29 @@ def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: fl
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_ingest(args, config: dict) -> int:
+def cmd_ingest(args) -> int:
     from .reporting import write_rejection_report
 
-    _resolve_benchmark(args, config)
-    report = load_episodes(args.benchmark, check_screenshots=not args.no_check_screenshots)
+    report = load_episodes(_benchmark(args), check_screenshots=not args.no_check_screenshots)
     print(f"episodes: {len(report.episodes)}  rejections: {len(report.rejections)}")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_rejection_report(out / "rejections.csv", report.rejections)
-        counts = {ep.id: len(ep) for ep in report.episodes}
-        (out / "ingest.json").write_text(
-            json.dumps({"episodes": counts,
-                        "rejections": len(report.rejections)}, indent=1, sort_keys=True),
-            encoding="utf-8")
+        summary = {"episodes": {ep.id: len(ep) for ep in report.episodes},
+                   "rejections": len(report.rejections)}
+        (out / "ingest.json").write_text(json.dumps(summary, indent=1, sort_keys=True),
+                                         encoding="utf-8")
     for r in report.rejections:
         print(f"  line {r.line_no} ({r.episode_id}): {r.reason}", file=sys.stderr)
     return 0 if report.ok else 1
 
 
-def cmd_make_fixture(args, config: dict) -> int:
+def cmd_make_fixture(args) -> int:
     from . import synth
 
-    path = synth.make_benchmark_file(
-        args.out_dir, n_episodes=args.episodes,
-        steps_per_episode=args.steps, seed=args.seed,
-    )
-    print(path)
+    print(synth.make_benchmark_file(args.out_dir, n_episodes=args.episodes,
+                                    steps_per_episode=args.steps, seed=args.seed))
     return 0
 
 
@@ -259,90 +324,74 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
     return overall
 
 
-def _run_eval(args, config: dict, mode: str) -> int:
+def cmd_replay(args) -> int:
+    """``eval`` (mode ``offline``) and ``soeval`` (``live`` or ``pool``)."""
     from .semionline import ArtifactPool, pool_sha256, pooled_benchmark, soeval_benchmark
 
     if not args.out_dir:
         raise SystemExit("--out-dir is required")
-    dialect, episodes, backend = _replay_inputs(args, config)
-    policy = _policy(args, config)
-    seeds = _parse_seed_list(args.seed_list, config)
-    cfg = _endpoint_config(args, config, seed=seeds[0])
+    mode = args.mode
+    dialect, episodes, backend = _replay_inputs(args)
+    policy = _policy(args)
+    seed = args.seed_list[0]
+    cfg = _endpoint_config(args, seed=seed)
     gateway = ModelGateway(backend, cfg)
 
+    # The run's configuration: its hash decides whether a run dir resumes,
+    # and the manifest holds it from the first step on.
     run_config = {
         "mode": mode,
         "dialect": dialect.id,
         "model": cfg.model_name,
-        "seed_list": seeds,
+        "seed_list": args.seed_list,
         "enable_thinking": args.enable_thinking,
         "min_comparable": policy.min_comparable,
         "exclude_gt_kinds": sorted(k.value for k in policy.exclude_gt_kinds),
     }
     if mode == "pool":
-        if not getattr(args, "pool", None):
+        if not args.pool:
             raise SystemExit("soeval --mode pool requires --pool <file>")
         pool = _load_pool(args.pool)
         # The pool's bytes, not its path, decide whether a run dir resumes.
         run_config["pool_sha256"] = pool_sha256(args.pool)
     out_dir = Path(args.out_dir)
     writer = RunWriter(out_dir, run_config)
+    writer.write_manifest({"benchmark": str(args.benchmark)})
     for w in writer.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    concurrency = _episode_concurrency(args, cfg)
+    common = dict(writer=writer, seed=seed, enable_thinking=args.enable_thinking,
+                  continue_on_error=args.continue_on_error,
+                  concurrency=_episode_concurrency(args, cfg))
     try:
         if mode == "offline":
-            records, _ = evaluate_benchmark_offline(
-                gateway, episodes, dialect, policy,
-                enable_thinking=args.enable_thinking, writer=writer,
-                seed=seeds[0], concurrency=concurrency,
-                continue_on_error=args.continue_on_error,
-            )
+            records, _ = evaluate_benchmark_offline(gateway, episodes, dialect, policy, **common)
         elif mode == "pool":
-            records, _ = pooled_benchmark(
-                gateway, episodes, dialect, pool, policy, writer=writer,
-                seed=seeds[0], global_seed=seeds[0], enable_thinking=args.enable_thinking,
-                continue_on_error=args.continue_on_error, concurrency=concurrency,
-            )
+            records, _ = pooled_benchmark(gateway, episodes, dialect, pool, policy,
+                                          global_seed=seed, **common)
         else:
-            records, _ = soeval_benchmark(
-                gateway, episodes, dialect, policy,
-                enable_thinking=args.enable_thinking, writer=writer, seed=seeds[0],
-                continue_on_error=args.continue_on_error, concurrency=concurrency,
-            )
+            records, _ = soeval_benchmark(gateway, episodes, dialect, policy, **common)
     finally:
         # Episodes in parallel append in completion order; a serial run's
         # order is restored even when the replay was cut short.
         writer.canonicalize([ep.id for ep in episodes])
     if mode == "live":
         ArtifactPool.from_records(records).save(out_dir / "pool.jsonl")
-
-    writer.write_manifest({"mode": mode, "benchmark": str(args.benchmark),
-                           **{k: run_config[k] for k in _POLICY_KEYS}})
     _report_run(out_dir, records, episodes, policy, mode)
     return 0
 
 
-def cmd_eval(args, config: dict) -> int:
-    return _run_eval(args, config, "offline")
-
-
-def cmd_soeval(args, config: dict) -> int:
-    return _run_eval(args, config, args.mode)
-
-
-def cmd_rollout(args, config: dict) -> int:
+def cmd_rollout(args) -> int:
     if not args.out_dir:
         raise SystemExit("--out-dir is required")
-    dialect, episodes, backend = _replay_inputs(args, config)
-    seeds = _parse_seed_list(args.seed_list, config)[: args.rounds]
+    dialect, episodes, backend = _replay_inputs(args)
+    seeds = args.seed_list[: args.rounds]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     from .evaluate import map_in_order, reference_history, replay_episode
     from .semionline import ArtifactPool
 
-    cfg = _endpoint_config(args, config, n=args.samples)
+    cfg = _endpoint_config(args, n=args.samples)
     gateway = ModelGateway(backend, cfg)
 
     def replay(job):
@@ -370,12 +419,12 @@ def _load_cells(path) -> dict[str, list]:
     screen dimensions, which the rollout parse already applied.
     """
     from .decisions import ExecutionSample
-    from .store import RunRecord, decode_prediction
+    from .store import RunRecord, decode_prediction, step_key
 
     def cell_sample(raw: dict):
         r = RunRecord(**raw)
         action = decode_prediction(r)
-        return f"{r.episode_id}/{r.step_index}", ExecutionSample(
+        return step_key(r.episode_id, r.step_index), ExecutionSample(
             action=action, thought=r.thought, seed=r.seed, round=r.round,
             parse_ok=action is not None, failure_reason=r.failure_reason)
 
@@ -385,7 +434,7 @@ def _load_cells(path) -> dict[str, list]:
     return cells
 
 
-def cmd_cluster(args, config: dict) -> int:
+def cmd_cluster(args) -> int:
     from .decisions import (
         build_distribution,
         diversity,
@@ -400,37 +449,29 @@ def cmd_cluster(args, config: dict) -> int:
     cells = _load_cells(args.rollouts)
     compare_cells = _load_cells(args.compare) if args.compare else None
 
-    gt_by_key = {}
-    if args.benchmark:
-        episodes, _ = _episodes(args, check_screenshots=False)
-        gt_by_key = {s.key: s for ep in episodes for s in ep.steps}
+    episodes = _episodes(args, check_screenshots=False)[0] if args.benchmark else []
+    gt_by_key = {s.key: s for ep in episodes for s in ep.steps}
+
+    def distribution(samples):
+        return build_distribution(samples, epsilon=args.epsilon, min_pts=args.min_pts)
 
     rows = []
     for key in sorted(cells):
-        dist = build_distribution(cells[key], epsilon=args.epsilon,
-                                  min_pts=args.min_pts)
+        dist = distribution(cells[key])
         h = diversity(dist)
-        theta = None
-        level = None
-        if key in gt_by_key:
-            step = gt_by_key[key]
-            theta = stability(dist, step.gt_action, step.gt_bbox)
-            level = stability_level(theta)
-        row = [key, dist.n, dist.support_size, h, effective_support(h),
-               theta, level]
-        if compare_cells is not None and key in compare_cells:
-            other = build_distribution(compare_cells[key], epsilon=args.epsilon,
-                                       min_pts=args.min_pts)
-            shift = diversity_shift(h, diversity(other))
-            row += [shift.delta_exp, shift.category]
-            if key in gt_by_key:
-                step = gt_by_key[key]
-                theta_after = stability(other, step.gt_action, step.gt_bbox)
-                row += [theta_after - theta, stability_shift(theta, theta_after)]
-            else:
-                row += [None, None]
-        elif compare_cells is not None:
-            row += [None, None, None, None]
+        step = gt_by_key.get(key)
+        theta = None if step is None else stability(dist, step.gt_action, step.gt_bbox)
+        row = [key, dist.n, dist.support_size, h, effective_support(h), theta,
+               None if step is None else stability_level(theta)]
+        if compare_cells is not None:
+            row += [None] * 4
+            if key in compare_cells:
+                other = distribution(compare_cells[key])
+                shift = diversity_shift(h, diversity(other))
+                row[7:9] = [shift.delta_exp, shift.category]
+                if step is not None:
+                    theta_after = stability(other, step.gt_action, step.gt_bbox)
+                    row[9:] = [theta_after - theta, stability_shift(theta, theta_after)]
         rows.append(row)
 
     header = ["cell", "n", "support", "diversity", "effective_support",
@@ -443,43 +484,31 @@ def cmd_cluster(args, config: dict) -> int:
     return 0
 
 
-def cmd_judge(args, config: dict) -> int:
+def cmd_judge(args) -> int:
     from .judging import detector_validation, judge_case, load_cases
     from .reporting import write_csv
 
-    dialect = get_dialect(args.dialect or config.get("dialect", "xml-toolcall"))
+    dialect = get_dialect(args.dialect)
     cases = load_cases(args.cases)
-    if args.backend != "mock":
-        raise SystemExit("judge currently supports the mock backend only")
 
     # Scripted judges: each judge echoes the action named in the reasoning
     # trace when it can parse one, so labeled fixtures validate the pipeline.
     def judge_responder(request, seed, n):
-        text = request.fixed_thought or ""
-        parsed = dialect.parse_response(text)
-        action = parsed.action
+        action = dialect.parse_response(request.fixed_thought or "").action
         if action is None:
-            from .actions import Action
-
             action = Action(ActionKind.PRESS, button="BACK")
-        rendered = dialect.render_response(action, thought="echo", conclusion="echo")
-        return [rendered] * n
+        return [dialect.render_response(action, thought="echo", conclusion="echo")] * n
 
-    gateways = []
-    for j in range(args.judges):
-        cfg = _endpoint_config(args, config, n=args.rollouts)
-        gateways.append((f"judge{j}", ModelGateway(MockBackend(judge_responder), cfg),
-                         dialect))
+    # The scripted judges answer the same whatever the endpoint settings.
+    cfg = EndpointConfig(sampling=SamplingConfig(n=args.rollouts))
+    gateways = [(f"judge{j}", ModelGateway(MockBackend(judge_responder), cfg), dialect)
+                for j in range(args.judges)]
 
-    rows = []
-    labels = []
-    preds = []
+    rows, labels, preds = [], [], []
     for case in cases:
         verdict = judge_case(gateways, case, n=args.rollouts)
-        per_judge = [
-            f"{m.judge_id}:{m.decision.encode() if m.decision else 'abstain'}"
-            for m in verdict.per_judge
-        ]
+        per_judge = [f"{m.judge_id}:{m.decision.encode() if m.decision else 'abstain'}"
+                     for m in verdict.per_judge]
         rows.append([
             case.case_id,
             verdict.consensus.encode() if verdict.consensus else "-",
@@ -501,32 +530,25 @@ def cmd_judge(args, config: dict) -> int:
     return 0
 
 
-def cmd_sweep(args, config: dict) -> int:
+def cmd_sweep(args) -> int:
     from .reporting import SWEEP_COLUMNS, sweep_rows, write_csv
     from .semionline import SweepConfig, run_sweep
 
-    dialect, episodes, backend = _replay_inputs(args, config)
+    dialect, episodes, backend = _replay_inputs(args)
     pool = _load_pool(args.pool)
-    gateway = ModelGateway(backend, _endpoint_config(args, config))
-    schedule_cfg = dict(config.get("schedule") or {})
-    sweep_cfg = SweepConfig(
-        kappa=args.kappa if args.kappa is not None
-        else float(schedule_cfg.get("kappa", 16.0)),
-        grid=args.grid if args.grid is not None
-        else int(schedule_cfg.get("grid", 4)),
-        samples_per_pair=args.samples_per_pair if args.samples_per_pair is not None
-        else int(schedule_cfg.get("samples_per_pair", 50)),
-        global_seed=args.global_seed,
-    )
-    results = run_sweep(gateway, episodes, dialect, pool, sweep_cfg,
-                        concurrency=args.concurrency or 1,
+    cfg = _endpoint_config(args)
+    sweep_cfg = SweepConfig(kappa=args.kappa, grid=args.grid,
+                            samples_per_pair=args.samples_per_pair,
+                            global_seed=args.global_seed)
+    results = run_sweep(ModelGateway(backend, cfg), episodes, dialect, pool, sweep_cfg,
+                        concurrency=_episode_concurrency(args, cfg),
                         enable_thinking=args.enable_thinking)
     write_csv(args.out, SWEEP_COLUMNS, sweep_rows(results))
     print(f"settings: {len(results)} -> {args.out}")
     return 0
 
 
-def cmd_reward(args, config: dict) -> int:
+def cmd_reward(args) -> int:
     from .reporting import write_csv
     from .rewards import group_advantages, reward_binary, reward_gaussian_click
 
@@ -564,18 +586,21 @@ def cmd_reward(args, config: dict) -> int:
     return 0
 
 
-def cmd_report(args, config: dict) -> int:
+def cmd_report(args) -> int:
     from .reporting import markdown_table
 
     records, manifest, warnings = load_run(args.run_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     manifest = manifest or {}
-    if not config.get("policy"):
-        config = {**config, "policy": {k: manifest[k] for k in _POLICY_KEYS if k in manifest}}
+    # A policy setting that the config leaves unset is the run's own.
+    for dest in _dests("policy"):
+        if getattr(args, dest) is None and dest in manifest:
+            setattr(args, dest, _setting_value(
+                dest, manifest[dest], Path(args.run_dir) / MANIFEST_FILENAME))
     episodes = _episodes(args, check_screenshots=False)[0] if args.benchmark else None
     mode = manifest.get("mode", "offline")
-    report = _report_run(args.run_dir, records, episodes, _policy(args, config), mode)
+    report = _report_run(args.run_dir, records, episodes, _policy(args), mode)
     print(markdown_table(
         ("steps", "scored", "type", "exact"),
         [[report.n_steps, report.n_steps_scored, report.type_match, report.exact_match]],
@@ -583,7 +608,7 @@ def cmd_report(args, config: dict) -> int:
     return 0
 
 
-def cmd_stats(args, config: dict) -> int:
+def cmd_stats(args) -> int:
     from .stats import (
         Contingency2x2,
         contingency_stats,
@@ -592,65 +617,60 @@ def cmd_stats(args, config: dict) -> int:
         wilson_interval,
     )
 
-    if args.stat == "correlation":
-        from .reporting import write_correlation_report
+    # A value the statistic is undefined for is one error line.
+    try:
+        if args.stat == "correlation":
+            from .reporting import write_correlation_report
 
-        with open(args.csv, "r", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if args.online_col not in (reader.fieldnames or ()):
-                raise InputError(f"{args.csv} has no column {args.online_col!r}")
-            rows = [{name: _finite_or_none(cell) for name, cell in row.items()}
-                    for row in reader]
-            metrics = [name for name in reader.fieldnames if name != args.online_col]
-        reports = []
-        for name in metrics:
-            # A row counts only when both of its cells are finite numbers,
-            # so the two series stay paired row by row.
-            pairs = [(row[name], row[args.online_col]) for row in rows
-                     if row[name] is not None and row[args.online_col] is not None]
-            if len(pairs) < len(rows):
-                print(f"warning: {name}: {len(rows) - len(pairs)} of {len(rows)} rows "
-                      f"dropped (a cell of {name} or {args.online_col} is not a "
-                      f"finite number)", file=sys.stderr)
-            values, online = zip(*pairs) if pairs else ((), ())
-            try:
-                reports.append(correlation_report(name, values, online))
-            except ValueError as exc:
-                print(f"warning: {name}: skipped ({exc})", file=sys.stderr)
-        if not reports:
-            raise InputError(f"{args.csv}: no column could be correlated with "
-                             f"{args.online_col!r}")
-        write_correlation_report(args.out, reports)
-        for r in reports:
-            print(f"{r.metric}: rho={r.spearman_rho:.4f} "
-                  f"legendre_r2={r.legendre_r2:.4f} "
-                  f"(transposed {r.legendre_r2_transposed:.4f}) "
-                  f"linear_r2={r.linear_r2:.4f}")
-    elif args.stat == "contingency":
-        try:
+            with open(args.csv, "r", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                if args.online_col not in (reader.fieldnames or ()):
+                    raise InputError(f"{args.csv} has no column {args.online_col!r}")
+                rows = [{name: _finite_or_none(cell) for name, cell in row.items()}
+                        for row in reader]
+                metrics = [name for name in reader.fieldnames if name != args.online_col]
+            reports = []
+            for name in metrics:
+                # A row counts only when both of its cells are finite numbers,
+                # so the two series stay paired row by row.
+                pairs = [(row[name], row[args.online_col]) for row in rows
+                         if row[name] is not None and row[args.online_col] is not None]
+                if len(pairs) < len(rows):
+                    print(f"warning: {name}: {len(rows) - len(pairs)} of {len(rows)} rows "
+                          f"dropped (a cell of {name} or {args.online_col} is not a "
+                          f"finite number)", file=sys.stderr)
+                values, online = zip(*pairs) if pairs else ((), ())
+                try:
+                    reports.append(correlation_report(name, values, online))
+                except ValueError as exc:
+                    print(f"warning: {name}: skipped ({exc})", file=sys.stderr)
+            if not reports:
+                raise InputError(f"{args.csv}: no column could be correlated with "
+                                 f"{args.online_col!r}")
+            write_correlation_report(args.out, reports)
+            for r in reports:
+                print(f"{r.metric}: rho={r.spearman_rho:.4f} "
+                      f"legendre_r2={r.legendre_r2:.4f} "
+                      f"(transposed {r.legendre_r2_transposed:.4f}) "
+                      f"linear_r2={r.linear_r2:.4f}")
+        elif args.stat == "contingency":
             s = contingency_stats(Contingency2x2(args.a, args.b, args.c, args.d))
-        except ValueError as exc:
-            raise InputError(f"contingency: {exc}") from None
-        print(f"match ratios: {_defined(s.match_ratio_first, '.2f')} / "
-              f"{_defined(s.match_ratio_second, '.2f')}")
-        print(f"relative risk: {_defined(s.relative_risk, '.4f')}  "
-              f"odds ratio: {_defined(s.odds_ratio, '.4f')}")
-        print(f"chi2: {s.chi2:.2f}  phi: {s.phi:.4f}")
-    elif args.stat == "wilson":
-        try:
+            print(f"match ratios: {_defined(s.match_ratio_first, '.2f')} / "
+                  f"{_defined(s.match_ratio_second, '.2f')}")
+            print(f"relative risk: {_defined(s.relative_risk, '.4f')}  "
+                  f"odds ratio: {_defined(s.odds_ratio, '.4f')}")
+            print(f"chi2: {s.chi2:.2f}  phi: {s.phi:.4f}")
+        elif args.stat == "wilson":
             lo, hi = wilson_interval(args.successes, args.n)
-        except ValueError as exc:
-            raise InputError(f"wilson: {exc}") from None
-        print(f"[{lo:.4f}, {hi:.4f}]")
-    elif args.stat == "seeds":
-        try:
+            print(f"[{lo:.4f}, {hi:.4f}]")
+        elif args.stat == "seeds":
             summary = multi_seed_summary(args.values)
-        except ValueError as exc:
-            raise InputError(f"seeds: {exc}") from None
-        if summary.ci:
-            print(f"mean {summary.mean:.4f}  CI [{summary.ci[0]:.4f}, {summary.ci[1]:.4f}]")
-        else:
-            print(f"mean {summary.mean:.4f}")
+            if summary.ci:
+                print(f"mean {summary.mean:.4f}  CI [{summary.ci[0]:.4f}, {summary.ci[1]:.4f}]")
+            else:
+                print(f"mean {summary.mean:.4f}")
+    except ValueError as exc:
+        raise InputError(f"{args.stat}: {exc}") from None
     return 0
 
 
@@ -670,97 +690,97 @@ def _finite_or_none(cell: Optional[str]) -> Optional[float]:
 # --- argument parsing -------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, benchmark: bool = True) -> None:
-    p.add_argument("--config", help="YAML config file")
-    p.add_argument("--seed-list", help="comma-separated seeds, one per round")
-    p.add_argument("--out-dir", help="output directory")
-    if benchmark:
-        p.add_argument("--benchmark", help="episode file (JSONL); config fallback")
-        p.add_argument("--limit-episodes", type=int)
+class _Parser(argparse.ArgumentParser):
+    """A flag matches by its full name only (``--mode`` is not ``--model``),
+    and a token that parses as a float (``-1e-3``, ``-inf``) is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        return finite_float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dialect", choices=["xml-toolcall", "thought-action", "plain-json"])
-    p.add_argument("--backend", choices=["mock", "http"], default="mock")
-    p.add_argument("--mock-policy", default="oracle",
-                   help="oracle | wrong | alternating | history-echo | noisy-oracle")
-    p.add_argument("--endpoint-url")
-    p.add_argument("--model")
-    p.add_argument("--concurrency", type=_positive_int,
-                   help="requests in flight; over HTTP also episodes replayed at once")
-    p.add_argument("--enable-thinking", dest="enable_thinking", action="store_true",
-                   default=True)
-    p.add_argument("--no-thinking", dest="enable_thinking", action="store_false")
-    p.add_argument("--continue-on-error", action="store_true",
-                   help="leave failing episodes incomplete instead of aborting")
+def _setting_flag(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """A flag for a setting of ``SETTINGS``, with the setting's converter."""
+    p.add_argument(flag, type=SETTINGS[flag[2:].replace("-", "_")][2], **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trajkit",
-                                     description="GUI-agent trajectory evaluation harness")
+    parser = _Parser(prog="trajkit", description="GUI-agent trajectory evaluation harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate an episode file")
-    _add_common(p)
+    # Flags that several subcommands share, each declared once.
+    def shared(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    config = shared()
+    config.add_argument("--config", help="YAML config file; a flag wins over it")
+    dialect = shared()
+    _setting_flag(dialect, "--dialect", choices=dialect_ids())
+    episodes = shared()
+    _setting_flag(episodes, "--benchmark", help="episode file (JSONL)")
+    episodes.add_argument("--limit-episodes", type=int)
+    replay = shared(episodes)
+    _setting_flag(replay, "--seed-list", help="comma-separated seeds, one per round")
+    replay.add_argument("--out-dir", help="output directory")
+    model = shared(dialect)
+    # The endpoint settings; those without a flag are set by the config only.
+    model.set_defaults(**dict.fromkeys(_dests("endpoint")))
+    model.add_argument("--backend", choices=["mock", "http"], default="mock")
+    model.add_argument("--mock-policy", default="oracle",
+                       help="oracle | wrong | alternating | history-echo | noisy-oracle")
+    _setting_flag(model, "--endpoint-url")
+    _setting_flag(model, "--model")
+    _setting_flag(model, "--concurrency",
+                  help="requests in flight; over HTTP also episodes replayed at once")
+    model.add_argument("--enable-thinking", dest="enable_thinking", action="store_true",
+                       default=True)
+    model.add_argument("--no-thinking", dest="enable_thinking", action="store_false")
+    model.add_argument("--continue-on-error", action="store_true",
+                       help="leave failing episodes incomplete instead of aborting")
+    policy = shared()
+    _setting_flag(policy, "--exclude-gt-kinds", help="comma-separated action kinds")
+    _setting_flag(policy, "--min-comparable")
+
+    p = sub.add_parser("ingest", help="validate an episode file", parents=[config, replay])
     p.add_argument("--no-check-screenshots", action="store_true")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("make-fixture", help="generate a synthetic benchmark")
+    p = sub.add_parser("make-fixture", help="generate a synthetic benchmark",
+                       parents=[config])
     p.add_argument("--out-dir", required=True)
     p.add_argument("--episodes", type=int, default=4)
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_make_fixture)
 
-    p = sub.add_parser("eval", help="offline trajectory replay")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--mode", choices=["offline"], default="offline")
-    p.add_argument("--exclude-gt-kinds")
-    p.add_argument("--min-comparable", type=float)
-    p.set_defaults(func=cmd_eval)
+    p = sub.add_parser("eval", help="offline trajectory replay",
+                       parents=[config, replay, model, policy])
+    p.set_defaults(func=cmd_replay, mode="offline")
 
-    p = sub.add_parser("soeval", help="semi-online replay")
-    _add_common(p)
-    _add_model_flags(p)
+    p = sub.add_parser("soeval", help="semi-online replay",
+                       parents=[config, replay, model, policy])
     p.add_argument("--mode", choices=["live", "pool"], default="live")
     p.add_argument("--pool", help="artifact pool file (pool mode)")
-    p.add_argument("--exclude-gt-kinds")
-    p.add_argument("--min-comparable", type=float)
-    p.set_defaults(func=cmd_soeval)
+    p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("rollout", help="n-sample collection for decision analytics")
-    _add_common(p)
-    _add_model_flags(p)
+    p = sub.add_parser("rollout", help="n-sample collection for decision analytics",
+                       parents=[config, replay, model])
     p.add_argument("--rounds", type=int, default=8)
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=cmd_rollout)
 
-    p = sub.add_parser("cluster", help="decision distributions from rollout logs")
+    # --dialect is accepted and unused: samples come from each record's
+    # structured prediction.
+    p = sub.add_parser("cluster", help="decision distributions from rollout logs",
+                       parents=[config, episodes, dialect])
     p.add_argument("--rollouts", required=True)
     p.add_argument("--compare", help="second rollout log; emit shift columns")
-    p.add_argument("--benchmark")
-    p.add_argument("--limit-episodes", type=int)
-    p.add_argument("--dialect", choices=["xml-toolcall", "thought-action", "plain-json"],
-                   help="unused: samples come from each record's structured prediction")
     # decisions.DBSCAN_EPSILON and DBSCAN_MIN_PTS, written out so that
     # building the parser does not import the clustering code.
     p.add_argument("--epsilon", type=float, default=70.0,
@@ -768,79 +788,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-pts", type=int, default=3,
                    help="DBSCAN core-point count (default: %(default)s)")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("judge", help="reasoning-execution consistency judging")
+    p = sub.add_parser("judge", help="reasoning-execution consistency judging",
+                       parents=[config, dialect])
     p.add_argument("--cases", required=True)
     p.add_argument("--judges", type=int, default=3)
     p.add_argument("--rollouts", type=int, default=32)
-    p.add_argument("--dialect", choices=["xml-toolcall", "thought-action", "plain-json"])
-    p.add_argument("--backend", choices=["mock", "http"], default="mock")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_judge)
 
-    p = sub.add_parser("sweep", help="history-mixing regime sweep")
-    _add_common(p)
-    _add_model_flags(p)
+    p = sub.add_parser("sweep", help="history-mixing regime sweep",
+                       parents=[config, replay, model])
     p.add_argument("--pool", required=True)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--samples-per-pair", type=int)
+    _setting_flag(p, "--kappa")
+    _setting_flag(p, "--grid")
+    _setting_flag(p, "--samples-per-pair")
     p.add_argument("--global-seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("reward", help="batch reward / advantage scoring")
+    p = sub.add_parser("reward", help="batch reward / advantage scoring", parents=[config])
     p.add_argument("--groups", help="JSONL of {group_id, rewards}")
     p.add_argument("--steps", help="JSONL of {pred_kind, pred_params, gt_kind, gt_params, gt_bbox}")
     p.add_argument("--mode", choices=["binary", "gaussian"], default="binary")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_reward)
 
-    p = sub.add_parser("report", help="re-emit reports from a run directory")
+    p = sub.add_parser("report", help="re-emit reports from a run directory",
+                       parents=[config, episodes])
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--benchmark")
-    p.add_argument("--limit-episodes", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, **dict.fromkeys(_dests("policy")))
 
     p = sub.add_parser("stats", help="statistical utilities")
     stat_sub = p.add_subparsers(dest="stat", required=True)
-    q = stat_sub.add_parser("correlation")
+    q = stat_sub.add_parser("correlation", parents=[config])
     q.add_argument("--csv", required=True)
     q.add_argument("--online-col", default="online")
     q.add_argument("--out", default="correlation.csv")
-    q.add_argument("--config")
-    q.set_defaults(func=cmd_stats)
-    q = stat_sub.add_parser("contingency")
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
-    q.add_argument("c", type=int)
-    q.add_argument("d", type=int)
-    q.add_argument("--config")
-    q.set_defaults(func=cmd_stats)
-    q = stat_sub.add_parser("wilson")
+    q = stat_sub.add_parser("contingency", parents=[config])
+    for name in "abcd":
+        q.add_argument(name, type=int)
+    q = stat_sub.add_parser("wilson", parents=[config])
     q.add_argument("successes", type=int)
     q.add_argument("n", type=int)
-    q.add_argument("--config")
-    q.set_defaults(func=cmd_stats)
-    q = stat_sub.add_parser("seeds")
+    q = stat_sub.add_parser("seeds", parents=[config])
     q.add_argument("values", type=_finite_float, nargs="+")
-    q.add_argument("--config")
-    q.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _load_config(getattr(args, "config", None))
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, config)
+        _resolve_settings(args)
+        return args.func(args)
     except (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError) as exc:
         print(f"trajkit: error: {exc}", file=sys.stderr)
         return 2

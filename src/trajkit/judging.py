@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .actions import Action, ActionKind
+from .actions import Action, ActionKind, finite_float
 from .decisions import ExecutionSample, build_distribution
 from .dialects import Dialect
 from .evaluate import actions_match
@@ -232,7 +232,8 @@ def _decode_case(raw: dict) -> ConsistencyCase:
         instruction=str(raw["instruction"]),
         observation=Observation(
             screenshot_ref=str(raw.get("screenshot_path", "")),
-            dims=(float(raw.get("img_w", 1000)), float(raw.get("img_h", 1000))),
+            dims=(finite_float(raw.get("img_w", 1000)),
+                  finite_float(raw.get("img_h", 1000))),
             text_desc=raw.get("screen_desc"),
         ),
         reasoning_trace=str(raw["reasoning_trace"]),

@@ -40,6 +40,7 @@ from .store import (
     decode_prediction,
     encode_gt_params,
     read_jsonl,
+    step_key,
 )
 
 if TYPE_CHECKING:
@@ -334,9 +335,8 @@ class ArtifactPool:
             action = decode_prediction(r)
             if action is None:
                 continue
-            base_key = f"{r.episode_id}/{r.step_index}"
             pool.add(OnPolicyArtifact(
-                key=base_key,
+                key=step_key(r.episode_id, r.step_index),
                 action=action,
                 thought=r.thought,
                 conclusion=r.conclusion,
@@ -398,8 +398,7 @@ def mixed_history(
     eligible: list[bool] = []
     for t in range(upto):
         step = episode.steps[t]
-        base_key = f"{episode.id}/{step.step_index}"
-        candidates = pool.get(base_key)
+        candidates = pool.get(step.key)
         eligible.append(bool(candidates))
         if mask[t] and candidates:
             pick = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 \

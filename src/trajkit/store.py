@@ -3,7 +3,7 @@
 Episode files are line-delimited JSON, one step per line (see
 ``load_episodes``). Run artifacts are an append-only ``records.jsonl``, the
 only list of completed steps, plus a ``manifest.json`` holding the run's
-configuration hash and seeds; re-appending an existing key is a no-op, which
+configuration and its hash; re-appending an existing key is a no-op, which
 is what makes interrupted runs resumable.
 """
 
@@ -484,9 +484,10 @@ class RunWriter:
     raises ``CorruptRecordsError`` naming the file and line, and the file
     is left untouched.
 
-    Opened with a config, the writer records the config's hash in a new
-    manifest right away, so an interrupted run resumed under another
-    configuration raises ``ConfigMismatchError`` instead of reusing records.
+    Opened with a config, the writer writes a new manifest right away,
+    ``{"config_hash": ..., **config}``, so an interrupted run resumed under
+    another configuration raises ``ConfigMismatchError`` instead of reusing
+    records.
     """
 
     def __init__(self, run_dir: str | Path, config: Optional[dict] = None):
@@ -496,8 +497,8 @@ class RunWriter:
         self.manifest_path = self.run_dir / MANIFEST_FILENAME
         self.warnings: list[str] = []
         self._lock = threading.Lock()
+        self._config = config or {}
         self._config_hash = config_hash(config) if config is not None else None
-        self._seed_list: list[int] = list(config.get("seed_list", [])) if config else []
 
         existing = self._load_existing()
         self._by_key = {r.key: r for r in existing}
@@ -577,18 +578,12 @@ class RunWriter:
             self._lines = [self._lines[i] for i in order]
         return True
 
-    def write_manifest(self, extra: Optional[dict] = None) -> dict:
-        manifest: dict[str, Any] = {
-            "config_hash": self._config_hash,
-            "seed_list": self._seed_list,
-        }
-        if extra:
-            manifest.update(extra)
+    def write_manifest(self, extra: Optional[dict] = None) -> None:
+        manifest = {"config_hash": self._config_hash, **self._config, **(extra or {})}
         tmp = self.manifest_path.with_suffix(".tmp")
         tmp.write_text(json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=1),
                        encoding="utf-8")
         tmp.replace(self.manifest_path)
-        return manifest
 
 
 def _read_records(path: Path) -> tuple[list[RunRecord], int, Optional[str]]:

@@ -379,8 +379,17 @@ class TestStatsCommand:
             "relative risk: undefined  odds ratio: undefined\n"
             "chi2: 0.00  phi: 0.0000\n")
 
+    @pytest.mark.parametrize("values", [["0.5", "-1e-3"], ["1.5", "-2e-1", "3"],
+                                        ["-.5E+1", "-2"]])
+    def test_seeds_takes_negative_exponents_without_a_separator(self, capsys, values):
+        assert main(["stats", "seeds", "--", *values]) == 0
+        separated = capsys.readouterr().out
+        assert main(["stats", "seeds", *values]) == 0
+        assert capsys.readouterr().out == separated
+
     @pytest.mark.parametrize("values", [["nan", "0.5", "0.6"], ["inf", "0.5"],
-                                        ["--", "0.5", "-inf"], ["1e999", "0.5"]])
+                                        ["--", "0.5", "-inf"], ["0.5", "-inf"],
+                                        ["0.5", "-nan"], ["1e999", "0.5"]])
     def test_seeds_rejects_non_finite_values(self, capsys, values):
         with pytest.raises(SystemExit) as exc:
             main(["stats", "seeds", *values])
@@ -709,6 +718,39 @@ class TestConcurrencyFlag:
                           f"must be an integer >= 1, got '{value}'"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("backend, flag, settings_at_once", [
+        ("mock", [], 1), ("mock", ["--concurrency", "3"], 1),
+        ("http", [], 4), ("http", ["--concurrency", "3"], 3)])
+    def test_sweep_runs_settings_in_parallel_over_http_only(
+            self, bench, tmp_path, monkeypatch, backend, flag, settings_at_once):
+        import trajkit.semionline as semionline
+
+        live = tmp_path / "live"
+        assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
+        seen = []
+
+        def run_sweep(gateway, episodes, dialect, pool, config, concurrency, **kwargs):
+            seen.append(concurrency)
+            return []
+
+        monkeypatch.setattr(semionline, "run_sweep", run_sweep)
+        assert main(["sweep", "--benchmark", str(bench), "--backend", backend, *flag,
+                     "--pool", str(live / "pool.jsonl"),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert seen == [settings_at_once]
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv, removed", [
+        (["eval", "--benchmark", "b.jsonl", "--out-dir", "run"], ["--mode", "offline"]),
+        (["judge", "--cases", "c.jsonl", "--out", "out.csv"], ["--backend", "mock"])])
+    def test_is_a_usage_error(self, capsys, argv, removed):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *removed])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
 
 class TestPoolContinueOnError:
     def test_failing_episode_left_resumable(self, bench, tmp_path, monkeypatch):
@@ -877,6 +919,8 @@ class TestJsonlInputErrors:
         "rollouts": (["cluster"], "--rollouts", None, "[1, 2]", "not a JSON object"),
         "cases": (["judge", "--rollouts", "2"], "--cases", CASE,
                   {"case_id": "c1", "reasoning_trace": "x"}, "missing field 'instruction'"),
+        "case-dims": (["judge", "--rollouts", "2"], "--cases", CASE,
+                      {**CASE, "case_id": "c1", "img_w": "nan"}, "not finite"),
         "groups": (["reward"], "--groups", {"group_id": "g0", "rewards": [0.0, 1.0]},
                    {"group_id": "g1"}, "missing field 'rewards'"),
         "steps": (["reward"], "--steps", STEP, {**STEP, "gt_bbox": {"x1": 1}},
