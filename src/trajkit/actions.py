@@ -240,3 +240,42 @@ def spatial_distance(a: Point, b: Point, metric: str = "l2") -> float:
     if m == "l1":
         return float(abs(dx) + abs(dy))
     raise ValueError(f"unknown metric {metric!r}; expected 'l1' or 'l2'")
+
+
+# --- matching -------------------------------------------------------------------
+
+#: Fallback click radius (per-mille, L2) when the ground truth has no bbox.
+#: Matches the spatial clustering neighborhood so the evaluator and the
+#: decision abstraction agree on what counts as "the same target".
+CLICK_RADIUS = 70.0
+
+
+def canonical_text(value: str) -> str:
+    # Trim surrounding whitespace only; case is significant.
+    return value.strip()
+
+
+def params_match(pred: Action, gt: Action, gt_bbox: Optional[BBox],
+                 click_radius: float = CLICK_RADIUS) -> bool:
+    """Kind-specific parameter matching; assumes the kinds are equal."""
+    k = gt.kind
+    if k in (ActionKind.CLICK, ActionKind.LONG_PRESS):
+        if gt_bbox is not None:
+            return gt_bbox.contains(pred.point)
+        return spatial_distance(pred.point, gt.point, "l2") <= click_radius
+    if k is ActionKind.SCROLL:
+        return pred.direction == gt.direction
+    if k in (ActionKind.TYPE,):
+        return canonical_text(pred.text) == canonical_text(gt.text)
+    if k is ActionKind.OPEN:
+        return canonical_text(pred.app) == canonical_text(gt.app)
+    if k is ActionKind.PRESS:
+        return pred.button == gt.button
+    # WAIT / STOP carry no compared parameters.
+    return True
+
+
+def actions_match(pred: Action, gt: Action, gt_bbox: Optional[BBox] = None,
+                  click_radius: float = CLICK_RADIUS) -> bool:
+    """Exact match: the same kind and matching parameters."""
+    return pred.kind == gt.kind and params_match(pred, gt, gt_bbox, click_radius)

@@ -10,47 +10,21 @@ byte-reproducibly.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import json
 import math
-import random
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .actions import Action, ActionKind, Point, finite_float
-from .dialects import dialect_ids, get_dialect
-from .evaluate import (
-    EmptyReportError,
-    EvalPolicy,
-    aggregate,
-    aggregate_by_benchmark,
-    complete_records,
-    evaluate_benchmark_offline,
-    stratify_by_horizon,
-)
-from .gateway import (
-    DEFAULT_SEEDS,
-    EndpointConfig,
-    HttpBackend,
-    MockBackend,
-    ModelGateway,
-    SamplingConfig,
-)
-from .store import (
-    MANIFEST_FILENAME,
-    ConfigMismatchError,
-    CorruptRecordsError,
-    InputError,
-    RunWriter,
-    decode_action,
-    decode_bbox,
-    load_episodes,
-    load_run,
-    read_jsonl,
-)
+from .errors import ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError
+
+if TYPE_CHECKING:
+    from .evaluate import EvalPolicy
+    from .gateway import EndpointConfig
+
+#: ``dialects.dialect_ids()``, written out (as are the defaults in
+#: ``SETTINGS``) so that the parser loads no engine module; a test pins each
+#: to its source.
+DIALECT_IDS = ("plain-json", "thought-action", "xml-toolcall")
 
 
 def _positive_int(text: str) -> int:
@@ -65,9 +39,12 @@ def _positive_int(text: str) -> int:
 
 def _finite_float(text: str) -> float:
     try:
-        return finite_float(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _seed_list(text: str) -> list[int]:
@@ -81,6 +58,8 @@ def _seed_list(text: str) -> list[int]:
 
 
 def _gt_kinds(text: str) -> frozenset:
+    from .actions import ActionKind
+
     try:
         return frozenset(ActionKind(k.strip()) for k in text.split(",") if k.strip())
     except ValueError as exc:
@@ -88,9 +67,9 @@ def _gt_kinds(text: str) -> frozenset:
 
 
 def _dialect_id(text: str) -> str:
-    if text not in dialect_ids():
+    if text not in DIALECT_IDS:
         raise argparse.ArgumentTypeError(
-            f"unknown dialect {text!r}; known: {', '.join(dialect_ids())}")
+            f"unknown dialect {text!r}; known: {', '.join(DIALECT_IDS)}")
     return text
 
 
@@ -106,14 +85,21 @@ _SAMPLING_KEYS = ("temperature", "top_p", "top_k", "repetition_penalty",
 SETTINGS = {
     "benchmark": (None, "benchmark", str, None),
     "dialect": (None, "dialect", _dialect_id, "xml-toolcall"),
-    "seed_list": (None, "seed_list", _seed_list, list(DEFAULT_SEEDS)),
-    "endpoint_url": ("endpoint", "base_url", str, EndpointConfig.base_url),
-    "model": ("endpoint", "model_name", str, EndpointConfig.model_name),
-    "concurrency": ("endpoint", "max_in_flight", _positive_int, EndpointConfig.max_in_flight),
-    "timeout": ("endpoint", "timeout", _finite_float, EndpointConfig.timeout),
-    "max_retries": ("endpoint", "max_retries", int, EndpointConfig.max_retries),
-    **{key: ("endpoint", key, int if key in ("top_k", "max_tokens") else _finite_float,
-             getattr(SamplingConfig, key)) for key in _SAMPLING_KEYS},
+    # ``gateway.DEFAULT_SEEDS``.
+    "seed_list": (None, "seed_list", _seed_list,
+                  [7278727, 7779397, 7771087, 7867747, 7977857, 5113051, 9581717, 20000303]),
+    # The defaults of ``gateway.EndpointConfig`` and ``SamplingConfig``.
+    "endpoint_url": ("endpoint", "base_url", str, ""),
+    "model": ("endpoint", "model_name", str, "mock"),
+    "concurrency": ("endpoint", "max_in_flight", _positive_int, 4),
+    "timeout": ("endpoint", "timeout", _finite_float, 120.0),
+    "max_retries": ("endpoint", "max_retries", int, 3),
+    "temperature": ("endpoint", "temperature", _finite_float, 0.1),
+    "top_p": ("endpoint", "top_p", _finite_float, 1.0),
+    "top_k": ("endpoint", "top_k", int, -1),
+    "repetition_penalty": ("endpoint", "repetition_penalty", _finite_float, 1.0),
+    "presence_penalty": ("endpoint", "presence_penalty", _finite_float, 0.0),
+    "max_tokens": ("endpoint", "max_tokens", int, 2048),
     "min_comparable": ("policy", "min_comparable", _finite_float, None),
     "exclude_gt_kinds": ("policy", "exclude_gt_kinds", _gt_kinds, None),
     "kappa": ("schedule", "kappa", float, 16.0),
@@ -169,6 +155,8 @@ def _resolve_settings(args) -> None:
 
 
 def _endpoint_config(args, n: int = 1, seed: Optional[int] = None) -> EndpointConfig:
+    from .gateway import EndpointConfig, SamplingConfig
+
     try:
         sampling = SamplingConfig(**{k: getattr(args, k) for k in _SAMPLING_KEYS},
                                   n=n, seed=seed)
@@ -188,6 +176,8 @@ def _episode_concurrency(args, cfg: EndpointConfig) -> int:
 
 def _policy(args) -> EvalPolicy:
     """The evaluation policy; a setting left None keeps ``EvalPolicy``'s default."""
+    from .evaluate import EvalPolicy
+
     return EvalPolicy(**{dest: getattr(args, dest) for dest in _dests("policy")
                          if getattr(args, dest) is not None})
 
@@ -199,13 +189,12 @@ def _benchmark(args) -> str:
 
 
 def _episodes(args, check_screenshots: bool = True):
+    from .store import load_episodes
+
     report = load_episodes(_benchmark(args), check_screenshots=check_screenshots)
     if report.rejections:
         print(f"warning: {len(report.rejections)} rejected records", file=sys.stderr)
-    episodes = report.episodes
-    if args.limit_episodes:
-        episodes = episodes[:args.limit_episodes]
-    return episodes, report
+    return report.episodes
 
 
 def _load_pool(path: str):
@@ -219,16 +208,20 @@ def _load_pool(path: str):
 
 def _replay_inputs(args):
     """The dialect, episodes and model backend a replay command runs on."""
+    from .dialects import get_dialect
+
     dialect = get_dialect(args.dialect)
-    episodes, _ = _episodes(args)
+    episodes = _episodes(args)[:args.limit_episodes or None]
     return dialect, episodes, _backend(args, episodes, dialect)
 
 
 def _backend(args, episodes, dialect):
-    from . import synth
+    from .gateway import HttpBackend, MockBackend
 
     if args.backend == "http":
         return HttpBackend()
+    from . import synth
+
     if args.mock_policy == "noisy-oracle":
         return MockBackend(make_noisy_responder(episodes, dialect))
     try:
@@ -241,7 +234,12 @@ def _backend(args, episodes, dialect):
 
 def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: float = 0.2):
     """Oracle with seeded spatial jitter and occasional wrong answers."""
+    import hashlib
+    import random
+    from dataclasses import replace
+
     from . import synth
+    from .actions import Point
 
     steps = {step.key: step for ep in episodes for step in ep.steps}
 
@@ -270,7 +268,10 @@ def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: fl
 
 
 def cmd_ingest(args) -> int:
+    import json
+
     from .reporting import write_rejection_report
+    from .store import load_episodes
 
     report = load_episodes(_benchmark(args), check_screenshots=not args.no_check_screenshots)
     print(f"episodes: {len(report.episodes)}  rejections: {len(report.rejections)}")
@@ -299,6 +300,12 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
     """Write ``report.csv``/``report.md`` (a row per source benchmark) and
     ``horizon.csv`` from the records of complete episodes, print the replay's
     summary lines, and return the report over all benchmarks."""
+    from .evaluate import (
+        aggregate,
+        aggregate_by_benchmark,
+        complete_records,
+        stratify_by_horizon,
+    )
     from .reporting import HORIZON_COLUMNS, horizon_rows, write_aggregate_report, write_csv
 
     records = complete_records(records)
@@ -326,11 +333,15 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
 
 def cmd_replay(args) -> int:
     """``eval`` (mode ``offline``) and ``soeval`` (``live`` or ``pool``)."""
-    from .semionline import ArtifactPool, pool_sha256, pooled_benchmark, soeval_benchmark
+    from .evaluate import evaluate_benchmark_offline
+    from .gateway import ModelGateway
+    from .store import RunWriter
 
     if not args.out_dir:
         raise SystemExit("--out-dir is required")
     mode = args.mode
+    if mode != "offline":
+        from .semionline import ArtifactPool, pool_sha256, pooled_benchmark, soeval_benchmark
     dialect, episodes, backend = _replay_inputs(args)
     policy = _policy(args)
     seed = args.seed_list[0]
@@ -389,6 +400,7 @@ def cmd_rollout(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     from .evaluate import map_in_order, reference_history, replay_episode
+    from .gateway import ModelGateway
     from .semionline import ArtifactPool
 
     cfg = _endpoint_config(args, n=args.samples)
@@ -419,7 +431,7 @@ def _load_cells(path) -> dict[str, list]:
     screen dimensions, which the rollout parse already applied.
     """
     from .decisions import ExecutionSample
-    from .store import RunRecord, decode_prediction, step_key
+    from .store import RunRecord, decode_prediction, read_jsonl, step_key
 
     def cell_sample(raw: dict):
         r = RunRecord(**raw)
@@ -449,7 +461,7 @@ def cmd_cluster(args) -> int:
     cells = _load_cells(args.rollouts)
     compare_cells = _load_cells(args.compare) if args.compare else None
 
-    episodes = _episodes(args, check_screenshots=False)[0] if args.benchmark else []
+    episodes = _episodes(args, check_screenshots=False) if args.benchmark else []
     gt_by_key = {s.key: s for ep in episodes for s in ep.steps}
 
     def distribution(samples):
@@ -485,6 +497,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_judge(args) -> int:
+    from .actions import Action, ActionKind
+    from .dialects import get_dialect
+    from .gateway import EndpointConfig, MockBackend, ModelGateway, SamplingConfig
     from .judging import detector_validation, judge_case, load_cases
     from .reporting import write_csv
 
@@ -531,6 +546,7 @@ def cmd_judge(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .gateway import ModelGateway
     from .reporting import SWEEP_COLUMNS, sweep_rows, write_csv
     from .semionline import SweepConfig, run_sweep
 
@@ -549,8 +565,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reward(args) -> int:
+    import json
+
     from .reporting import write_csv
     from .rewards import group_advantages, reward_binary, reward_gaussian_click
+    from .store import decode_action, decode_bbox, read_jsonl
 
     if args.groups:
         def group_row(rec: dict):
@@ -588,6 +607,7 @@ def cmd_reward(args) -> int:
 
 def cmd_report(args) -> int:
     from .reporting import markdown_table
+    from .store import MANIFEST_FILENAME, load_run
 
     records, manifest, warnings = load_run(args.run_dir)
     for w in warnings:
@@ -598,7 +618,7 @@ def cmd_report(args) -> int:
         if getattr(args, dest) is None and dest in manifest:
             setattr(args, dest, _setting_value(
                 dest, manifest[dest], Path(args.run_dir) / MANIFEST_FILENAME))
-    episodes = _episodes(args, check_screenshots=False)[0] if args.benchmark else None
+    episodes = _episodes(args, check_screenshots=False) if args.benchmark else None
     mode = manifest.get("mode", "offline")
     report = _report_run(args.run_dir, records, episodes, _policy(args), mode)
     print(markdown_table(
@@ -620,6 +640,8 @@ def cmd_stats(args) -> int:
     # A value the statistic is undefined for is one error line.
     try:
         if args.stat == "correlation":
+            import csv
+
             from .reporting import write_correlation_report
 
             with open(args.csv, "r", encoding="utf-8") as fh:
@@ -721,13 +743,17 @@ def build_parser() -> argparse.ArgumentParser:
     config = shared()
     config.add_argument("--config", help="YAML config file; a flag wins over it")
     dialect = shared()
-    _setting_flag(dialect, "--dialect", choices=dialect_ids())
-    episodes = shared()
-    _setting_flag(episodes, "--benchmark", help="episode file (JSONL)")
+    _setting_flag(dialect, "--dialect", choices=DIALECT_IDS)
+    benchmark = shared()
+    _setting_flag(benchmark, "--benchmark", help="episode file (JSONL)")
+    out_dir = shared()
+    out_dir.add_argument("--out-dir", help="output directory")
+    # Commands that replay can cut the file to its first N episodes; all but
+    # sweep take a seed list.
+    episodes = shared(benchmark, out_dir)
     episodes.add_argument("--limit-episodes", type=int)
     replay = shared(episodes)
     _setting_flag(replay, "--seed-list", help="comma-separated seeds, one per round")
-    replay.add_argument("--out-dir", help="output directory")
     model = shared(dialect)
     # The endpoint settings; those without a flag are set by the config only.
     model.set_defaults(**dict.fromkeys(_dests("endpoint")))
@@ -747,7 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     _setting_flag(policy, "--exclude-gt-kinds", help="comma-separated action kinds")
     _setting_flag(policy, "--min-comparable")
 
-    p = sub.add_parser("ingest", help="validate an episode file", parents=[config, replay])
+    p = sub.add_parser("ingest", help="validate an episode file",
+                       parents=[config, benchmark, out_dir])
     p.add_argument("--no-check-screenshots", action="store_true")
     p.set_defaults(func=cmd_ingest)
 
@@ -778,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --dialect is accepted and unused: samples come from each record's
     # structured prediction.
     p = sub.add_parser("cluster", help="decision distributions from rollout logs",
-                       parents=[config, episodes, dialect])
+                       parents=[config, benchmark, dialect])
     p.add_argument("--rollouts", required=True)
     p.add_argument("--compare", help="second rollout log; emit shift columns")
     # decisions.DBSCAN_EPSILON and DBSCAN_MIN_PTS, written out so that
@@ -799,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_judge)
 
     p = sub.add_parser("sweep", help="history-mixing regime sweep",
-                       parents=[config, replay, model])
+                       parents=[config, episodes, model])
     p.add_argument("--pool", required=True)
     _setting_flag(p, "--kappa")
     _setting_flag(p, "--grid")
@@ -816,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reward)
 
     p = sub.add_parser("report", help="re-emit reports from a run directory",
-                       parents=[config, episodes])
+                       parents=[config, benchmark])
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=cmd_report, **dict.fromkeys(_dests("policy")))
 

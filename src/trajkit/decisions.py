@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .actions import Action, ActionKind, BBox, Point
-from .dialects import ParsedResponse
-from .evaluate import CLICK_RADIUS, actions_match
+from .actions import CLICK_RADIUS, Action, ActionKind, BBox, Point, actions_match
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .dialects import ParsedResponse
 
 SPATIAL_KINDS = (ActionKind.CLICK, ActionKind.LONG_PRESS)
 TEXT_KINDS = (ActionKind.TYPE, ActionKind.OPEN)

@@ -1,0 +1,21 @@
+"""The errors the command line reports as one ``trajkit: error:`` line.
+
+They live apart from the modules that raise them (``store``, ``evaluate``)
+so that catching them loads no engine module.
+"""
+
+
+class InputError(Exception):
+    """An input named on the command line cannot be used; reported in one line."""
+
+
+class CorruptRecordsError(ValueError):
+    """Raised when a run's records file has a bad line before valid records."""
+
+
+class ConfigMismatchError(ValueError):
+    """Raised when a run dir is reopened under a configuration other than its own."""
+
+
+class EmptyReportError(ValueError):
+    """Raised when aggregation is asked to summarize zero records."""

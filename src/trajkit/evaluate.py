@@ -11,31 +11,24 @@ benchmark-level ground-truth exclusions before any averaging.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .actions import Action, ActionKind, ALL_KINDS, BBox, spatial_distance
+from .actions import ALL_KINDS, CLICK_RADIUS, Action, BBox, actions_match
 from .dialects import Dialect, HistoryEntry, ParsedResponse, ReferenceEntry
-from .gateway import ModelGateway, prepare_input
+from .errors import EmptyReportError
 from .store import Episode, RunRecord, RunWriter, StepTask, prediction_fields, step_key
+
+if TYPE_CHECKING:
+    from .gateway import ModelGateway
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Fallback click radius (per-mille, L2) when the ground truth has no bbox.
-#: Matches the spatial clustering neighborhood so the evaluator and the
-#: decision abstraction agree on what counts as "the same target".
-CLICK_RADIUS = 70.0
-
-
-class EmptyReportError(ValueError):
-    """Raised when aggregation is asked to summarize zero records."""
-
 
 class ReplayStopped(Exception):
     """Raised at a step boundary in a ``map_in_order`` worker whose consumer
@@ -72,13 +65,21 @@ class StepEvaluation:
 
 @dataclass(frozen=True)
 class EpisodeMetrics:
-    progress: float
+    """``prefix``: the steps exactly matched before the first miss, of
+    ``length``."""
+
+    prefix: int
+    length: int
     success: bool
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        if self.success and self.progress != 1.0:
+        if self.success and self.prefix != self.length:
             raise ValueError("success implies progress == 1")
+
+    @property
+    def progress(self) -> float:
+        return self.prefix / self.length
 
 
 @dataclass(frozen=True)
@@ -92,37 +93,6 @@ class EvalPolicy:
 
 
 DEFAULT_POLICY = EvalPolicy()
-
-
-def canonical_text(value: str) -> str:
-    # Trim surrounding whitespace only; case is significant.
-    return value.strip()
-
-
-def params_match(pred: Action, gt: Action, gt_bbox: Optional[BBox],
-                 click_radius: float = CLICK_RADIUS) -> bool:
-    """Kind-specific parameter matching; assumes the kinds are equal."""
-    k = gt.kind
-    if k in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-        if gt_bbox is not None:
-            return gt_bbox.contains(pred.point)
-        return spatial_distance(pred.point, gt.point, "l2") <= click_radius
-    if k is ActionKind.SCROLL:
-        return pred.direction == gt.direction
-    if k in (ActionKind.TYPE,):
-        return canonical_text(pred.text) == canonical_text(gt.text)
-    if k is ActionKind.OPEN:
-        return canonical_text(pred.app) == canonical_text(gt.app)
-    if k is ActionKind.PRESS:
-        return pred.button == gt.button
-    # WAIT / STOP carry no compared parameters.
-    return True
-
-
-def actions_match(pred: Action, gt: Action, gt_bbox: Optional[BBox] = None,
-                  click_radius: float = CLICK_RADIUS) -> bool:
-    """Exact match: the same kind and matching parameters."""
-    return pred.kind == gt.kind and params_match(pred, gt, gt_bbox, click_radius)
 
 
 def evaluate_step(
@@ -188,9 +158,20 @@ def episode_metrics(records: Sequence[RunRecord],
         prefix += 1
     total = len(episode) if episode is not None else records[0].episode_length
     truncated = episode is None or episode.truncated
-    progress = prefix / total
     success = (not truncated) and prefix == total and len(exact) == total
-    return EpisodeMetrics(progress=progress, success=success, truncated=truncated)
+    return EpisodeMetrics(prefix=prefix, length=total, success=success, truncated=truncated)
+
+
+def _mean_progress(outcomes: Sequence[EpisodeMetrics]) -> float:
+    """The mean of the episodes' progress fractions, rounded once: the
+    prefixes are summed exactly over the lengths' least common multiple, and
+    the one int/int division rounds correctly."""
+    prefixes_by_length = Counter()
+    for m in outcomes:
+        prefixes_by_length[m.length] += m.prefix
+    common = math.lcm(*prefixes_by_length)
+    total = sum(prefix * (common // length) for length, prefix in prefixes_by_length.items())
+    return total / (common * len(outcomes))
 
 
 # --- the replay engine -------------------------------------------------------
@@ -273,6 +254,8 @@ def replay_episode(
     ``map_in_order`` whose consumer has stopped, the next step raises
     ``ReplayStopped``; the steps persisted so far stay resumable.
     """
+    from .gateway import prepare_input
+
     records: list[RunRecord] = []
     stop = getattr(_worker, "stop", None)
     for i, step in enumerate(episode.steps):
@@ -311,6 +294,8 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 1)
     if concurrency <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     stop = threading.Event()
 
     def call(item: T) -> R:
@@ -463,7 +448,7 @@ def aggregate(
         all_by_episode.setdefault(r.episode_id, []).append(r)
     outcomes = [episode_metrics(recs, episode_by_id.get(ep_id))
                 for ep_id, recs in sorted(all_by_episode.items())]
-    progress = sum(m.progress for m in outcomes) / len(outcomes)
+    progress = _mean_progress(outcomes)
     terminal = [m for m in outcomes if not m.truncated]
     success = sum(1 for m in terminal if m.success) / len(terminal) if terminal else None
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .actions import Action, ActionKind, finite_float
+from .actions import Action, ActionKind, actions_match, finite_float
 from .decisions import ExecutionSample, build_distribution
 from .dialects import Dialect
-from .evaluate import actions_match
 from .gateway import ModelGateway, prepare_input
 from .stats import wilson_interval
 from .store import Observation, StepTask, decode_action, read_jsonl

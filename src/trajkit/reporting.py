@@ -7,9 +7,8 @@ import csv
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .evaluate import AggregateReport
-
 if TYPE_CHECKING:
+    from .evaluate import AggregateReport
     from .semionline import SweepResult
     from .stats import CorrelationReport
 

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .actions import Action, ActionKind, BBox
-from .evaluate import params_match
+from .actions import Action, ActionKind, BBox, params_match
 
 
 @dataclass(frozen=True)

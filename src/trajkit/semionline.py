@@ -31,7 +31,6 @@ from .evaluate import (
     replay_episode,
     step_ratio,
 )
-from .gateway import ModelGateway
 from .store import (
     Episode,
     RunRecord,
@@ -45,6 +44,8 @@ from .store import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .gateway import ModelGateway
 
 logger = logging.getLogger(__name__)
 

@@ -28,6 +28,7 @@ from .actions import (
     SCROLL_DIRECTIONS,
     finite_float,
 )
+from .errors import ConfigMismatchError, CorruptRecordsError, InputError
 
 RECORDS_FILENAME = "records.jsonl"
 MANIFEST_FILENAME = "manifest.json"
@@ -35,18 +36,6 @@ MANIFEST_FILENAME = "manifest.json"
 
 class EpisodeFileError(ValueError):
     """Raised when an episode file cannot be read at all."""
-
-
-class InputError(Exception):
-    """An input named on the command line cannot be used; reported in one line."""
-
-
-class CorruptRecordsError(ValueError):
-    """Raised when a run's records file has a bad line before valid records."""
-
-
-class ConfigMismatchError(ValueError):
-    """Raised when a run dir is reopened under a configuration other than its own."""
 
 
 @dataclass(frozen=True)

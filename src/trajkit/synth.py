@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .actions import Action, ActionKind, BBox, Point
-from .dialects import Dialect
-from .gateway import GenerationRequest
 from .store import Episode, Observation, StepTask, write_episodes
+
+if TYPE_CHECKING:
+    from .dialects import Dialect
+    from .gateway import GenerationRequest
 
 # Minimal valid 1x1 grayscale PNG; stands in for screenshots.
 PLACEHOLDER_PNG = bytes.fromhex(
@@ -151,7 +153,7 @@ def _index_steps(episodes: Sequence[Episode]) -> dict[str, StepTask]:
     return {step.key: step for ep in episodes for step in ep.steps}
 
 
-Policy = Callable[[StepTask, GenerationRequest], Action]
+Policy = Callable[[StepTask, "GenerationRequest"], Action]
 
 
 def make_responder(episodes: Sequence[Episode], dialect: Dialect, policy: Policy):

@@ -744,7 +744,13 @@ class TestConcurrencyFlag:
 class TestRemovedOptions:
     @pytest.mark.parametrize("argv, removed", [
         (["eval", "--benchmark", "b.jsonl", "--out-dir", "run"], ["--mode", "offline"]),
-        (["judge", "--cases", "c.jsonl", "--out", "out.csv"], ["--backend", "mock"])])
+        (["judge", "--cases", "c.jsonl", "--out", "out.csv"], ["--backend", "mock"]),
+        # Episode limits and seed lists only where a replay reads them.
+        (["ingest", "--benchmark", "b.jsonl"], ["--limit-episodes", "1"]),
+        (["ingest", "--benchmark", "b.jsonl"], ["--seed-list", "5"]),
+        (["report", "--run-dir", "run"], ["--limit-episodes", "1"]),
+        (["cluster", "--rollouts", "r.jsonl", "--out", "c.csv"], ["--limit-episodes", "1"]),
+        (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--seed-list", "5"])])
     def test_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as exc:
             main([*argv, *removed])

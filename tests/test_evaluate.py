@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import make_gateway
@@ -232,6 +235,24 @@ class TestAggregate:
         b = aggregate(list(reversed(records)))
         assert a.exact_match == b.exact_match
         assert a.type_match == b.type_match
+
+    def test_progress_is_the_exact_mean_rounded_once(self):
+        # Ten 10-step episodes, each right at step 0 only: a float sum of
+        # the ten 1/10 fractions gives 0.9999999999999999 / 10.
+        records = [fake_record(f"e{ep}", i, 10, exact=i == 0)
+                   for ep in range(10) for i in range(10)]
+        assert aggregate(records).progress == 0.1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_progress_equals_the_fraction_mean_in_any_order(self, seed):
+        rng = random.Random(seed)
+        lengths = [rng.randint(1, 12) for _ in range(37)]
+        prefixes = [rng.randint(0, n) for n in lengths]
+        records = [fake_record(f"e{ep}", i, n, exact=i < p)
+                   for ep, (n, p) in enumerate(zip(lengths, prefixes)) for i in range(n)]
+        exact = sum(Fraction(p, n) for n, p in zip(lengths, prefixes)) / len(lengths)
+        rng.shuffle(records)
+        assert aggregate(records).progress == float(exact)
 
 
 class TestHorizon:

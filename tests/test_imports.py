@@ -1,6 +1,8 @@
-"""The CLI's import graph: numpy, yaml and the command-only trajkit modules
-are loaded only by the commands that use them, and no command needs scipy."""
+"""The CLI's import graph: each command, run in a fresh interpreter, loads
+only the trajkit modules it runs, numpy and yaml only where it uses them,
+and no scipy. The parser's written-out defaults equal their sources."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,34 +14,47 @@ from pathlib import Path
 import pytest
 from scipy.stats import t as student_t
 
-from trajkit import synth
-from trajkit.cli import build_parser, main
+import trajkit
+from trajkit import cli, dialects, gateway, synth
+from trajkit.cli import SETTINGS, build_parser, main
 from trajkit.decisions import DBSCAN_EPSILON, DBSCAN_MIN_PTS
 from trajkit.stats import multi_seed_summary
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-COMMAND_ONLY = ("decisions", "judging", "reporting", "rewards", "semionline",
-                "stats", "synth")
-
-# Runs in a fresh interpreter, after a COMMAND_ONLY assignment, in a scratch
-# directory, and prints after each stage its exit code and the watched
-# modules loaded (a None entry in sys.modules blocks a module, not loads it).
+# Runs one stage in a fresh interpreter, in a scratch directory, and prints
+# its exit code, the third-party packages it loaded of numpy, scipy and yaml,
+# and its trajkit modules (a None entry in sys.modules blocks a module, not
+# loads it). A stage is ``package`` (``import trajkit``), ``parser``
+# (``import trajkit.cli`` and ``build_parser()``) or a command line.
 PROBE = """
 import contextlib, io, json, sys
 
-def watched():
-    return sorted(m for m, module in sys.modules.items() if module is not None
-                  and (m.split(".")[0] in ("numpy", "scipy", "yaml")
-                       or m.startswith("trajkit.") and m.split(".")[1] in COMMAND_ONLY))
+rc = 0
+if sys.argv[1] == "package":
+    import trajkit
+else:
+    import trajkit.cli
+    trajkit.cli.build_parser()
+    if sys.argv[1] != "parser":
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = trajkit.cli.main(sys.argv[1:])
+loaded = [m for m, module in sys.modules.items() if module is not None]
+print(json.dumps([rc, sorted({m.split(".")[0] for m in loaded} & {"numpy", "scipy", "yaml"}),
+                  sorted(m[len("trajkit."):] for m in loaded if m.startswith("trajkit."))]))
+"""
 
 B = "fx/episodes.jsonl"
-COMMANDS = [
+# In order: later stages read what earlier ones wrote.
+STAGES = [
+    ("package", ["package"]),
+    ("parser", ["parser"]),
     ("make-fixture", ["make-fixture", "--out-dir", "fx", "--episodes", "2", "--steps", "3"]),
     ("eval", ["eval", "--benchmark", B, "--out-dir", "eval"]),
     ("soeval", ["soeval", "--benchmark", B, "--mock-policy", "alternating",
                 "--out-dir", "so"]),
     ("report", ["report", "--run-dir", "eval", "--benchmark", B]),
+    ("report-live", ["report", "--run-dir", "so", "--benchmark", B]),
     ("ingest", ["ingest", "--benchmark", B, "--out-dir", "ingest"]),
     ("reward-groups", ["reward", "--groups", "groups.jsonl", "--out", "adv.csv"]),
     ("reward-steps", ["reward", "--steps", "steps.jsonl", "--mode", "gaussian",
@@ -52,18 +67,30 @@ COMMANDS = [
                 "--out-dir", "cfg_eval"]),
 ]
 
-import trajkit.cli
-trajkit.cli.build_parser()
-stages = {"import": [0, watched()]}
-for name, argv in COMMANDS:
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = trajkit.cli.main(argv)
-    stages[name] = [rc, watched()]
-print(json.dumps(stages))
-"""
-
-LIGHT_COMMANDS = ("make-fixture", "eval", "soeval", "report", "ingest",
-                  "reward-groups", "reward-steps", "wilson", "contingency", "seeds")
+# The trajkit modules each stage loads, besides the package itself; every
+# stage that starts the CLI also loads ``cli`` and ``errors``. An engine
+# module a command uses is imported inside its ``cmd_*``.
+CLI = {"cli", "errors"}
+REPLAY = CLI | {"actions", "dialects", "evaluate", "gateway", "reporting", "store", "synth"}
+LOADS = {
+    "package": set(),
+    "parser": CLI,
+    "make-fixture": CLI | {"actions", "store", "synth"},
+    "eval": REPLAY,
+    "soeval": REPLAY | {"semionline"},
+    "report": CLI | {"actions", "dialects", "evaluate", "reporting", "store"},
+    "report-live": CLI | {"actions", "dialects", "evaluate", "reporting", "semionline", "store"},
+    "ingest": CLI | {"actions", "reporting", "store"},
+    "reward-groups": CLI | {"actions", "reporting", "rewards", "store"},
+    "reward-steps": CLI | {"actions", "reporting", "rewards", "store"},
+    "wilson": CLI | {"stats"},
+    "contingency": CLI | {"stats"},
+    "seeds": CLI | {"stats"},
+    "correlation": CLI | {"reporting", "stats"},
+    "config": REPLAY,
+}
+# The stages that call a model.
+MODEL_STAGES = {"eval", "soeval", "config"}
 
 # Makes every import of scipy or of a scipy submodule fail.
 BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
@@ -80,8 +107,9 @@ def probe_without_scipy(tmp_path_factory):
 
 
 def run_probe(work, prelude=""):
-    """Runs PROBE in ``work``; every stage must exit 0. Returns ``work`` and
-    each stage's watched modules."""
+    """Runs each stage of STAGES in its own interpreter in ``work``; every
+    stage must exit 0. Returns ``work`` and, per stage, the third-party
+    packages and the set of trajkit modules it loaded."""
     (work / "groups.jsonl").write_text(
         json.dumps({"group_id": "g0", "rewards": [0.0, 1.0, 2.0]}) + "\n",
         encoding="utf-8")
@@ -99,29 +127,56 @@ def run_probe(work, prelude=""):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = prelude + f"COMMAND_ONLY = {COMMAND_ONLY!r}\n" + PROBE
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=env, cwd=work, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    stages = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert {name: rc for name, (rc, _) in stages.items()} == dict.fromkeys(stages, 0)
-    return work, {name: modules for name, (_, modules) in stages.items()}
+    stages = {}
+    for name, argv in STAGES:
+        proc = subprocess.run([sys.executable, "-c", prelude + PROBE, *argv],
+                              env=env, cwd=work, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (name, proc.stderr)
+        rc, packages, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert rc == 0, name
+        stages[name] = (packages, set(modules))
+    return work, stages
+
+
+def test_each_stage_loads_its_trajkit_modules(probe):
+    _, stages = probe
+    assert {name: modules for name, (_, modules) in stages.items()} == LOADS
+
+
+def test_cli_start_loads_no_numpy_yaml_or_command_modules(probe):
+    _, stages = probe
+    assert stages["package"] == ([], set())
+    assert stages["parser"] == ([], CLI)
+
+
+def test_stats_commands_load_no_scipy_stats(probe):
+    work, stages = probe
+    for name in ("wilson", "contingency", "seeds"):
+        assert stages[name] == ([], CLI | {"stats"}), name
+    assert stages["correlation"][0] == ["numpy"]
+    assert (work / "corr_out.csv").exists()
+
+
+def test_ingest_loads_no_dialect_replay_or_gateway(probe):
+    _, stages = probe
+    assert stages["ingest"][1].isdisjoint({"dialects", "evaluate", "gateway"})
+
+
+def test_only_commands_that_call_a_model_load_the_gateway(probe):
+    _, stages = probe
+    assert {name for name, (_, modules) in stages.items() if "gateway" in modules} \
+        == MODEL_STAGES
 
 
 def test_cli_start_and_scipy_free_commands_load_no_scipy(probe):
     _, stages = probe
-    for name in stages:
-        assert [m for m in stages[name] if m.startswith("scipy")] == [], name
+    assert {name for name, (packages, _) in stages.items() if "scipy" in packages} == set()
 
 
-def test_stats_commands_load_no_scipy_stats(probe):
-    # Stages run in one interpreter, so each list holds what every stage up
-    # to it loaded.
-    work, stages = probe
-    assert (work / "corr_out.csv").exists()
-    assert [m for m in stages["correlation"] if m.startswith("scipy")] == []
-    assert "numpy" in stages["correlation"]
-    assert [m for m in stages["seeds"] if m.split(".")[0] in ("numpy", "scipy")] == []
+def test_light_commands_load_no_numpy(probe):
+    _, stages = probe
+    assert {name for name, (packages, _) in stages.items() if "numpy" in packages} \
+        == {"correlation"}
 
 
 def test_every_command_runs_with_scipy_blocked(probe, probe_without_scipy):
@@ -134,24 +189,34 @@ def test_every_command_runs_with_scipy_blocked(probe, probe_without_scipy):
         assert (work / name).read_bytes() == (probe[0] / name).read_bytes(), name
 
 
-def test_cli_start_loads_no_numpy_yaml_or_command_modules(probe):
-    _, stages = probe
-    assert stages["import"] == []
-
-
-def test_light_commands_load_no_numpy(probe):
-    _, stages = probe
-    for name in LIGHT_COMMANDS:
-        assert [m for m in stages[name] if m.split(".")[0] in ("numpy", "yaml")] == [], name
-
-
 def test_yaml_loaded_only_for_config_and_applied(probe):
     work, stages = probe
-    assert "yaml" in stages["config"]
+    assert {name for name, (packages, _) in stages.items() if "yaml" in packages} \
+        == {"config"}
     manifest = json.loads((work / "cfg_eval" / "manifest.json").read_text())
     assert manifest["seed_list"] == [11, 22]
     default = json.loads((work / "eval" / "manifest.json").read_text())
     assert manifest["config_hash"] != default["config_hash"]
+
+
+def test_parser_literals_equal_their_sources():
+    assert list(cli.DIALECT_IDS) == dialects.dialect_ids()
+    assert SETTINGS["seed_list"][3] == list(gateway.DEFAULT_SEEDS)
+    defaults = {f.name: f.default for cls in (gateway.EndpointConfig, gateway.SamplingConfig)
+                for f in dataclasses.fields(cls)}
+    endpoint = {key: default for section, key, _, default in SETTINGS.values()
+                if section == "endpoint"}
+    assert endpoint == {key: defaults[key] for key in endpoint}
+    assert len(endpoint) == 11
+
+
+def test_package_names_resolve_lazily_and_are_listed():
+    for name in trajkit.__all__:
+        assert getattr(trajkit, name) is not None, name
+    assert set(trajkit.__all__) <= set(dir(trajkit))
+    assert trajkit.Action is sys.modules["trajkit.actions"].Action
+    with pytest.raises(AttributeError):
+        trajkit.no_such_name
 
 
 def test_cluster_defaults_are_the_clustering_constants(capsys):

@@ -157,3 +157,18 @@ def test_report_without_benchmark_prints_progress_but_no_success(bench, tmp_path
     assert capsys.readouterr().out.splitlines()[0] == printed[-1]
     row, = read_rows(out / "report.csv")
     assert row["progress"] and not row["success_rate"]
+
+
+def test_report_takes_no_episode_limit(bench, tmp_path, capsys):
+    """``report`` scores every record, so it reads every episode's ground
+    truth; an episode limit left the other episodes' excluded kinds in."""
+    out = tmp_path / "run"
+    replay_then_report(capsys, bench, out,
+                       ["eval", "--mock-policy", "alternating", "--exclude-gt-kinds", "CLICK"])
+    written = (out / "report.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--run-dir", str(out), "--benchmark", str(bench),
+              "--limit-episodes", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --limit-episodes 1" in capsys.readouterr().err
+    assert (out / "report.csv").read_bytes() == written

@@ -15,6 +15,7 @@ import json
 import pytest
 
 import trajkit.cli as cli
+import trajkit.gateway as gateway_module
 import trajkit.semionline as semionline
 from trajkit import synth
 from trajkit.cli import main
@@ -57,9 +58,10 @@ def fixture_files(tmp_path_factory):
 @pytest.fixture
 def seen(monkeypatch):
     """Records the endpoint configuration of every gateway the CLI builds,
-    and the configuration of every sweep (the sweep itself does not run)."""
+    and the configuration of every sweep (the sweep itself does not run).
+    Each command looks the gateway class up in its module when it runs."""
     got = {"endpoint": [], "sweep": []}
-    real_gateway = cli.ModelGateway
+    real_gateway = gateway_module.ModelGateway
 
     def gateway(backend, cfg, *args, **kwargs):
         got["endpoint"].append(cfg)
@@ -69,7 +71,7 @@ def seen(monkeypatch):
         got["sweep"].append(config)
         return []
 
-    monkeypatch.setattr(cli, "ModelGateway", gateway)
+    monkeypatch.setattr(gateway_module, "ModelGateway", gateway)
     monkeypatch.setattr(semionline, "run_sweep", run_sweep)
     return got
 
