@@ -255,14 +255,13 @@ def canonical_text(value: str) -> str:
     return value.strip()
 
 
-def params_match(pred: Action, gt: Action, gt_bbox: Optional[BBox],
-                 click_radius: float = CLICK_RADIUS) -> bool:
+def params_match(pred: Action, gt: Action, gt_bbox: Optional[BBox]) -> bool:
     """Kind-specific parameter matching; assumes the kinds are equal."""
     k = gt.kind
     if k in (ActionKind.CLICK, ActionKind.LONG_PRESS):
         if gt_bbox is not None:
             return gt_bbox.contains(pred.point)
-        return spatial_distance(pred.point, gt.point, "l2") <= click_radius
+        return spatial_distance(pred.point, gt.point, "l2") <= CLICK_RADIUS
     if k is ActionKind.SCROLL:
         return pred.direction == gt.direction
     if k in (ActionKind.TYPE,):
@@ -275,7 +274,6 @@ def params_match(pred: Action, gt: Action, gt_bbox: Optional[BBox],
     return True
 
 
-def actions_match(pred: Action, gt: Action, gt_bbox: Optional[BBox] = None,
-                  click_radius: float = CLICK_RADIUS) -> bool:
+def actions_match(pred: Action, gt: Action, gt_bbox: Optional[BBox] = None) -> bool:
     """Exact match: the same kind and matching parameters."""
-    return pred.kind == gt.kind and params_match(pred, gt, gt_bbox, click_radius)
+    return pred.kind == gt.kind and params_match(pred, gt, gt_bbox)

@@ -21,9 +21,8 @@ if TYPE_CHECKING:
     from .evaluate import EvalPolicy
     from .gateway import EndpointConfig
 
-#: ``dialects.dialect_ids()``, written out (as are the defaults in
-#: ``SETTINGS``) so that the parser loads no engine module; a test pins each
-#: to its source.
+#: ``dialects.dialect_ids()``, written out so that the parser loads no
+#: engine module; a test pins it to its source.
 DIALECT_IDS = ("plain-json", "thought-action", "xml-toolcall")
 
 
@@ -73,38 +72,33 @@ def _dialect_id(text: str) -> str:
     return text
 
 
-_SAMPLING_KEYS = ("temperature", "top_p", "top_k", "repetition_penalty",
-                  "presence_penalty", "max_tokens")
-
 #: Every setting a ``--config`` file can hold: argparse dest -> (section, or
 #: None at top level; key; converter; default). A flag given on the command
 #: line wins; ``main`` fills every other dest the command declares from the
 #: config, else the default. A config value is converted as its flag's text
-#: (a list joined with commas). A None default leaves the value to the
-#: command: ``EvalPolicy``'s default, or for ``report`` the run's manifest.
+#: (a list joined with commas). A None default (all but ``dialect``'s) leaves
+#: the value to the engine's own default, or for ``report`` to the run's
+#: manifest. An endpoint key is a field of ``EndpointConfig`` or ``SamplingConfig``.
 SETTINGS = {
     "benchmark": (None, "benchmark", str, None),
     "dialect": (None, "dialect", _dialect_id, "xml-toolcall"),
-    # ``gateway.DEFAULT_SEEDS``.
-    "seed_list": (None, "seed_list", _seed_list,
-                  [7278727, 7779397, 7771087, 7867747, 7977857, 5113051, 9581717, 20000303]),
-    # The defaults of ``gateway.EndpointConfig`` and ``SamplingConfig``.
-    "endpoint_url": ("endpoint", "base_url", str, ""),
-    "model": ("endpoint", "model_name", str, "mock"),
-    "concurrency": ("endpoint", "max_in_flight", _positive_int, 4),
-    "timeout": ("endpoint", "timeout", _finite_float, 120.0),
-    "max_retries": ("endpoint", "max_retries", int, 3),
-    "temperature": ("endpoint", "temperature", _finite_float, 0.1),
-    "top_p": ("endpoint", "top_p", _finite_float, 1.0),
-    "top_k": ("endpoint", "top_k", int, -1),
-    "repetition_penalty": ("endpoint", "repetition_penalty", _finite_float, 1.0),
-    "presence_penalty": ("endpoint", "presence_penalty", _finite_float, 0.0),
-    "max_tokens": ("endpoint", "max_tokens", int, 2048),
+    "seed_list": (None, "seed_list", _seed_list, None),
+    "endpoint_url": ("endpoint", "base_url", str, None),
+    "model": ("endpoint", "model_name", str, None),
+    "concurrency": ("endpoint", "max_in_flight", _positive_int, None),
+    "timeout": ("endpoint", "timeout", _finite_float, None),
+    "max_retries": ("endpoint", "max_retries", int, None),
+    "temperature": ("endpoint", "temperature", _finite_float, None),
+    "top_p": ("endpoint", "top_p", _finite_float, None),
+    "top_k": ("endpoint", "top_k", int, None),
+    "repetition_penalty": ("endpoint", "repetition_penalty", _finite_float, None),
+    "presence_penalty": ("endpoint", "presence_penalty", _finite_float, None),
+    "max_tokens": ("endpoint", "max_tokens", int, None),
     "min_comparable": ("policy", "min_comparable", _finite_float, None),
     "exclude_gt_kinds": ("policy", "exclude_gt_kinds", _gt_kinds, None),
-    "kappa": ("schedule", "kappa", float, 16.0),
-    "grid": ("schedule", "grid", int, 4),
-    "samples_per_pair": ("schedule", "samples_per_pair", int, 50),
+    "kappa": ("schedule", "kappa", float, None),
+    "grid": ("schedule", "grid", int, None),
+    "samples_per_pair": ("schedule", "samples_per_pair", int, None),
 }
 
 
@@ -154,15 +148,22 @@ def _resolve_settings(args) -> None:
                 _setting_value(dest, value, args.config))
 
 
+def _given(args, section: str) -> dict:
+    """The settings of ``section`` that the command line or the config set,
+    by config key; the engine's defaults fill in the rest."""
+    return {key: getattr(args, dest) for dest, (sec, key, _, _) in SETTINGS.items()
+            if sec == section and getattr(args, dest) is not None}
+
+
 def _endpoint_config(args, n: int = 1, seed: Optional[int] = None) -> EndpointConfig:
+    from dataclasses import fields
+
     from .gateway import EndpointConfig, SamplingConfig
 
+    given = _given(args, "endpoint")
+    sampling = {f.name: given.pop(f.name) for f in fields(SamplingConfig) if f.name in given}
     try:
-        sampling = SamplingConfig(**{k: getattr(args, k) for k in _SAMPLING_KEYS},
-                                  n=n, seed=seed)
-        return EndpointConfig(base_url=args.endpoint_url, model_name=args.model,
-                              sampling=sampling, timeout=args.timeout,
-                              max_retries=args.max_retries, max_in_flight=args.concurrency)
+        return EndpointConfig(sampling=SamplingConfig(**sampling, n=n, seed=seed), **given)
     except ValueError as exc:
         raise InputError(f"endpoint: {exc}") from None
 
@@ -178,13 +179,12 @@ def _policy(args) -> EvalPolicy:
     """The evaluation policy; a setting left None keeps ``EvalPolicy``'s default."""
     from .evaluate import EvalPolicy
 
-    return EvalPolicy(**{dest: getattr(args, dest) for dest in _dests("policy")
-                         if getattr(args, dest) is not None})
+    return EvalPolicy(**_given(args, "policy"))
 
 
 def _benchmark(args) -> str:
     if not args.benchmark:
-        raise SystemExit("no benchmark given (flag --benchmark or config key)")
+        raise InputError("no benchmark given (flag --benchmark or config key)")
     return args.benchmark
 
 
@@ -227,13 +227,14 @@ def _backend(args, episodes, dialect):
     try:
         policy = synth.POLICIES[args.mock_policy]
     except KeyError:
-        raise SystemExit(f"unknown mock policy {args.mock_policy!r}; "
-                         f"known: {sorted(synth.POLICIES)} + ['noisy-oracle']")
+        raise InputError(f"unknown mock policy {args.mock_policy!r}; "
+                         f"known: {sorted(synth.POLICIES)} + ['noisy-oracle']") from None
     return MockBackend(synth.make_responder(episodes, dialect, policy))
 
 
-def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: float = 0.2):
-    """Oracle with seeded spatial jitter and occasional wrong answers."""
+def make_noisy_responder(episodes, dialect):
+    """Oracle with seeded spatial jitter (a standard deviation of 25
+    per-mille) and a wrong answer one time in five."""
     import hashlib
     import random
     from dataclasses import replace
@@ -250,10 +251,10 @@ def make_noisy_responder(episodes, dialect, jitter: float = 25.0, wrong_rate: fl
             digest = hashlib.sha256(f"{request.tag}|{seed}|{j}".encode()).digest()
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             action = step.gt_action
-            if rng.random() < wrong_rate:
+            if rng.random() < 0.2:
                 action = synth.wrong_action_for(action)
             elif action.point is not None:
-                x, y = (min(max(int(v + rng.gauss(0, jitter)), 0), 1000)
+                x, y = (min(max(int(v + rng.gauss(0, 25.0)), 0), 1000)
                         for v in (action.point.x, action.point.y))
                 action = replace(action, point=Point(x, y))
             out.append(dialect.render_response(
@@ -334,17 +335,18 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
 def cmd_replay(args) -> int:
     """``eval`` (mode ``offline``) and ``soeval`` (``live`` or ``pool``)."""
     from .evaluate import evaluate_benchmark_offline
-    from .gateway import ModelGateway
+    from .gateway import DEFAULT_SEEDS, ModelGateway
     from .store import RunWriter
 
     if not args.out_dir:
-        raise SystemExit("--out-dir is required")
+        raise InputError("--out-dir is required")
     mode = args.mode
     if mode != "offline":
         from .semionline import ArtifactPool, pool_sha256, pooled_benchmark, soeval_benchmark
     dialect, episodes, backend = _replay_inputs(args)
     policy = _policy(args)
-    seed = args.seed_list[0]
+    seeds = args.seed_list or list(DEFAULT_SEEDS)
+    seed = seeds[0]
     cfg = _endpoint_config(args, seed=seed)
     gateway = ModelGateway(backend, cfg)
 
@@ -354,14 +356,14 @@ def cmd_replay(args) -> int:
         "mode": mode,
         "dialect": dialect.id,
         "model": cfg.model_name,
-        "seed_list": args.seed_list,
+        "seed_list": seeds,
         "enable_thinking": args.enable_thinking,
         "min_comparable": policy.min_comparable,
         "exclude_gt_kinds": sorted(k.value for k in policy.exclude_gt_kinds),
     }
     if mode == "pool":
         if not args.pool:
-            raise SystemExit("soeval --mode pool requires --pool <file>")
+            raise InputError("soeval --mode pool requires --pool <file>")
         pool = _load_pool(args.pool)
         # The pool's bytes, not its path, decide whether a run dir resumes.
         run_config["pool_sha256"] = pool_sha256(args.pool)
@@ -394,15 +396,15 @@ def cmd_replay(args) -> int:
 
 def cmd_rollout(args) -> int:
     if not args.out_dir:
-        raise SystemExit("--out-dir is required")
+        raise InputError("--out-dir is required")
     dialect, episodes, backend = _replay_inputs(args)
-    seeds = args.seed_list[: args.rounds]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     from .evaluate import map_in_order, reference_history, replay_episode
-    from .gateway import ModelGateway
+    from .gateway import DEFAULT_SEEDS, ModelGateway
     from .semionline import ArtifactPool
 
+    seeds = (args.seed_list or list(DEFAULT_SEEDS))[: args.rounds]
     cfg = _endpoint_config(args, n=args.samples)
     gateway = ModelGateway(backend, cfg)
 
@@ -539,8 +541,9 @@ def cmd_judge(args) -> int:
                          "failure", "per_judge"), rows)
     if labels:
         validation = detector_validation(labels, preds)
-        print(f"acc={validation.accuracy.value:.4f} "
-              f"tpr={validation.tpr.value:.4f} tnr={validation.tnr.value:.4f}")
+        print(f"acc={_defined(validation.accuracy.value, '.4f')} "
+              f"tpr={_defined(validation.tpr.value, '.4f')} "
+              f"tnr={_defined(validation.tnr.value, '.4f')}")
     print(f"cases: {len(rows)} -> {args.out}")
     return 0
 
@@ -553,9 +556,7 @@ def cmd_sweep(args) -> int:
     dialect, episodes, backend = _replay_inputs(args)
     pool = _load_pool(args.pool)
     cfg = _endpoint_config(args)
-    sweep_cfg = SweepConfig(kappa=args.kappa, grid=args.grid,
-                            samples_per_pair=args.samples_per_pair,
-                            global_seed=args.global_seed)
+    sweep_cfg = SweepConfig(**_given(args, "schedule"), global_seed=args.global_seed)
     results = run_sweep(ModelGateway(backend, cfg), episodes, dialect, pool, sweep_cfg,
                         concurrency=_episode_concurrency(args, cfg),
                         enable_thinking=args.enable_thinking)
@@ -600,7 +601,7 @@ def cmd_reward(args) -> int:
                 for i, (rec, cols) in enumerate(read_jsonl(args.steps, step_row))]
         write_csv(args.out, ("id", "r_type", "r_params", "total"), rows)
     else:
-        raise SystemExit("reward needs --groups or --steps")
+        raise InputError("reward needs --groups or --steps")
     print(f"rows: {len(rows)} -> {args.out}")
     return 0
 
@@ -767,9 +768,10 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--enable-thinking", dest="enable_thinking", action="store_true",
                        default=True)
     model.add_argument("--no-thinking", dest="enable_thinking", action="store_false")
-    model.add_argument("--continue-on-error", action="store_true",
-                       help="leave failing episodes incomplete instead of aborting")
+    # Flags of the commands that score a replay into a run dir.
     policy = shared()
+    policy.add_argument("--continue-on-error", action="store_true",
+                        help="leave failing episodes incomplete instead of aborting")
     _setting_flag(policy, "--exclude-gt-kinds", help="comma-separated action kinds")
     _setting_flag(policy, "--min-comparable")
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .actions import CLICK_RADIUS, Action, ActionKind, BBox, Point, actions_match
+from .actions import Action, ActionKind, BBox, Point, actions_match
 
 if TYPE_CHECKING:
     import numpy as np
@@ -189,8 +189,7 @@ class TextCluster:
     member_indices: list[int] = field(default_factory=list)
 
 
-def cluster_text(strings: Sequence[str], tau_loose: float = TAU_LOOSE,
-                 tau_strict: float = TAU_STRICT) -> list[TextCluster]:
+def cluster_text(strings: Sequence[str]) -> list[TextCluster]:
     """Two-stage incremental assignment with prototypes.
 
     Stage one joins the first prototype that both contains/is contained by
@@ -206,7 +205,7 @@ def cluster_text(strings: Sequence[str], tau_loose: float = TAU_LOOSE,
         joined = False
         for c in clusters:
             if text_contains(x, c.prototype) and \
-                    normalized_edit_distance(x, c.prototype) <= tau_loose:
+                    normalized_edit_distance(x, c.prototype) <= TAU_LOOSE:
                 c.member_indices.append(i)
                 joined = True
                 break
@@ -214,7 +213,7 @@ def cluster_text(strings: Sequence[str], tau_loose: float = TAU_LOOSE,
             continue
         candidates = [(normalized_edit_distance(x, c.prototype), j)
                       for j, c in enumerate(clusters)]
-        candidates = [(d, j) for d, j in candidates if d <= tau_strict]
+        candidates = [(d, j) for d, j in candidates if d <= TAU_STRICT]
         if candidates:
             _, j = min(candidates)
             clusters[j].member_indices.append(i)
@@ -288,8 +287,6 @@ def build_distribution(
     metric: str = "l2",
     min_pts: int = DBSCAN_MIN_PTS,
     noise_mode: str = "singleton",
-    tau_loose: float = TAU_LOOSE,
-    tau_strict: float = TAU_STRICT,
 ) -> DecisionDistribution:
     """Cluster one cell's samples into a decision distribution.
 
@@ -338,7 +335,7 @@ def build_distribution(
                 dropped += len(noise)
         elif kind in TEXT_KINDS:
             texts = [a.text if kind is ActionKind.TYPE else a.app for a in actions]
-            for cluster in cluster_text(texts, tau_loose, tau_strict):
+            for cluster in cluster_text(texts):
                 proto_local = cluster.member_indices[0]
                 raw.append((kind.value, [idxs[m] for m in cluster.member_indices],
                             actions[proto_local]))
@@ -381,30 +378,27 @@ def effective_support(dist_or_entropy) -> float:
     return math.exp(h)
 
 
-def stability(dist: DecisionDistribution, gt: Action, gt_bbox: Optional[BBox] = None,
-              click_radius: float = CLICK_RADIUS) -> float:
+def stability(dist: DecisionDistribution, gt: Action, gt_bbox: Optional[BBox] = None) -> float:
     """Mass of decisions whose representative exact-matches the ground truth."""
     total = 0.0
     for c in dist.clusters:
         rep = c.representative
-        if rep is not None and actions_match(rep, gt, gt_bbox, click_radius):
+        if rep is not None and actions_match(rep, gt, gt_bbox):
             total += c.mass
     return total
 
 
 def member_stability(samples: Sequence[ExecutionSample], gt: Action,
-                     gt_bbox: Optional[BBox] = None,
-                     click_radius: float = CLICK_RADIUS) -> float:
+                     gt_bbox: Optional[BBox] = None) -> float:
     """Per-sample exact-match mean; the audit counterpart of ``stability``."""
     if not samples:
         raise EmptyDistributionError("no samples")
-    return _exact_hits(samples, gt, gt_bbox, click_radius) / len(samples)
+    return _exact_hits(samples, gt, gt_bbox) / len(samples)
 
 
-def _exact_hits(samples: Sequence[ExecutionSample], gt: Action, gt_bbox: Optional[BBox],
-                click_radius: float) -> int:
+def _exact_hits(samples: Sequence[ExecutionSample], gt: Action, gt_bbox: Optional[BBox]) -> int:
     return sum(1 for s in samples
-               if s.parse_ok and actions_match(s.action, gt, gt_bbox, click_radius))
+               if s.parse_ok and actions_match(s.action, gt, gt_bbox))
 
 
 # --- discretizations ---------------------------------------------------------------
@@ -451,13 +445,12 @@ def stability_shift(theta_before: float, theta_after: float) -> str:
 
 
 def pass_at_n(samples: Sequence[ExecutionSample], n: int, gt: Action,
-              gt_bbox: Optional[BBox] = None,
-              click_radius: float = CLICK_RADIUS) -> float:
+              gt_bbox: Optional[BBox] = None) -> float:
     """Unbiased estimator 1 - C(N-c, n)/C(N, n) over N samples with c correct."""
     total = len(samples)
     if n < 1 or n > total:
         raise ValueError(f"n={n} outside [1, {total}]")
-    c = _exact_hits(samples, gt, gt_bbox, click_radius)
+    c = _exact_hits(samples, gt, gt_bbox)
     return 1.0 - math.comb(total - c, n) / math.comb(total, n)
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .actions import ALL_KINDS, CLICK_RADIUS, Action, BBox, actions_match
+from .actions import ALL_KINDS, Action, BBox, actions_match
 from .dialects import Dialect, HistoryEntry, ParsedResponse, ReferenceEntry
 from .errors import EmptyReportError
 from .store import Episode, RunRecord, RunWriter, StepTask, prediction_fields, step_key
@@ -89,7 +89,6 @@ class EvalPolicy:
     benchmark_space: frozenset = ALL_KINDS
     min_comparable: float = 0.95
     exclude_gt_kinds: frozenset = frozenset()
-    click_radius: float = CLICK_RADIUS
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -103,7 +102,6 @@ def evaluate_step(
     benchmark_space: frozenset = ALL_KINDS,
     failure_reason: Optional[str] = None,
     parse_recognized: bool = False,
-    click_radius: float = CLICK_RADIUS,
 ) -> StepEvaluation:
     """Score one prediction against the reference action.
 
@@ -121,7 +119,7 @@ def evaluate_step(
             failure_reason=failure_reason or "no prediction",
         )
     type_match = pred.kind == gt.kind
-    exact = actions_match(pred, gt, gt_bbox, click_radius)
+    exact = actions_match(pred, gt, gt_bbox)
     comparable = pred.kind in benchmark_space and pred.kind in model_space
     return StepEvaluation(
         type_match=type_match,
@@ -141,7 +139,6 @@ def evaluate_parsed(parsed: ParsedResponse, step: StepTask, dialect: Dialect,
         benchmark_space=policy.benchmark_space,
         failure_reason=parsed.failure,
         parse_recognized=parsed.recognized,
-        click_radius=policy.click_radius,
     )
 
 

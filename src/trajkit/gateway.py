@@ -65,7 +65,6 @@ class EndpointConfig:
     timeout: float = 120.0
     max_retries: int = 3
     max_in_flight: int = 4
-    api_key_env: str = "TRAJKIT_API_KEY"
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
@@ -311,7 +310,7 @@ class HttpBackend:
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json",
                    "User-Agent": f"trajkit/{__version__}"}
-        api_key = os.environ.get(cfg.api_key_env)
+        api_key = os.environ.get("TRAJKIT_API_KEY")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 

@@ -185,20 +185,19 @@ class DetectorValidation:
     confusion: dict[str, int] = field(default_factory=dict)
 
 
-def _rate(successes: int, n: int, z: float) -> RateWithCI:
+def _rate(successes: int, n: int) -> RateWithCI:
     if n == 0:
         return RateWithCI(value=None, ci=None, successes=successes, n=0)
     return RateWithCI(
         value=successes / n,
-        ci=wilson_interval(successes, n, z),
+        ci=wilson_interval(successes, n),
         successes=successes,
         n=n,
     )
 
 
-def detector_validation(labels: Sequence[bool], predictions: Sequence[bool],
-                        z: float = 1.96) -> DetectorValidation:
-    """Accuracy/TPR/TNR with Wilson intervals; positive class is consistent."""
+def detector_validation(labels: Sequence[bool], predictions: Sequence[bool]) -> DetectorValidation:
+    """Accuracy/TPR/TNR with 95% Wilson intervals; positive class is consistent."""
     if len(labels) != len(predictions):
         raise ValueError("labels and predictions differ in length")
     tp = sum(1 for l, p in zip(labels, predictions) if l and p)
@@ -206,9 +205,9 @@ def detector_validation(labels: Sequence[bool], predictions: Sequence[bool],
     fp = sum(1 for l, p in zip(labels, predictions) if not l and p)
     tn = sum(1 for l, p in zip(labels, predictions) if not l and not p)
     return DetectorValidation(
-        accuracy=_rate(tp + tn, tp + fn + fp + tn, z),
-        tpr=_rate(tp, tp + fn, z),
-        tnr=_rate(tn, tn + fp, z),
+        accuracy=_rate(tp + tn, tp + fn + fp + tn),
+        tpr=_rate(tp, tp + fn),
+        tnr=_rate(tn, tn + fp),
         confusion={"tp": tp, "fn": fn, "fp": fp, "tn": tn},
     )
 

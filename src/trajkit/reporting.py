@@ -20,21 +20,21 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence])
         writer.writerows(rows)
 
 
-def _fmt(value, decimals: int = 4) -> str:
+def _fmt(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return f"{value:.{decimals}f}"
+        return f"{value:.4f}"
     return str(value)
 
 
-def markdown_table(header: Sequence[str], rows: Sequence[Sequence], decimals: int = 4) -> str:
+def markdown_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join(["---"] * len(header)) + "|"]
     for row in rows:
-        lines.append("| " + " | ".join(_fmt(v, decimals) for v in row) + " |")
+        lines.append("| " + " | ".join(_fmt(v) for v in row) + " |")
     return "\n".join(lines) + "\n"
 
 

@@ -39,7 +39,6 @@ class AdvantageConfig:
     group_size: int = 16
     eps_low: float = 0.2
     eps_high: float = 0.3
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 < self.eps_low <= self.eps_high:

@@ -51,6 +51,8 @@ logger = logging.getLogger(__name__)
 
 QUADRATURE_POINTS = 1024
 MU_EPS = 1e-9
+#: How close ``solve_mu``'s quadrature mean must come to its target.
+MU_TOL = 1e-6
 
 
 class InvalidShapeError(ValueError):
@@ -189,19 +191,19 @@ def admissible_mean_range(p_lb: float, gap: float, kappa: float,
 
 
 def solve_mu(p_lb: float, gap: float, kappa: float, direction: str,
-             target_mean: float, tol: float = 1e-6) -> float:
+             target_mean: float) -> float:
     """Bisect mu so the quadrature mean of p(t) hits ``target_mean``.
 
     The mean is monotone in mu (decreasing for the increasing branch), so
     plain bisection over (0, 1) converges.
     """
     if gap == 0:
-        if abs(target_mean - p_lb) > tol:
+        if abs(target_mean - p_lb) > MU_TOL:
             raise TargetOutOfRangeError(
                 f"degenerate gap: target {target_mean} != p_lb {p_lb}")
         return 0.5
     lo_mean, hi_mean = admissible_mean_range(p_lb, gap, kappa, direction)
-    if not lo_mean - tol <= target_mean <= hi_mean + tol:
+    if not lo_mean - MU_TOL <= target_mean <= hi_mean + MU_TOL:
         raise TargetOutOfRangeError(
             f"target {target_mean} outside admissible range ({lo_mean:.6f}, {hi_mean:.6f})")
 
@@ -210,7 +212,7 @@ def solve_mu(p_lb: float, gap: float, kappa: float, direction: str,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         mean = schedule_mean(p_lb, gap, kappa, mid, direction)
-        if abs(mean - target_mean) <= tol:
+        if abs(mean - target_mean) <= MU_TOL:
             return mid
         too_high = mean > target_mean
         # For the increasing branch, the mean decreases with mu.
@@ -494,8 +496,7 @@ class SweepResult:
     positions: int
 
 
-def build_sweep_grid(cfg: SweepConfig, rng: Optional[np.random.Generator] = None
-                     ) -> list[SweepSetting]:
+def build_sweep_grid(cfg: SweepConfig) -> list[SweepSetting]:
     """All ordered endpoint pairs on an evenly spaced grid, with sampled means.
 
     A 4-value grid yields 16 configurations: 6 increasing, 6 decreasing, and
@@ -503,7 +504,7 @@ def build_sweep_grid(cfg: SweepConfig, rng: Optional[np.random.Generator] = None
     """
     import numpy as np
 
-    rng = rng or np.random.default_rng(cfg.global_seed)
+    rng = np.random.default_rng(cfg.global_seed)
     endpoints = np.linspace(0.0, 1.0, cfg.grid)
     settings: list[SweepSetting] = []
     index = 0
@@ -576,7 +577,6 @@ def run_sweep(
     dialect: Dialect,
     pool: ArtifactPool,
     cfg: SweepConfig = SweepConfig(),
-    policy: EvalPolicy = DEFAULT_POLICY,
     concurrency: int = 1,
     enable_thinking: bool = True,
 ) -> list[SweepResult]:
@@ -585,6 +585,6 @@ def run_sweep(
 
     def run(setting: SweepSetting) -> SweepResult:
         return run_sweep_setting(setting, gateway, episodes, dialect, pool,
-                                 policy, cfg.global_seed, enable_thinking)
+                                 global_seed=cfg.global_seed, enable_thinking=enable_thinking)
 
     return list(map_in_order(run, settings, concurrency))

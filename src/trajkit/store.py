@@ -373,12 +373,16 @@ T = TypeVar("T")
 def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     """``decode`` applied to each object of a JSONL file, skipping blank lines.
 
-    A line that is not a JSON object, or that ``decode`` rejects with a
-    ValueError, TypeError or KeyError, raises ``InputError`` naming the file
-    and line.
+    A file that cannot be opened raises ``InputError`` naming it; a line that
+    is not a JSON object, or that ``decode`` rejects with a ValueError,
+    TypeError or KeyError, raises ``InputError`` naming the file and line.
     """
     out: list[T] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    try:
+        fh = Path(path).open("r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -231,6 +231,20 @@ class TestRolloutClusterJudge:
         assert verdicts["inconsistent-1"]["consistent"] == "False"
         assert verdicts["inconsistent-1"]["failure"] == "action-target-mismatch"
 
+    def test_judge_with_one_label_prints_undefined_rate(self, tmp_path, capsys, xml_dialect):
+        from trajkit.actions import Action, ActionKind, Point
+        trace = xml_dialect.render_response(Action(ActionKind.CLICK, point=Point(200, 300)))
+        cases_path = tmp_path / "cases.jsonl"
+        cases_path.write_text(json.dumps({
+            "case_id": "c0", "instruction": "tap it", "reasoning_trace": trace,
+            "executed_kind": "CLICK", "executed_params": {"point": [200, 300]},
+            "human_label": True}) + "\n", encoding="utf-8")
+        assert main(["judge", "--cases", str(cases_path), "--rollouts", "2",
+                     "--out", str(tmp_path / "verdicts.csv")]) == 0
+        # No case is labelled inconsistent, so the true negative rate is 0/0.
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "acc=1.0000 tpr=1.0000 tnr=undefined"
+
 
 class TestSweepCommand:
     def test_small_grid(self, bench, tmp_path):
@@ -435,10 +449,11 @@ class TestSoevalPoolMode:
         rows = read_csv(pooled / "report.csv")
         assert rows[0]["exact_match"] == "1.0"
 
-    def test_pool_mode_requires_pool(self, bench, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["soeval", "--benchmark", str(bench), "--mode", "pool",
-                  "--backend", "mock", "--out-dir", str(tmp_path / "x")])
+    def test_pool_mode_requires_pool(self, bench, tmp_path, capsys):
+        assert main(["soeval", "--benchmark", str(bench), "--mode", "pool",
+                     "--backend", "mock", "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "trajkit: error: soeval --mode pool requires --pool <file>"]
 
 
 class TestClusterCompare:
@@ -750,12 +765,34 @@ class TestRemovedOptions:
         (["ingest", "--benchmark", "b.jsonl"], ["--seed-list", "5"]),
         (["report", "--run-dir", "run"], ["--limit-episodes", "1"]),
         (["cluster", "--rollouts", "r.jsonl", "--out", "c.csv"], ["--limit-episodes", "1"]),
-        (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--seed-list", "5"])])
+        (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--seed-list", "5"]),
+        # Only eval and soeval leave a failing episode incomplete.
+        (["rollout", "--benchmark", "b.jsonl", "--out-dir", "run"], ["--continue-on-error"]),
+        (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--continue-on-error"])])
     def test_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as exc:
             main([*argv, *removed])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """A command that lacks an input, or names an unknown mock policy, ends in
+    one error line and exit code 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval"], "--out-dir is required"),
+        (["rollout"], "--out-dir is required"),
+        (["eval", "--out-dir", "{tmp}/run"], "no benchmark given (flag --benchmark or config key)"),
+        (["eval", "--benchmark", "{bench}", "--mock-policy", "psychic", "--out-dir", "{tmp}/run"],
+         "unknown mock policy 'psychic'; known: "),
+        (["reward", "--out", "{tmp}/out.csv"], "reward needs --groups or --steps"),
+    ], ids=["eval-out-dir", "rollout-out-dir", "benchmark", "mock-policy", "reward"])
+    def test_is_one_error_line(self, bench, tmp_path, capsys, argv, message):
+        argv = [a.format(tmp=tmp_path, bench=bench) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"trajkit: error: {message}"), err
 
 
 class TestPoolContinueOnError:
@@ -949,4 +986,14 @@ class TestJsonlInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert err == [err[0]] and err[0].startswith(f"trajkit: error: {path}:3: "), err
         assert reason in err[0]
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["judge"], "--cases"), (["reward"], "--groups"), (["reward"], "--steps"),
+        (["cluster"], "--rollouts")], ids=["cases", "groups", "steps", "rollouts"])
+    def test_missing_file_is_one_error_line(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "nope.jsonl"
+        assert main([*command, flag, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"trajkit: error: {path}: No such file or directory"]
         assert not (tmp_path / "out.csv").exists()

@@ -1,6 +1,7 @@
 """The CLI's import graph: each command, run in a fresh interpreter, loads
 only the trajkit modules it runs, numpy and yaml only where it uses them,
-and no scipy. The parser's written-out defaults equal their sources."""
+and no scipy. The parser's written-out literals equal their sources, and it
+copies no engine default."""
 
 import dataclasses
 import json
@@ -201,13 +202,13 @@ def test_yaml_loaded_only_for_config_and_applied(probe):
 
 def test_parser_literals_equal_their_sources():
     assert list(cli.DIALECT_IDS) == dialects.dialect_ids()
-    assert SETTINGS["seed_list"][3] == list(gateway.DEFAULT_SEEDS)
-    defaults = {f.name: f.default for cls in (gateway.EndpointConfig, gateway.SamplingConfig)
-                for f in dataclasses.fields(cls)}
-    endpoint = {key: default for section, key, _, default in SETTINGS.values()
-                if section == "endpoint"}
-    assert endpoint == {key: defaults[key] for key in endpoint}
-    assert len(endpoint) == 11
+    # A setting left unset takes the engine's default, so the CLI holds none.
+    assert [dest for dest, row in SETTINGS.items() if row[3] is not None] == ["dialect"]
+    # Endpoint keys are routed to the configs by field name.
+    fields = {f.name for cls in (gateway.EndpointConfig, gateway.SamplingConfig)
+              for f in dataclasses.fields(cls)}
+    endpoint = [key for section, key, _, _ in SETTINGS.values() if section == "endpoint"]
+    assert len(endpoint) == 11 and set(endpoint) <= fields
 
 
 def test_package_names_resolve_lazily_and_are_listed():

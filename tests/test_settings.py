@@ -19,7 +19,8 @@ import trajkit.gateway as gateway_module
 import trajkit.semionline as semionline
 from trajkit import synth
 from trajkit.cli import main
-from trajkit.gateway import DEFAULT_SEEDS
+from trajkit.gateway import DEFAULT_SEEDS, EndpointConfig, SamplingConfig
+from trajkit.semionline import SweepConfig
 
 # (flag, flag text, config section or None, key, the same value in YAML,
 #  another YAML value)
@@ -146,6 +147,22 @@ def test_sweep_setting_from_config_equals_the_flag(tmp_path, capsys, seen, fixtu
     _, endpoints, sweeps = assert_flag_and_config_agree(
         tmp_path, capsys, seen, base, flag, text, section, key, same, other, "--out")
     assert len(endpoints) == len(sweeps) == 1
+
+
+def test_unset_settings_take_the_engine_defaults(tmp_path, capsys, seen, fixture_files):
+    """With no flag and no config, the gateway and the sweep get the configs'
+    own defaults, and the first of ``DEFAULT_SEEDS``."""
+    base = ["--benchmark", fixture_files["bench"], "--backend", "mock"]
+    manifest, endpoints, _ = observe(seen, tmp_path / "run",
+                                     ["eval", *base, "--out-dir", str(tmp_path / "run")])
+    assert endpoints == [EndpointConfig(sampling=SamplingConfig(seed=DEFAULT_SEEDS[0]))]
+    assert manifest["seed_list"] == list(DEFAULT_SEEDS)
+    _, endpoints, sweeps = observe(seen, tmp_path / "sweep",
+                                   ["sweep", *base, "--pool", fixture_files["pool"],
+                                    "--out", str(tmp_path / "sweep.csv")])
+    assert endpoints == [EndpointConfig()]
+    assert sweeps == [SweepConfig()]
+    capsys.readouterr()
 
 
 def test_sampling_settings_reach_the_request_body(tmp_path, capsys, seen, fixture_files,
