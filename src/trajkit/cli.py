@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -169,10 +170,25 @@ def _endpoint_config(args, n: int = 1, seed: Optional[int] = None) -> EndpointCo
 
 
 def _episode_concurrency(args, cfg: EndpointConfig) -> int:
-    """Episodes replayed at once: the request cap over HTTP, where each step
-    waits on the network; one with an in-process mock, which threads would
-    only slow down."""
+    """Episodes ``eval`` and ``soeval`` replay at once: the request cap over
+    HTTP, where each step waits on the network; one with an in-process mock,
+    which threads would only slow down, and whose steps the run's
+    ``RunWriter`` persists in this process."""
     return cfg.max_in_flight if args.backend == "http" else 1
+
+
+def _executor(args, cfg: EndpointConfig) -> tuple[int, bool]:
+    """How ``rollout`` and ``sweep`` run their independent jobs, as
+    (workers, processes) for ``map_in_order``. Over HTTP each job waits on
+    the network: up to the request cap run on threads. With an in-process
+    model a job is pure CPU work: it runs on worker processes,
+    ``--concurrency`` of them if the flag or the config sets it, else one
+    per CPU this process may run on. ``map_in_order`` caps the count at the
+    number of jobs."""
+    if args.backend == "http":
+        return cfg.max_in_flight, False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return args.concurrency or cpus or 1, True
 
 
 def _policy(args) -> EvalPolicy:
@@ -402,27 +418,31 @@ def cmd_rollout(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     from .evaluate import map_in_order, reference_history, replay_episode
     from .gateway import DEFAULT_SEEDS, ModelGateway
-    from .semionline import ArtifactPool
+    from .semionline import ArtifactPool, write_pool
 
     seeds = (args.seed_list or list(DEFAULT_SEEDS))[: args.rounds]
     cfg = _endpoint_config(args, n=args.samples)
     gateway = ModelGateway(backend, cfg)
 
+    # A job encodes its own records and pool, so that worker processes do
+    # that work and this process only writes them out, in job order.
     def replay(job):
         round_idx, seed, ep = job
-        return replay_episode(
+        records = replay_episode(
             gateway, ep, dialect, reference_history(ep, record_sources=False),
             enable_thinking=args.enable_thinking, round_idx=round_idx, seed=seed)
+        return (len(records), "".join(rec.to_json() + "\n" for rec in records),
+                ArtifactPool.from_records(records).encode())
 
     jobs = [(round_idx, seed, ep) for round_idx, seed in enumerate(seeds) for ep in episodes]
-    rows = []
+    n_records, pool_parts = 0, []
     with (out_dir / "rollouts.jsonl").open("w", encoding="utf-8") as fh:
-        for records in map_in_order(replay, jobs, _episode_concurrency(args, cfg)):
-            fh.writelines(rec.to_json() + "\n" for rec in records)
-            rows += records
-    pool = ArtifactPool.from_records(rows)
-    pool.save(out_dir / "pool.jsonl")
-    print(f"rollouts: {len(rows)}  pooled artifacts: {len(pool)}")
+        for n, lines, pool_part in map_in_order(replay, jobs, *_executor(args, cfg)):
+            fh.write(lines)
+            n_records += n
+            pool_parts.append(pool_part)
+    n_pooled = write_pool(out_dir / "pool.jsonl", pool_parts)
+    print(f"rollouts: {n_records}  pooled artifacts: {n_pooled}")
     return 0
 
 
@@ -557,8 +577,9 @@ def cmd_sweep(args) -> int:
     pool = _load_pool(args.pool)
     cfg = _endpoint_config(args)
     sweep_cfg = SweepConfig(**_given(args, "schedule"), global_seed=args.global_seed)
+    workers, processes = _executor(args, cfg)
     results = run_sweep(ModelGateway(backend, cfg), episodes, dialect, pool, sweep_cfg,
-                        concurrency=_episode_concurrency(args, cfg),
+                        concurrency=workers, processes=processes,
                         enable_thinking=args.enable_thinking)
     write_csv(args.out, SWEEP_COLUMNS, sweep_rows(results))
     print(f"settings: {len(results)} -> {args.out}")
@@ -764,7 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
     _setting_flag(model, "--endpoint-url")
     _setting_flag(model, "--model")
     _setting_flag(model, "--concurrency",
-                  help="requests in flight; over HTTP also episodes replayed at once")
+                  help="requests in flight; over HTTP also episodes or sweep settings run "
+                       "at once on threads; with the mock, the worker processes of rollout "
+                       "and sweep (default: one per usable CPU)")
     model.add_argument("--enable-thinking", dest="enable_thinking", action="store_true",
                        default=True)
     model.add_argument("--no-thinking", dest="enable_thinking", action="store_false")

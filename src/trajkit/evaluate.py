@@ -281,15 +281,24 @@ def replay_episode(
     return records
 
 
-def map_in_order(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 1) -> Iterator[R]:
+def map_in_order(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 1,
+                 processes: bool = False) -> Iterator[R]:
     """``map(fn, items)`` with up to ``concurrency`` calls at once, yielding
     results in the order of ``items``. One call at a time runs in this
-    thread; more run on a thread pool. If the consumer stops early, a call
-    raises or Ctrl-C arrives, pending calls are cancelled and running
-    replays stop at their next step (``replay_episode`` checks the stop
-    flag) before this returns."""
+    thread; more run on a thread pool or, with ``processes``, on worker
+    processes, never more than there are items (``_map_in_processes``). If
+    the consumer stops early, a call raises or Ctrl-C arrives, pending calls
+    are cancelled and running replays stop at their next step
+    (``replay_episode`` checks the stop flag), or their workers are killed,
+    before this returns."""
+    if processes:
+        items = list(items)
+        concurrency = min(concurrency, len(items))
     if concurrency <= 1:
         yield from map(fn, items)
+        return
+    if processes:
+        yield from _map_in_processes(fn, items, concurrency)
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -307,6 +316,48 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 1)
             yield from pool.map(call, items)
         finally:
             stop.set()
+
+
+# In a worker process of ``_map_in_processes``: the function and its items.
+_forked: Optional[tuple[Callable, list]] = None
+
+
+def _forked_init(fn: Callable, items: list) -> None:
+    import signal
+
+    global _forked
+    _forked = (fn, items)
+    # Ctrl-C reaches every process of the group; the parent alone handles it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _forked_call(index: int):
+    fn, items = _forked
+    return fn(items[index])
+
+
+def _map_in_processes(fn: Callable[[T], R], items: list[T], workers: int) -> Iterator[R]:
+    """``map(fn, items)`` on ``workers`` processes forked from this one, in
+    the order of ``items``. The workers inherit ``fn`` and ``items``, so
+    only indices and results are pickled. A call that raises raises here. On
+    an error, an early stop or Ctrl-C the workers are killed; in every case
+    they are reaped before this returns. Without the ``fork`` start method
+    the calls run in this thread."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield from map(fn, items)
+        return
+    # A forked child has only the forking thread, and a lock that another
+    # thread held stays held in it; ``Pool`` forks every worker before it
+    # starts its own helper threads.
+    pool = multiprocessing.get_context("fork").Pool(workers, _forked_init, (fn, items))
+    try:
+        yield from pool.imap(_forked_call, range(len(items)))
+    finally:
+        # Idle once every result is in; killed when no more are wanted.
+        pool.terminate()
+        pool.join()
 
 
 def replay_benchmark(

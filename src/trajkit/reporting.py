@@ -7,6 +7,8 @@ import csv
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from .errors import InputError
+
 if TYPE_CHECKING:
     from .evaluate import AggregateReport
     from .semionline import SweepResult
@@ -14,10 +16,17 @@ if TYPE_CHECKING:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``header`` and ``rows`` to ``path``, creating its directory. A
+    path that cannot be written raises ``InputError`` naming it."""
+    out = Path(path)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with out.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _fmt(value) -> str:

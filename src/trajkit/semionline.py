@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .actions import Action
 from .dialects import ArtifactEntry, Dialect, HistoryEntry
@@ -294,6 +294,20 @@ def compute_osr(records: Sequence[RunRecord], eligible_only: bool = False) -> fl
 # --- artifact pool and controlled mixing ---------------------------------------
 
 
+def write_pool(path: str | Path, parts: Iterable[dict[str, list[str]]]) -> int:
+    """Write the pool file of the pool that holds every part's artifacts, in
+    the order of ``parts`` (each an ``ArtifactPool.encode``), and return its
+    number of artifacts. Keys are written in sorted order."""
+    lines: dict[str, list[str]] = {}
+    for part in parts:
+        for key, part_lines in part.items():
+            lines.setdefault(key, []).extend(part_lines)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for key in sorted(lines):
+            fh.writelines(lines[key])
+    return sum(map(len, lines.values()))
+
+
 class ArtifactPool:
     """On-policy artifacts keyed by their exact originating step key."""
 
@@ -312,12 +326,13 @@ class ArtifactPool:
     def keys(self) -> list[str]:
         return sorted(self._items)
 
+    def encode(self) -> dict[str, list[str]]:
+        """The pool file's lines for each key, in the order they were added."""
+        return {key: [json.dumps(art.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
+                      for art in artifacts] for key, artifacts in self._items.items()}
+
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            for key in sorted(self._items):
-                for art in self._items[key]:
-                    fh.write(json.dumps(art.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+        write_pool(path, [self.encode()])
 
     @classmethod
     def load(cls, path: str | Path) -> "ArtifactPool":
@@ -579,12 +594,15 @@ def run_sweep(
     cfg: SweepConfig = SweepConfig(),
     concurrency: int = 1,
     enable_thinking: bool = True,
+    processes: bool = False,
 ) -> list[SweepResult]:
-    """Run the full grid; settings are independent and parallelize freely."""
+    """Run the full grid, in setting order. Settings are independent: up to
+    ``concurrency`` run at once, on threads or with ``processes`` on worker
+    processes (``map_in_order``)."""
     settings = build_sweep_grid(cfg)
 
     def run(setting: SweepSetting) -> SweepResult:
         return run_sweep_setting(setting, gateway, episodes, dialect, pool,
                                  global_seed=cfg.global_seed, enable_thinking=enable_thinking)
 
-    return list(map_in_order(run, settings, concurrency))
+    return list(map_in_order(run, settings, concurrency, processes))

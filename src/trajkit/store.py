@@ -280,13 +280,13 @@ def load_episodes(path: str | Path, check_screenshots: bool = True) -> LoadRepor
     rejections: list[Rejection] = []
     poisoned: set[str] = set()
 
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             episode_id: Optional[str] = None
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise ValueError("record is not an object")
@@ -374,19 +374,21 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     """``decode`` applied to each object of a JSONL file, skipping blank lines.
 
     A file that cannot be opened raises ``InputError`` naming it; a line that
-    is not a JSON object, or that ``decode`` rejects with a ValueError,
-    TypeError or KeyError, raises ``InputError`` naming the file and line.
+    is not UTF-8, is not a JSON object, or that ``decode`` rejects with a
+    ValueError, TypeError or KeyError, raises ``InputError`` naming the file
+    and line.
     """
     out: list[T] = []
     try:
-        fh = Path(path).open("r", encoding="utf-8")
+        fh = Path(path).open("rb")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
     with fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
+                line = line.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")

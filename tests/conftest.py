@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 import re
 import socket
@@ -11,6 +12,13 @@ import pytest
 from trajkit import synth
 from trajkit.dialects import get_dialect
 from trajkit.gateway import EndpointConfig, MockBackend, ModelGateway, SamplingConfig
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes():
+    """A worker process that outlives the test that started it fails that test."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -91,6 +91,18 @@ class TestIngest:
         assert "soon" in rows[0]["reason"]
         assert f"line {len(lines) + 1} (late): " in capsys.readouterr().err
 
+    def test_undecodable_line_rejected_with_its_line(self, bench, tmp_path, capsys):
+        lines = bench.read_bytes().splitlines()
+        with open(bench, "ab") as fh:
+            fh.write(b"\xff\xfe not utf-8\n")
+        rc = main(["ingest", "--benchmark", str(bench), "--no-check-screenshots",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        rows = read_csv(tmp_path / "out" / "rejections.csv")
+        assert [(r["line"], r["episode_id"]) for r in rows] == [(str(len(lines) + 1), "-")]
+        assert "can't decode byte 0xff" in rows[0]["reason"]
+        assert "episodes: 3" in capsys.readouterr().out
+
 
 class TestMakeFixture:
     def test_generates_loadable_benchmark(self, tmp_path):
@@ -699,14 +711,17 @@ class TestNoThinkingEveryMode:
         assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
                      "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
         real_backend = cli._backend
-        thinking = []
+        # The settings run on worker processes: each request is appended to
+        # a file, which every worker shares.
+        thinking = tmp_path / "thinking.txt"
 
         def spying_backend(args, episodes, dialect):
             backend = real_backend(args, episodes, dialect)
             respond = backend.responder
 
             def responder(request, seed, n):
-                thinking.append(request.enable_thinking)
+                with thinking.open("a", encoding="utf-8") as fh:
+                    fh.write(f"{request.enable_thinking}\n")
                 return respond(request, seed, n)
 
             backend.responder = responder
@@ -717,8 +732,7 @@ class TestNoThinkingEveryMode:
                      "--mock-policy", "history-echo", "--pool", str(live / "pool.jsonl"),
                      "--grid", "2", "--samples-per-pair", "1", "--no-thinking",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert len(thinking) == 24
-        assert not any(thinking)
+        assert thinking.read_text(encoding="utf-8").splitlines() == ["False"] * 24
 
 
 class TestConcurrencyFlag:
@@ -734,10 +748,15 @@ class TestConcurrencyFlag:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("backend, flag, settings_at_once", [
-        ("mock", [], 1), ("mock", ["--concurrency", "3"], 1),
+        ("mock", [], "cpus"), ("mock", ["--concurrency", "3"], 3),
         ("http", [], 4), ("http", ["--concurrency", "3"], 3)])
     def test_sweep_runs_settings_in_parallel_over_http_only(
             self, bench, tmp_path, monkeypatch, backend, flag, settings_at_once):
+        """Over HTTP, settings run on up to ``--concurrency`` threads (4 by
+        default); with the mock, on ``--concurrency`` worker processes, by
+        default one per CPU this process may run on."""
+        import os
+
         import trajkit.semionline as semionline
 
         live = tmp_path / "live"
@@ -745,15 +764,18 @@ class TestConcurrencyFlag:
                      "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
         seen = []
 
-        def run_sweep(gateway, episodes, dialect, pool, config, concurrency, **kwargs):
-            seen.append(concurrency)
+        def run_sweep(gateway, episodes, dialect, pool, config, concurrency, processes,
+                      **kwargs):
+            seen.append((concurrency, processes))
             return []
 
         monkeypatch.setattr(semionline, "run_sweep", run_sweep)
         assert main(["sweep", "--benchmark", str(bench), "--backend", backend, *flag,
                      "--pool", str(live / "pool.jsonl"),
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert seen == [settings_at_once]
+        if settings_at_once == "cpus":
+            settings_at_once = len(os.sched_getaffinity(0))
+        assert seen == [(settings_at_once, backend == "mock")]
 
 
 class TestRemovedOptions:
@@ -774,6 +796,54 @@ class TestRemovedOptions:
             main([*argv, *removed])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
+
+class TestOutPath:
+    """Each command that writes ``--out`` creates its directory; a path that
+    cannot be written is one error line and exit code 2."""
+
+    COMMANDS = ["reward", "cluster", "judge", "sweep", "correlation"]
+
+    def argv(self, command, bench, tmp_path):
+        """The command's arguments but ``--out``, with its inputs written."""
+        if command == "reward":
+            groups = tmp_path / "groups.jsonl"
+            groups.write_text(json.dumps({"group_id": "g0", "rewards": [0.0, 1.0]}) + "\n",
+                              encoding="utf-8")
+            return ["reward", "--groups", str(groups)]
+        if command == "cluster":
+            assert main(["rollout", "--benchmark", str(bench), "--rounds", "1",
+                         "--samples", "2", "--out-dir", str(tmp_path / "ro")]) == 0
+            return ["cluster", "--rollouts", str(tmp_path / "ro" / "rollouts.jsonl")]
+        if command == "judge":
+            cases = tmp_path / "cases.jsonl"
+            cases.write_text(json.dumps(TestJsonlInputErrors.CASE) + "\n", encoding="utf-8")
+            return ["judge", "--cases", str(cases), "--rollouts", "2"]
+        if command == "sweep":
+            assert main(["soeval", "--benchmark", str(bench), "--mock-policy", "oracle",
+                         "--out-dir", str(tmp_path / "live")]) == 0
+            return ["sweep", "--benchmark", str(bench), "--mock-policy", "history-echo",
+                    "--pool", str(tmp_path / "live" / "pool.jsonl"), "--grid", "2",
+                    "--samples-per-pair", "1"]
+        table = tmp_path / "corr.csv"
+        table.write_text("online,em\n1,2\n2,1\n3,4\n4,3\n", encoding="utf-8")
+        return ["stats", "correlation", "--csv", str(table)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_directory_is_created(self, bench, tmp_path, command):
+        out = tmp_path / "new" / "dir" / "out.csv"
+        assert main([*self.argv(command, bench, tmp_path), "--out", str(out)]) == 0
+        assert len(read_csv(out)) >= 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_path_is_one_error_line(self, bench, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out.csv"
+        argv = self.argv(command, bench, tmp_path)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"trajkit: error: {out}: "), err
 
 
 class TestUsageErrors:
@@ -968,15 +1038,19 @@ class TestJsonlInputErrors:
                    {"group_id": "g1"}, "missing field 'rewards'"),
         "steps": (["reward"], "--steps", STEP, {**STEP, "gt_bbox": {"x1": 1}},
                   "malformed gt_bbox"),
+        # 300 bytes that are not UTF-8 and hold no line break.
+        "binary": (["reward"], "--groups", {"group_id": "g0", "rewards": [0.0, 1.0]},
+                   b"\x80\xff" * 150, "can't decode byte 0x80"),
     }
 
     @pytest.mark.parametrize("name", sorted(INPUTS))
     def test_bad_line_is_one_error_line(self, bench, tmp_path, capsys, name):
         command, flag, good, bad, reason = self.INPUTS[name]
         path = tmp_path / f"{name}.jsonl"
-        lines = ["" if good is None else json.dumps(good), "",
-                 bad if isinstance(bad, str) else json.dumps(bad)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = [b"" if good is None else json.dumps(good).encode(), b"",
+                 bad if isinstance(bad, bytes) else
+                 (bad if isinstance(bad, str) else json.dumps(bad)).encode()]
+        path.write_bytes(b"\n".join(lines) + b"\n")
         args = [*command, flag, str(path)]
         if name == "pool":
             args += ["--benchmark", str(bench), "--out-dir", str(tmp_path / "run")]
