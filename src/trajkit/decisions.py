@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .actions import Action, ActionKind, BBox, Point, actions_match
@@ -79,17 +81,6 @@ class ExecutionSample:
 # --- spatial clustering -------------------------------------------------------
 
 
-def _distance_matrix(coords: np.ndarray, metric: str) -> np.ndarray:
-    import numpy as np
-
-    diff = coords[:, None, :] - coords[None, :, :]
-    if metric.lower() == "l2":
-        return np.sqrt((diff ** 2).sum(axis=-1))
-    if metric.lower() == "l1":
-        return np.abs(diff).sum(axis=-1)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def cluster_spatial(
     points: Sequence[tuple[float, float]] | Sequence[Point],
     epsilon: float = DBSCAN_EPSILON,
@@ -104,25 +95,32 @@ def cluster_spatial(
     (ties to the lowest core index), which makes labels independent of
     input order. Labels are numbered by first-member order.
     """
-    return _cluster_spatial(points, epsilon, metric, min_pts)[0]
+    import numpy as np
+
+    return np.array(_cluster_spatial(points, epsilon, metric, min_pts)[0], dtype=int)
 
 
 def _cluster_spatial(points: Sequence[tuple[float, float]] | Sequence[Point], epsilon: float,
-                     metric: str, min_pts: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cluster_spatial``'s labels and the pairwise distance matrix behind them."""
-    import numpy as np
-
+                     metric: str, min_pts: int) -> tuple[list[int], list[list[float]]]:
+    """``cluster_spatial``'s labels and the pairwise distance matrix behind
+    them, in plain lists: each distance is the float that numpy's
+    ``sqrt((diff ** 2).sum(-1))`` or ``abs(diff).sum(-1)`` gives."""
     n = len(points)
     if n == 0:
-        return np.empty(0, dtype=int), np.empty((0, 0))
-    coords = np.asarray(
-        [(p.x, p.y) if isinstance(p, Point) else (p[0], p[1]) for p in points], dtype=float
-    )
-    dist = _distance_matrix(coords, metric)
-    within = dist <= epsilon
-    core = within.sum(axis=1) >= min_pts
+        return [], []
+    coords = [(float(p.x), float(p.y)) if isinstance(p, Point) else (float(p[0]), float(p[1]))
+              for p in points]
+    if metric.lower() == "l2":
+        dist = [[math.sqrt((xa - xb) * (xa - xb) + (ya - yb) * (ya - yb)) for xb, yb in coords]
+                for xa, ya in coords]
+    elif metric.lower() == "l1":
+        dist = [[abs(xa - xb) + abs(ya - yb) for xb, yb in coords] for xa, ya in coords]
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    within = [[j for j, d in enumerate(row) if d <= epsilon] for row in dist]
+    core = [len(w) >= min_pts for w in within]
 
-    labels = np.full(n, -1, dtype=int)
+    labels = [-1] * n
     next_label = 0
     for i in range(n):
         if not core[i] or labels[i] >= 0:
@@ -131,20 +129,17 @@ def _cluster_spatial(points: Sequence[tuple[float, float]] | Sequence[Point], ep
         stack = [i]
         labels[i] = next_label
         while stack:
-            j = stack.pop()
-            neighbors = np.where(within[j] & core & (labels < 0))[0]
-            labels[neighbors] = next_label
-            stack.extend(neighbors.tolist())
+            for k in within[stack.pop()]:
+                if core[k] and labels[k] < 0:
+                    labels[k] = next_label
+                    stack.append(k)
         next_label += 1
 
-    core_idx = np.where(core)[0]
+    # A border point joins its nearest core; min keeps the first of equals.
     for i in range(n):
-        if core[i] or not core_idx.size:
-            continue
-        reachable = core_idx[within[i, core_idx]]
-        if reachable.size:
-            best = reachable[np.argmin(dist[i, reachable])]
-            labels[i] = labels[best]
+        reachable = [k for k in within[i] if core[k]]
+        if not core[i] and reachable:
+            labels[i] = labels[min(reachable, key=dist[i].__getitem__)]
     return labels, dist
 
 
@@ -266,16 +261,15 @@ class DecisionDistribution:
             math.isclose(self.clusters[0].mass, self.clusters[1].mass)
 
 
-def _medoid_index(members: list[int], dist: np.ndarray) -> int:
+def _medoid_index(members: list[int], dist: list[list[float]]) -> int:
     """The member with the least summed distance to the others (ties to the
     first), from ``dist``, the cell's distance matrix. For per-mille integer
-    points each entry equals ``spatial_distance``, and ``cumsum`` adds left
-    to right, so each cost is that of summing ``spatial_distance`` over the
-    members in order."""
-    costs = dist[members][:, members].cumsum(axis=1)[:, -1].tolist()
+    points each entry equals ``spatial_distance``. Each cost adds left to
+    right, as ``cumsum`` does; ``sum`` would not, since Python 3.12."""
     best = 0
     best_cost = math.inf
-    for i, cost in enumerate(costs):
+    for i, m in enumerate(members):
+        cost = reduce(add, map(dist[m].__getitem__, members))
         if cost < best_cost - 1e-12:
             best, best_cost = i, cost
     return members[best]
@@ -322,7 +316,7 @@ def build_distribution(
                 if lab < 0:
                     noise.append(local)
                 else:
-                    groups.setdefault(int(lab), []).append(local)
+                    groups.setdefault(lab, []).append(local)
             for lab in sorted(groups):
                 members = groups[lab]
                 medoid_local = _medoid_index(members, dist)

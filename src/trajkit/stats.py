@@ -189,6 +189,12 @@ def contingency_stats(t: Contingency2x2) -> ContingencyStats:
     )
 
 
+def defined(value: Optional[float], spec: str) -> str:
+    """``value`` formatted by ``spec``, or ``undefined`` for the None of a
+    ratio over zero."""
+    return "undefined" if value is None else format(value, spec)
+
+
 def t_quantile(p: float, df: int) -> float:
     """Quantile of Student's t on ``df`` degrees of freedom, for 0.5 <= p < 1.
 

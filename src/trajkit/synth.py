@@ -175,6 +175,35 @@ def make_responder(episodes: Sequence[Episode], dialect: Dialect, policy: Policy
     return responder
 
 
+def make_noisy_responder(episodes: Sequence[Episode], dialect: Dialect):
+    """Oracle with seeded spatial jitter (a standard deviation of 25
+    per-mille) and a wrong answer one time in five."""
+    import hashlib
+    from dataclasses import replace
+
+    steps = _index_steps(episodes)
+
+    def responder(request: GenerationRequest, seed: Optional[int], n: int):
+        step = steps[request.tag]
+        out = []
+        for j in range(n):
+            digest = hashlib.sha256(f"{request.tag}|{seed}|{j}".encode()).digest()
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
+            action = step.gt_action
+            if rng.random() < 0.2:
+                action = wrong_action_for(action)
+            elif action.point is not None:
+                x, y = (min(max(int(v + rng.gauss(0, 25.0)), 0), 1000)
+                        for v in (action.point.x, action.point.y))
+                action = replace(action, point=Point(x, y))
+            out.append(dialect.render_response(
+                action, thought=f"sample {j}", conclusion=f"did-{step.step_index}",
+                dims=step.observation.dims))
+        return out if n > 1 else out[0]
+
+    return responder
+
+
 def oracle_policy(step: StepTask, request: GenerationRequest) -> Action:
     return step.gt_action
 

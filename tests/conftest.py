@@ -190,7 +190,7 @@ class StepServer(LoopbackServer):
 
     It finds the step a request is for by its sub-goal text ("step <i> of
     task <e>"), as ``perfbench/bench_stub.py`` does, and answers with
-    ``cli.make_noisy_responder`` for the body's seed and ``n``, after a delay
+    ``synth.make_noisy_responder`` for the body's seed and ``n``, after a delay
     of 0-10 ms drawn from the step, the seed and how often the step was
     asked. Requests for a step key in ``fail`` get HTTP 400, which the
     client does not retry. ``requests`` counts every request.
@@ -201,7 +201,7 @@ class StepServer(LoopbackServer):
     def __init__(self, benchmark, dialect_id):
         from types import SimpleNamespace
 
-        from trajkit.cli import make_noisy_responder
+        from trajkit.synth import make_noisy_responder
         from trajkit.store import load_episodes
 
         episodes = load_episodes(benchmark).episodes

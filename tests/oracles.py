@@ -150,3 +150,57 @@ def reference_round(x):
 def match_ratios(a, b, c, d):
     """Exact success percentages of the two columns of a 2x2 table."""
     return (100 * Fraction(a, a + c), 100 * Fraction(b, b + d))
+
+
+def numpy_cluster_spatial(points, epsilon, metric, min_pts):
+    """The numpy DBSCAN ``decisions._cluster_spatial`` replaced, kept as the
+    reference its standard-library version must equal exactly: labels as an
+    int array and the float distance matrix."""
+    n = len(points)
+    if n == 0:
+        return np.empty(0, dtype=int), np.empty((0, 0))
+    coords = np.asarray([(p[0], p[1]) for p in points], dtype=float)
+    diff = coords[:, None, :] - coords[None, :, :]
+    if metric.lower() == "l2":
+        dist = np.sqrt((diff ** 2).sum(axis=-1))
+    elif metric.lower() == "l1":
+        dist = np.abs(diff).sum(axis=-1)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    within = dist <= epsilon
+    core = within.sum(axis=1) >= min_pts
+
+    labels = np.full(n, -1, dtype=int)
+    next_label = 0
+    for i in range(n):
+        if not core[i] or labels[i] >= 0:
+            continue
+        stack = [i]
+        labels[i] = next_label
+        while stack:
+            j = stack.pop()
+            neighbors = np.where(within[j] & core & (labels < 0))[0]
+            labels[neighbors] = next_label
+            stack.extend(neighbors.tolist())
+        next_label += 1
+
+    core_idx = np.where(core)[0]
+    for i in range(n):
+        if core[i] or not core_idx.size:
+            continue
+        reachable = core_idx[within[i, core_idx]]
+        if reachable.size:
+            labels[i] = labels[reachable[np.argmin(dist[i, reachable])]]
+    return labels, dist
+
+
+def numpy_medoid_index(members, dist):
+    """The numpy medoid ``decisions._medoid_index`` replaced: each member's
+    summed distance by ``cumsum``, the least winning (ties within 1e-12 to
+    the first)."""
+    costs = dist[members][:, members].cumsum(axis=1)[:, -1].tolist()
+    best, best_cost = 0, math.inf
+    for i, cost in enumerate(costs):
+        if cost < best_cost - 1e-12:
+            best, best_cost = i, cost
+    return members[best]

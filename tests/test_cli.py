@@ -534,9 +534,9 @@ class Interrupted(Exception):
 
 class TestRunDirErrors:
     def test_interrupted_run_resumed_under_other_config(self, bench, tmp_path, monkeypatch):
-        import trajkit.cli as cli
+        import trajkit.commands.replay as replay_cmds
 
-        real_backend = cli._backend
+        real_backend = replay_cmds._backend
 
         def interrupting_backend(args, episodes, dialect):
             backend = real_backend(args, episodes, dialect)
@@ -551,7 +551,7 @@ class TestRunDirErrors:
             return backend
 
         out = tmp_path / "run"
-        monkeypatch.setattr(cli, "_backend", interrupting_backend)
+        monkeypatch.setattr(replay_cmds, "_backend", interrupting_backend)
         with pytest.raises(Interrupted):
             main(["eval", "--benchmark", str(bench), "--dialect", "xml-toolcall",
                   "--backend", "mock", "--mock-policy", "wrong", "--out-dir", str(out)])
@@ -703,14 +703,14 @@ class TestNoThinkingEveryMode:
         assert not [r for r in records if "considering step" in r["raw_response"]]
 
     def test_sweep(self, tmp_path, monkeypatch):
-        import trajkit.cli as cli
+        import trajkit.commands.replay as replay_cmds
 
         bench = synth.make_benchmark_file(tmp_path / "bench", n_episodes=2,
                                           steps_per_episode=3, seed=1)
         live = tmp_path / "live"
         assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
                      "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
-        real_backend = cli._backend
+        real_backend = replay_cmds._backend
         # The settings run on worker processes: each request is appended to
         # a file, which every worker shares.
         thinking = tmp_path / "thinking.txt"
@@ -727,7 +727,7 @@ class TestNoThinkingEveryMode:
             backend.responder = responder
             return backend
 
-        monkeypatch.setattr(cli, "_backend", spying_backend)
+        monkeypatch.setattr(replay_cmds, "_backend", spying_backend)
         assert main(["sweep", "--benchmark", str(bench), "--backend", "mock",
                      "--mock-policy", "history-echo", "--pool", str(live / "pool.jsonl"),
                      "--grid", "2", "--samples-per-pair", "1", "--no-thinking",
@@ -867,13 +867,13 @@ class TestUsageErrors:
 
 class TestPoolContinueOnError:
     def test_failing_episode_left_resumable(self, bench, tmp_path, monkeypatch):
-        import trajkit.cli as cli
+        import trajkit.commands.replay as replay_cmds
 
         live = tmp_path / "live"
         assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
                      "--mock-policy", "oracle", "--out-dir", str(live)]) == 0
 
-        real_backend = cli._backend
+        real_backend = replay_cmds._backend
 
         def failing_backend(args, episodes, dialect):
             backend = real_backend(args, episodes, dialect)
@@ -891,14 +891,14 @@ class TestPoolContinueOnError:
         args = ["soeval", "--benchmark", str(bench), "--mode", "pool",
                 "--pool", str(live / "pool.jsonl"), "--backend", "mock",
                 "--mock-policy", "oracle", "--out-dir", str(out)]
-        monkeypatch.setattr(cli, "_backend", failing_backend)
+        monkeypatch.setattr(replay_cmds, "_backend", failing_backend)
         assert main([*args, "--continue-on-error"]) == 0
         keys = [json.loads(line)["key"]
                 for line in (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
         assert keys == [f"ep000/{i}" for i in range(4)] + ["ep001/0", "ep001/1"] + \
             [f"ep002/{i}" for i in range(4)]
 
-        monkeypatch.setattr(cli, "_backend", real_backend)
+        monkeypatch.setattr(replay_cmds, "_backend", real_backend)
         assert main(args) == 0
         resumed = [json.loads(line)["key"]
                    for line in (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -913,9 +913,9 @@ class TestEmptyReport:
     @pytest.fixture
     def failing_at(self, monkeypatch):
         """Make every mock backend raise from the given step index on."""
-        import trajkit.cli as cli
+        import trajkit.commands.replay as replay_cmds
 
-        real_backend = cli._backend
+        real_backend = replay_cmds._backend
 
         def install(first_failing_step):
             def failing_backend(args, episodes, dialect):
@@ -930,7 +930,7 @@ class TestEmptyReport:
                 backend.responder = responder
                 return backend
 
-            monkeypatch.setattr(cli, "_backend", failing_backend)
+            monkeypatch.setattr(replay_cmds, "_backend", failing_backend)
 
         return install
 
@@ -1015,6 +1015,23 @@ class TestCorrelationUnusableColumn:
         lines = proc.stderr.splitlines()
         assert lines[-1].startswith("trajkit: error: ")
         assert "no column" in lines[-1]
+        assert not out.exists()
+
+
+class TestCorrelationUnreadableCsv:
+    @pytest.mark.parametrize("content, reason", [
+        (b"\x80\xff" * 150, ":1: 'utf-8' codec can't decode byte 0x80: invalid start byte"),
+        (b"m,online\n1,2\n3,\xff4\n", ":3: 'utf-8' codec can't decode byte 0xff: "
+                                        "invalid start byte"),
+        (None, ": No such file or directory"),
+    ], ids=["binary", "third-line", "missing"])
+    def test_is_one_error_line_naming_the_file(self, tmp_path, capsys, content, reason):
+        table = tmp_path / "corr.csv"
+        if content is not None:
+            table.write_bytes(content)
+        out = tmp_path / "out.csv"
+        assert main(["stats", "correlation", "--csv", str(table), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"trajkit: error: {table}{reason}"]
         assert not out.exists()
 
 

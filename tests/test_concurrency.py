@@ -154,16 +154,16 @@ def test_open_connections_never_exceed_episodes_in_flight(bench, tmp_path, step_
 
 
 def test_mock_backend_replays_serially(bench, tmp_path, monkeypatch):
-    import trajkit.cli as cli
+    import trajkit.commands.replay as replay_cmds
 
     backends = []
-    real_backend = cli._backend
+    real_backend = replay_cmds._backend
 
     def recorded(*args):
         backends.append(real_backend(*args))
         return backends[-1]
 
-    monkeypatch.setattr(cli, "_backend", recorded)
+    monkeypatch.setattr(replay_cmds, "_backend", recorded)
     assert main(["eval", "--benchmark", str(bench), "--concurrency", "8",
                  "--out-dir", str(tmp_path / "run")]) == 0
     assert backends[0].calls == 32 and backends[0].max_in_flight_seen == 1

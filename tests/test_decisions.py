@@ -1,13 +1,17 @@
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from trajkit import decisions
 from trajkit.actions import Action, ActionKind, BBox, Point, spatial_distance
 from trajkit.decisions import (
+    _cluster_spatial,
+    _medoid_index,
     EmptyDistributionError,
     ExecutionSample,
     InvalidMeasureError,
@@ -31,7 +35,13 @@ from trajkit.decisions import (
 )
 
 
-from oracles import canonical_labels, oracle_dbscan, oracle_w1
+from oracles import (
+    canonical_labels,
+    numpy_cluster_spatial,
+    numpy_medoid_index,
+    oracle_dbscan,
+    oracle_w1,
+)
 
 
 # --- spatial clustering -----------------------------------------------------------
@@ -95,6 +105,81 @@ class TestClusterSpatial:
             partition_shuf.setdefault(lab if lab >= 0 else f"n{orig}", set()).add(orig)
         assert set(map(frozenset, partition_base.values())) == \
             set(map(frozenset, partition_shuf.values()))
+
+
+@st.composite
+def dbscan_cases(draw, coords=None):
+    """(points, epsilon, metric, min_pts) with repeated points, often mirror
+    images, and a pair exactly epsilon apart: a 3-4-5 triangle under L2, an
+    L-shaped step of equal length under L1, or the distance of two drawn
+    points."""
+    metric = draw(st.sampled_from(["l2", "l1"]))
+    if coords is None:
+        coords = draw(st.sampled_from([
+            st.integers(0, 1000),
+            st.floats(0, 1000, allow_nan=False, allow_infinity=False)]))
+    points = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 4))):
+        points.insert(draw(st.integers(0, len(points))), draw(st.sampled_from(points)))
+    k = draw(st.integers(1, 40))
+    x, y = draw(st.integers(0, 1000 - 5 * k)), draw(st.integers(0, 1000 - 5 * k))
+    a = 3 * k if metric == "l2" else draw(st.integers(0, 5 * k))
+    b = 4 * k if metric == "l2" else 5 * k - a
+    points[draw(st.integers(0, len(points))):0] = [(x, y), (x + a, y + b)]
+    if draw(st.booleans()):
+        # Mirror images across x = cx: points equidistant from two others.
+        cx = draw(st.integers(0, 1000))
+        points += [(2 * cx - px, py) for px, py in points if 0 <= 2 * cx - px <= 1000]
+    i, j = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, len(points) - 1))
+    epsilon = draw(st.one_of(
+        st.just(5.0 * k), st.just(numpy_cluster_spatial(points, 0.0, metric, 1)[1][i, j]),
+        st.sampled_from([0.0, 30.0, 70.0, 140.0]), st.floats(0, 400)))
+    return points, epsilon, metric, draw(st.integers(1, 5))
+
+
+class TestStdlibClusteringEqualsNumpy:
+    """The standard-library DBSCAN and medoid give exactly what the numpy
+    versions they replaced gave (``oracles.numpy_*``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=dbscan_cases())
+    # A border point at (500, 500) lies exactly epsilon from a core of each
+    # of two clusters; it joins the one with the lower index.
+    @example(case=([(450, 500), (445, 500), (440, 500), (435, 500), (500, 500),
+                    (550, 500), (555, 500), (560, 500), (565, 500)], 50.0, "l2", 4))
+    def test_labels_distances_and_medoids(self, case):
+        points, epsilon, metric, min_pts = case
+        labels, dist = _cluster_spatial(points, epsilon, metric, min_pts)
+        ref_labels, ref_dist = numpy_cluster_spatial(points, epsilon, metric, min_pts)
+        assert labels == ref_labels.tolist()
+        assert dist == ref_dist.tolist()
+        groups = [[i for i, lab in enumerate(labels) if lab == c] for c in set(labels) - {-1}]
+        for members in [*groups, list(range(len(points)))]:
+            assert _medoid_index(members, dist) == numpy_medoid_index(members, ref_dist)
+        assert cluster_spatial(points, epsilon, metric, min_pts).tolist() == labels
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dbscan_cases(coords=st.integers(0, 1000)),
+           kinds=st.lists(st.sampled_from([ActionKind.CLICK, ActionKind.LONG_PRESS]),
+                          min_size=16, max_size=16),
+           noise_mode=st.sampled_from(["singleton", "drop"]))
+    def test_build_distribution(self, case, kinds, noise_mode):
+        points, epsilon, metric, min_pts = case
+        samples = [ExecutionSample(action=Action(kinds[i % 16], point=Point(x, y)))
+                   for i, (x, y) in enumerate(points)]
+
+        def clusters():
+            try:
+                dist = build_distribution(samples, epsilon, metric, min_pts, noise_mode)
+            except EmptyDistributionError:
+                return None
+            return dist.n, [(c.kind, c.member_indices, c.representative, c.mass)
+                            for c in dist.clusters]
+
+        with mock.patch.object(decisions, "_cluster_spatial", numpy_cluster_spatial), \
+                mock.patch.object(decisions, "_medoid_index", numpy_medoid_index):
+            want = clusters()
+        assert clusters() == want
 
 
 class TestClusterText:

@@ -1,6 +1,8 @@
 """The CLI's import graph: each command, run in a fresh interpreter, loads
-only the trajkit modules it runs, numpy and yaml only where it uses them,
-and no scipy. The parser's written-out literals equal their sources, and it
+only the trajkit modules it runs, one command module among them, numpy and
+yaml only where it uses them, and no scipy. Under ``python -m trajkit.cli``
+no module is compiled twice. A parser built for one command reads as the
+full one. The parser's written-out literals equal their sources, and it
 copies no engine default."""
 
 import dataclasses
@@ -17,6 +19,7 @@ from scipy.stats import t as student_t
 
 import trajkit
 from trajkit import cli, dialects, gateway, synth
+from trajkit.actions import Action, ActionKind, Point
 from trajkit.cli import SETTINGS, build_parser, main
 from trajkit.decisions import DBSCAN_EPSILON, DBSCAN_MIN_PTS
 from trajkit.stats import multi_seed_summary
@@ -24,10 +27,10 @@ from trajkit.stats import multi_seed_summary
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs one stage in a fresh interpreter, in a scratch directory, and prints
-# its exit code, the third-party packages it loaded of numpy, scipy and yaml,
-# and its trajkit modules (a None entry in sys.modules blocks a module, not
-# loads it). A stage is ``package`` (``import trajkit``), ``parser``
-# (``import trajkit.cli`` and ``build_parser()``) or a command line.
+# its exit code and the modules it loaded (a None entry in sys.modules
+# blocks a module, not loads it). A stage is ``package`` (``import
+# trajkit``), ``parser`` (``import trajkit.cli`` and ``build_parser()``) or
+# a command line.
 PROBE = """
 import contextlib, io, json, sys
 
@@ -41,8 +44,15 @@ else:
         with contextlib.redirect_stdout(io.StringIO()):
             rc = trajkit.cli.main(sys.argv[1:])
 loaded = [m for m, module in sys.modules.items() if module is not None]
-print(json.dumps([rc, sorted({m.split(".")[0] for m in loaded} & {"numpy", "scipy", "yaml"}),
-                  sorted(m[len("trajkit."):] for m in loaded if m.startswith("trajkit."))]))
+print(json.dumps([rc, loaded]))
+"""
+
+# A ``sitecustomize`` that prints the modules loaded as the interpreter exits.
+AT_EXIT = """
+import atexit, json, sys
+
+atexit.register(lambda: print(json.dumps(
+    [m for m, module in sys.modules.items() if module is not None])))
 """
 
 B = "fx/episodes.jsonl"
@@ -66,32 +76,55 @@ STAGES = [
     ("correlation", ["stats", "correlation", "--csv", "corr.csv", "--out", "corr_out.csv"]),
     ("config", ["eval", "--benchmark", B, "--config", "config.yaml",
                 "--out-dir", "cfg_eval"]),
+    ("rollout", ["rollout", "--benchmark", B, "--mock-policy", "noisy-oracle",
+                 "--rounds", "2", "--samples", "4", "--concurrency", "1", "--out-dir", "ro"]),
+    ("cluster", ["cluster", "--rollouts", "ro/rollouts.jsonl", "--benchmark", B,
+                 "--out", "cells.csv"]),
+    ("judge", ["judge", "--cases", "cases.jsonl", "--judges", "2", "--rollouts", "4",
+               "--out", "verdicts.csv"]),
 ]
 
 # The trajkit modules each stage loads, besides the package itself; every
-# stage that starts the CLI also loads ``cli`` and ``errors``. An engine
-# module a command uses is imported inside its ``cmd_*``.
-CLI = {"cli", "errors"}
-REPLAY = CLI | {"actions", "dialects", "evaluate", "gateway", "reporting", "store", "synth"}
+# stage that starts the CLI also loads ``cli``, ``errors`` and ``settings``,
+# and a command loads its one module of ``trajkit.commands``. An engine
+# module that not every command of that module uses is imported inside the
+# ``cmd_*`` that does.
+CLI = {"cli", "errors", "settings"}
+
+
+def command(module, *engine):
+    return CLI | {"commands", f"commands.{module}", *engine}
+
+
+REPLAY = ("actions", "dialects", "evaluate", "gateway", "reporting", "store", "synth")
 LOADS = {
     "package": set(),
     "parser": CLI,
-    "make-fixture": CLI | {"actions", "store", "synth"},
-    "eval": REPLAY,
-    "soeval": REPLAY | {"semionline"},
-    "report": CLI | {"actions", "dialects", "evaluate", "reporting", "store"},
-    "report-live": CLI | {"actions", "dialects", "evaluate", "reporting", "semionline", "store"},
-    "ingest": CLI | {"actions", "reporting", "store"},
-    "reward-groups": CLI | {"actions", "reporting", "rewards", "store"},
-    "reward-steps": CLI | {"actions", "reporting", "rewards", "store"},
-    "wilson": CLI | {"stats"},
-    "contingency": CLI | {"stats"},
-    "seeds": CLI | {"stats"},
-    "correlation": CLI | {"reporting", "stats"},
-    "config": REPLAY,
+    "make-fixture": command("episodes", "actions", "store", "synth"),
+    "eval": command("replay", *REPLAY),
+    "soeval": command("replay", *REPLAY, "semionline"),
+    "report": command("replay", "actions", "dialects", "evaluate", "reporting", "store"),
+    "report-live": command("replay", "actions", "dialects", "evaluate", "reporting",
+                           "semionline", "store"),
+    "ingest": command("episodes", "actions", "reporting", "store"),
+    "reward-groups": command("reward", "actions", "reporting", "rewards", "store"),
+    "reward-steps": command("reward", "actions", "reporting", "rewards", "store"),
+    "wilson": command("stats", "stats"),
+    "contingency": command("stats", "stats"),
+    "seeds": command("stats", "stats"),
+    "correlation": command("stats", "reporting", "stats"),
+    "config": command("replay", *REPLAY),
+    "rollout": command("replay", "actions", "dialects", "evaluate", "gateway", "semionline",
+                       "store", "synth"),
+    "cluster": command("cluster", "actions", "decisions", "reporting", "store"),
+    "judge": command("judge", "actions", "decisions", "dialects", "gateway", "judging",
+                     "reporting", "stats", "store"),
 }
-# The stages that call a model.
-MODEL_STAGES = {"eval", "soeval", "config"}
+# The stages that call a model (judge's scripted judges among them).
+MODEL_STAGES = {"eval", "soeval", "config", "rollout", "judge"}
+
+# The third-party packages whose loading is pinned.
+THIRD_PARTY = {"numpy", "scipy", "yaml"}
 
 # Makes every import of scipy or of a scipy submodule fail.
 BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
@@ -107,10 +140,16 @@ def probe_without_scipy(tmp_path_factory):
     return run_probe(tmp_path_factory.mktemp("probe-no-scipy"), prelude=BLOCK_SCIPY)
 
 
-def run_probe(work, prelude=""):
+@pytest.fixture(scope="module")
+def probe_as_main(tmp_path_factory):
+    return run_probe(tmp_path_factory.mktemp("probe-as-main"), as_main=True)
+
+
+def run_probe(work, prelude="", as_main=False):
     """Runs each stage of STAGES in its own interpreter in ``work``; every
     stage must exit 0. Returns ``work`` and, per stage, the third-party
-    packages and the set of trajkit modules it loaded."""
+    packages and the set of trajkit modules it loaded. With ``as_main``,
+    each command runs as ``python -m trajkit.cli``."""
     (work / "groups.jsonl").write_text(
         json.dumps({"group_id": "g0", "rewards": [0.0, 1.0, 2.0]}) + "\n",
         encoding="utf-8")
@@ -125,17 +164,35 @@ def run_probe(work, prelude=""):
         encoding="utf-8")
     (work / "config.yaml").write_text(
         "seed_list: [11, 22]\npolicy:\n  min_comparable: 0.8\n", encoding="utf-8")
+    trace = dialects.get_dialect("xml-toolcall").render_response(
+        Action(ActionKind.CLICK, point=Point(200, 300)))
+    (work / "cases.jsonl").write_text("".join(json.dumps({
+        "case_id": f"c{i}", "instruction": "tap it", "reasoning_trace": trace,
+        "executed_kind": "CLICK", "executed_params": {"point": point},
+        "human_label": i == 0}) + "\n" for i, point in enumerate([[200, 300], [900, 900]])),
+        encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    if as_main:
+        # The interpreter prints the modules a ``python -m`` run loaded as it exits.
+        (work / "site").mkdir()
+        (work / "site" / "sitecustomize.py").write_text(AT_EXIT, encoding="utf-8")
+        env["PYTHONPATH"] = os.pathsep.join((str(work / "site"), env["PYTHONPATH"]))
     stages = {}
     for name, argv in STAGES:
-        proc = subprocess.run([sys.executable, "-c", prelude + PROBE, *argv],
+        if as_main and name in ("package", "parser"):
+            continue
+        launch = ["-m", "trajkit.cli"] if as_main else ["-c", prelude + PROBE]
+        proc = subprocess.run([sys.executable, *launch, *argv],
                               env=env, cwd=work, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (name, proc.stderr)
-        rc, packages, modules = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert rc == 0, name
-        stages[name] = (packages, set(modules))
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        if not as_main:
+            rc, loaded = loaded
+            assert rc == 0, name
+        stages[name] = (sorted({m.split(".")[0] for m in loaded} & THIRD_PARTY),
+                        {m[len("trajkit."):] for m in loaded if m.startswith("trajkit.")})
     return work, stages
 
 
@@ -150,10 +207,28 @@ def test_cli_start_loads_no_numpy_yaml_or_command_modules(probe):
     assert stages["parser"] == ([], CLI)
 
 
+def test_each_command_loads_one_command_module(probe):
+    _, stages = probe
+    for name, (_, modules) in stages.items():
+        loaded = {m for m in modules if m.startswith("commands.")}
+        assert len(loaded) == (name not in ("package", "parser")), (name, loaded)
+
+
+def test_run_as_main_loads_the_cli_once(probe, probe_as_main):
+    """Under ``python -m trajkit.cli`` the CLI module runs as ``__main__``:
+    no module imports it a second time as ``trajkit.cli``, and each command
+    loads what it loads when ``main`` is called after an import."""
+    _, stages = probe_as_main
+    assert set(stages) == set(LOADS) - {"package", "parser"}
+    for name, (packages, modules) in stages.items():
+        assert "cli" not in modules, name
+        assert (packages, modules) == (probe[1][name][0], probe[1][name][1] - {"cli"}), name
+
+
 def test_stats_commands_load_no_scipy_stats(probe):
     work, stages = probe
     for name in ("wilson", "contingency", "seeds"):
-        assert stages[name] == ([], CLI | {"stats"}), name
+        assert stages[name] == ([], command("stats", "stats")), name
     assert stages["correlation"][0] == ["numpy"]
     assert (work / "corr_out.csv").exists()
 
@@ -175,9 +250,12 @@ def test_cli_start_and_scipy_free_commands_load_no_scipy(probe):
 
 
 def test_light_commands_load_no_numpy(probe):
-    _, stages = probe
+    """``cluster`` and ``judge`` cluster decisions with the standard library."""
+    work, stages = probe
     assert {name for name, (packages, _) in stages.items() if "numpy" in packages} \
         == {"correlation"}
+    assert "decisions" in stages["cluster"][1] and "decisions" in stages["judge"][1]
+    assert len((work / "cells.csv").read_text().splitlines()) == 1 + 2 * 3
 
 
 def test_every_command_runs_with_scipy_blocked(probe, probe_without_scipy):
@@ -186,7 +264,8 @@ def test_every_command_runs_with_scipy_blocked(probe, probe_without_scipy):
     work, stages = probe_without_scipy
     assert stages == probe[1]
     for name in ("eval/records.jsonl", "so/records.jsonl", "adv.csv", "steps.csv",
-                 "corr_out.csv", "cfg_eval/manifest.json"):
+                 "corr_out.csv", "cfg_eval/manifest.json", "ro/rollouts.jsonl", "cells.csv",
+                 "verdicts.csv"):
         assert (work / name).read_bytes() == (probe[0] / name).read_bytes(), name
 
 
@@ -218,6 +297,52 @@ def test_package_names_resolve_lazily_and_are_listed():
     assert trajkit.Action is sys.modules["trajkit.actions"].Action
     with pytest.raises(AttributeError):
         trajkit.no_such_name
+
+
+COMMANDS = ("ingest", "make-fixture", "eval", "soeval", "rollout", "cluster", "judge",
+            "sweep", "reward", "report", "stats")
+# Command lines that print help or fail to parse, or that parse.
+ONE_COMMAND_LINES = [
+    *([name, *tail] for name in COMMANDS for tail in (
+        [], ["-h"], ["--no-such-flag"], ["--config"], ["--dialect", "x"], ["--out", "o"],
+        ["--benchmark", "b", "--rollouts", "r", "--cases", "c", "--pool", "p"])),
+    *(["stats", stat, *tail] for stat in ("correlation", "contingency", "wilson", "seeds", "x")
+      for tail in ([], ["-h"], ["1", "2"], ["--csv", "c.csv", "--no-such-flag"])),
+    ["eval", "--benchmark", "b", "--limit-episodes", "x"],
+    ["soeval", "--benchmark", "b", "--mode", "pool", "--pool", "p", "--no-thinking"],
+    ["rollout", "--seed-list", "1,2", "--rounds", "2", "--concurrency", "0"],
+    ["cluster", "--rollouts", "r", "--out", "o", "--epsilon", "-1e-3"],
+]
+
+
+def parsed(parser, argv, capsys):
+    """What ``parser.parse_args(argv)`` returned or exited with, and printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", ONE_COMMAND_LINES, ids=" ".join)
+def test_one_command_parser_reads_as_the_full_parser(argv, capsys):
+    assert parsed(build_parser(argv[0]), argv, capsys) == parsed(build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["--no-such-flag", "eval"],
+                                  ["--no-such-flag", "eval", "--benchmark", "b"]], ids=str)
+def test_main_builds_every_command_unless_one_is_named_first(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == parsed(build_parser(), argv, capsys)
+
+
+def test_one_command_parser_builds_no_other_command(capsys):
+    assert parsed(build_parser("stats"), ["eval", "--benchmark", "b"], capsys)[0] == 2
+    assert parsed(build_parser("eval"), ["eval", "--benchmark", "b"], capsys)[0]["benchmark"] \
+        == "b"
 
 
 def test_cluster_defaults_are_the_clustering_constants(capsys):

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-import trajkit.cli as cli
+import trajkit.commands.replay as replay_cmds
 from trajkit import synth
 from trajkit.cli import main
 
@@ -82,7 +82,7 @@ def test_report_keeps_one_row_per_source_benchmark(bench, tmp_path, capsys):
 
 
 def test_report_leaves_out_an_incomplete_episode(bench, tmp_path, capsys, monkeypatch):
-    real_backend = cli._backend
+    real_backend = replay_cmds._backend
 
     def failing_backend(args, episodes, dialect):
         backend = real_backend(args, episodes, dialect)
@@ -96,7 +96,7 @@ def test_report_leaves_out_an_incomplete_episode(bench, tmp_path, capsys, monkey
         backend.responder = responder
         return backend
 
-    monkeypatch.setattr(cli, "_backend", failing_backend)
+    monkeypatch.setattr(replay_cmds, "_backend", failing_backend)
     out = tmp_path / "run"
     printed = replay_then_report(capsys, bench, out,
                                  ["eval", "--mock-policy", "alternating",

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-import trajkit.cli as cli
+import trajkit.commands.replay as replay_cmds
 import trajkit.gateway as gateway_module
 import trajkit.semionline as semionline
 from trajkit import synth
@@ -194,6 +194,22 @@ def test_seed_list_written_as_text_in_the_config(tmp_path, capsys, seen, fixture
                                  None, "seed_list", "11,22", "33", "--out-dir")
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"base_url: [unclosed\n", "line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+    (b"seed_list: [1]\n\tdialect: x\n",
+     "line 2, column 1: found character '\\t' that cannot start any token"),
+    (b"\x80" * 10, "'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"),
+], ids=["unclosed", "tab", "binary"])
+def test_malformed_config_is_one_error_line(tmp_path, capsys, fixture_files, content, reason):
+    config = tmp_path / "bad.yaml"
+    config.write_bytes(content)
+    out = tmp_path / "run"
+    assert main(["eval", "--benchmark", fixture_files["bench"], "--config", str(config),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"trajkit: error: {config}: {reason}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, value, reason", [
     ("endpoint", "max_in_flight", 0, "must be an integer >= 1, got '0'"),
     ("policy", "min_comparable", "lots", "must be a finite number, got 'lots'"),
@@ -215,7 +231,7 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, fixture_files, sec
 
 def test_interrupted_live_run_reports_as_the_run_it_was(tmp_path, capsys, monkeypatch,
                                                         fixture_files):
-    real_backend = cli._backend
+    real_backend = replay_cmds._backend
 
     def interrupted_backend(args, episodes, dialect):
         backend = real_backend(args, episodes, dialect)
@@ -229,7 +245,7 @@ def test_interrupted_live_run_reports_as_the_run_it_was(tmp_path, capsys, monkey
         backend.responder = responder
         return backend
 
-    monkeypatch.setattr(cli, "_backend", interrupted_backend)
+    monkeypatch.setattr(replay_cmds, "_backend", interrupted_backend)
     out = tmp_path / "live"
     with pytest.raises(KeyboardInterrupt):
         main(["soeval", "--benchmark", fixture_files["bench"], "--backend", "mock",

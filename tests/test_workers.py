@@ -58,10 +58,10 @@ def mock_serial(bench, tmp_path_factory):
 def pids(monkeypatch, tmp_path):
     """Pops the ids of the processes that answered the mock's requests
     since the last pop, from a file that every worker process appends to."""
-    import trajkit.cli as cli
+    import trajkit.commands.replay as replay_cmds
 
     log = tmp_path / "pids.txt"
-    real_backend = cli._backend
+    real_backend = replay_cmds._backend
 
     def logging_backend(*args):
         backend = real_backend(*args)
@@ -80,7 +80,7 @@ def pids(monkeypatch, tmp_path):
         log.unlink()
         return seen
 
-    monkeypatch.setattr(cli, "_backend", logging_backend)
+    monkeypatch.setattr(replay_cmds, "_backend", logging_backend)
     return pop
 
 
@@ -111,7 +111,7 @@ def test_a_failing_job_fails_as_in_a_serial_run(mock_serial, bench, tmp_path, mo
                                                 command):
     """One sweep setting, or one rollout step, raises: the command ends in the
     serial run's error, and no worker process is left."""
-    import trajkit.cli as cli
+    import trajkit.commands.replay as replay_cmds
     import trajkit.semionline as semionline
 
     run_setting = semionline.run_sweep_setting
@@ -121,7 +121,7 @@ def test_a_failing_job_fails_as_in_a_serial_run(mock_serial, bench, tmp_path, mo
             raise ValueError("setting 5 failed")
         return run_setting(setting, *args, **kwargs)
 
-    real_backend = cli._backend
+    real_backend = replay_cmds._backend
 
     def failing_backend(*args):
         backend = real_backend(*args)
@@ -138,7 +138,7 @@ def test_a_failing_job_fails_as_in_a_serial_run(mock_serial, bench, tmp_path, mo
     if command == "sweep":
         monkeypatch.setattr(semionline, "run_sweep_setting", failing_setting)
     else:
-        monkeypatch.setattr(cli, "_backend", failing_backend)
+        monkeypatch.setattr(replay_cmds, "_backend", failing_backend)
     pool, _ = mock_serial
     errors = []
     for k in ("1", "2", "4"):
