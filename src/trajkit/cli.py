@@ -15,8 +15,9 @@ import sys
 from importlib import import_module
 from typing import Optional, Sequence
 
-from .errors import ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError
-from .settings import DIALECT_IDS, SETTINGS, dests, finite_float, resolve_settings
+from .errors import (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError,
+                     WorkerDiedError)
+from .settings import DIALECT_IDS, SETTINGS, dests, finite_float, positive_int, resolve_settings
 
 
 def make_noisy_responder(episodes, dialect):
@@ -135,7 +136,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if p := build("rollout", "n-sample collection for decision analytics",
                   "replay:cmd_rollout", config, replay, model):
-        p.add_argument("--rounds", type=int, default=8)
+        p.add_argument("--rounds", type=positive_int, default=8)
         p.add_argument("--samples", type=int, default=64)
 
     # --dialect is accepted and unused: samples come from each record's
@@ -207,7 +208,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         resolve_settings(args)
         module, func = args.func.split(":")
         return getattr(import_module(f"trajkit.commands.{module}"), func)(args)
-    except (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError) as exc:
+    except (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError,
+            WorkerDiedError) as exc:
         print(f"trajkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -188,14 +188,16 @@ def cmd_replay(args) -> int:
 def cmd_rollout(args) -> int:
     if not args.out_dir:
         raise InputError("--out-dir is required")
-    dialect, episodes, backend = _replay_inputs(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     from ..evaluate import map_in_order, reference_history, replay_episode
     from ..gateway import DEFAULT_SEEDS, ModelGateway
     from ..semionline import ArtifactPool, write_pool
 
-    seeds = (args.seed_list or list(DEFAULT_SEEDS))[: args.rounds]
+    seeds = (args.seed_list or list(DEFAULT_SEEDS))[:args.rounds]
+    if len(seeds) < args.rounds:
+        raise InputError(f"--rounds {args.rounds} exceeds the seed list's length, {len(seeds)}")
+    dialect, episodes, backend = _replay_inputs(args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _endpoint_config(args, n=args.samples)
     gateway = ModelGateway(backend, cfg)
 

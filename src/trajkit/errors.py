@@ -19,3 +19,7 @@ class ConfigMismatchError(ValueError):
 
 class EmptyReportError(ValueError):
     """Raised when aggregation is asked to summarize zero records."""
+
+
+class WorkerDiedError(RuntimeError):
+    """Raised when a worker process of ``map_in_order`` dies before its call returns."""

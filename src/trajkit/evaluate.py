@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .actions import ALL_KINDS, Action, BBox, actions_match
 from .dialects import Dialect, HistoryEntry, ParsedResponse, ReferenceEntry
-from .errors import EmptyReportError
+from .errors import EmptyReportError, WorkerDiedError
 from .store import Episode, RunRecord, RunWriter, StepTask, prediction_fields, step_key
 
 if TYPE_CHECKING:
@@ -35,7 +35,8 @@ class ReplayStopped(Exception):
     has stopped: Ctrl-C, an error, or an early exit."""
 
 
-# ``stop``: the Event of the ``map_in_order`` that runs this thread's call.
+# In a ``map_in_order`` worker: ``job``, its function and items, and ``stop``,
+# the Event set once the consumer has stopped (None in a worker process).
 _worker = threading.local()
 
 
@@ -283,81 +284,78 @@ def replay_episode(
 
 def map_in_order(fn: Callable[[T], R], items: Iterable[T], concurrency: int = 1,
                  processes: bool = False) -> Iterator[R]:
-    """``map(fn, items)`` with up to ``concurrency`` calls at once, yielding
-    results in the order of ``items``. One call at a time runs in this
-    thread; more run on a thread pool or, with ``processes``, on worker
-    processes, never more than there are items (``_map_in_processes``). If
-    the consumer stops early, a call raises or Ctrl-C arrives, pending calls
-    are cancelled and running replays stop at their next step
-    (``replay_episode`` checks the stop flag), or their workers are killed,
-    before this returns."""
+    """``map(fn, items)`` with up to ``concurrency`` calls at once, never more
+    than there are items, yielding results in the order of ``items``. One
+    call at a time runs in this thread; more run on a thread pool or, with
+    ``processes``, on worker processes forked from this one (without the
+    ``fork`` start method, in this thread). A call that raises raises here; a
+    dead worker process raises ``WorkerDiedError``. If the consumer stops
+    early, a call raises or Ctrl-C arrives, pending calls are cancelled and
+    running replays stop at their next step (``replay_episode`` checks the
+    stop flag), or their workers are killed, before this returns."""
+    items = list(items)
     if processes:
-        items = list(items)
-        concurrency = min(concurrency, len(items))
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            concurrency = 1
+    concurrency = min(concurrency, len(items))
     if concurrency <= 1:
         yield from map(fn, items)
         return
-    if processes:
-        yield from _map_in_processes(fn, items, concurrency)
-        return
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import BrokenExecutor
 
     stop = threading.Event()
+    if processes:
+        from concurrent.futures import ProcessPoolExecutor
 
-    def call(item: T) -> R:
-        _worker.stop = stop
-        try:
-            return fn(item)
-        finally:
-            _worker.stop = None
+        # A forked child has only the forking thread, and a lock that another
+        # thread held stays held in it; under ``fork`` the executor forks
+        # every worker at the first submit, before it starts its own thread.
+        pool = ProcessPoolExecutor(concurrency, multiprocessing.get_context("fork"),
+                                   _init_worker, (fn, items, None))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        try:
-            yield from pool.map(call, items)
-        finally:
-            stop.set()
-
-
-# In a worker process of ``_map_in_processes``: the function and its items.
-_forked: Optional[tuple[Callable, list]] = None
-
-
-def _forked_init(fn: Callable, items: list) -> None:
-    import signal
-
-    global _forked
-    _forked = (fn, items)
-    # Ctrl-C reaches every process of the group; the parent alone handles it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _forked_call(index: int):
-    fn, items = _forked
-    return fn(items[index])
-
-
-def _map_in_processes(fn: Callable[[T], R], items: list[T], workers: int) -> Iterator[R]:
-    """``map(fn, items)`` on ``workers`` processes forked from this one, in
-    the order of ``items``. The workers inherit ``fn`` and ``items``, so
-    only indices and results are pickled. A call that raises raises here. On
-    an error, an early stop or Ctrl-C the workers are killed; in every case
-    they are reaped before this returns. Without the ``fork`` start method
-    the calls run in this thread."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield from map(fn, items)
-        return
-    # A forked child has only the forking thread, and a lock that another
-    # thread held stays held in it; ``Pool`` forks every worker before it
-    # starts its own helper threads.
-    pool = multiprocessing.get_context("fork").Pool(workers, _forked_init, (fn, items))
+        pool = ThreadPoolExecutor(concurrency, initializer=_init_worker,
+                                  initargs=(fn, items, stop))
+    futures = []
     try:
-        yield from pool.imap(_forked_call, range(len(items)))
+        # A worker may die, or Ctrl-C arrive, before every call is submitted.
+        for i in range(len(items)):
+            futures.append(pool.submit(_call, i))
+        for future in futures:
+            yield future.result()
+    except BrokenExecutor:
+        # The executor cannot tell which call ran on the dead worker.
+        finished = sum(f.done() and not f.cancelled() and f.exception() is None
+                       for f in futures)
+        raise WorkerDiedError(f"a worker process died after {finished} of {len(items)} "
+                              f"jobs had finished") from None
     finally:
+        stop.set()
         # Idle once every result is in; killed when no more are wanted.
-        pool.terminate()
-        pool.join()
+        # ``ProcessPoolExecutor`` has no public way to kill its workers.
+        for worker in (getattr(pool, "_processes", None) or {}).values():
+            worker.kill()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _init_worker(fn: Callable, items: list, stop: Optional[threading.Event]) -> None:
+    """Starts a ``map_in_order`` worker: a thread, with the stop flag, or a
+    worker process, which is killed instead. Workers get ``fn`` and ``items``
+    here, so only indices and results are pickled."""
+    _worker.job, _worker.stop = (fn, items), stop
+    if stop is None:
+        import signal
+
+        # Ctrl-C reaches every process of the group; the parent alone handles it.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _call(index: int):
+    fn, items = _worker.job
+    return fn(items[index])
 
 
 def replay_benchmark(

@@ -14,34 +14,25 @@ from .errors import InputError
 DIALECT_IDS = ("plain-json", "thought-action", "xml-toolcall")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _checked(convert, accept, wanted: str):
+    """An argparse type: ``convert(text)``, refused unless ``accept`` holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return parse
 
 
-def finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _seed_list(text: str) -> list[int]:
-    try:
-        seeds = [int(s) for s in text.replace(",", " ").split()]
-    except ValueError:
-        seeds = []
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"must be integers separated by commas, got {text!r}")
-    return seeds
+positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_seed_list = _checked(lambda text: [int(s) for s in text.replace(",", " ").split()], bool,
+                      "integers separated by commas")
 
 
 def _gt_kinds(text: str) -> frozenset:
@@ -73,7 +64,7 @@ SETTINGS = {
     "seed_list": (None, "seed_list", _seed_list, None),
     "endpoint_url": ("endpoint", "base_url", str, None),
     "model": ("endpoint", "model_name", str, None),
-    "concurrency": ("endpoint", "max_in_flight", _positive_int, None),
+    "concurrency": ("endpoint", "max_in_flight", positive_int, None),
     "timeout": ("endpoint", "timeout", finite_float, None),
     "max_retries": ("endpoint", "max_retries", int, None),
     "temperature": ("endpoint", "temperature", finite_float, None),
@@ -84,9 +75,9 @@ SETTINGS = {
     "max_tokens": ("endpoint", "max_tokens", int, None),
     "min_comparable": ("policy", "min_comparable", finite_float, None),
     "exclude_gt_kinds": ("policy", "exclude_gt_kinds", _gt_kinds, None),
-    "kappa": ("schedule", "kappa", float, None),
-    "grid": ("schedule", "grid", int, None),
-    "samples_per_pair": ("schedule", "samples_per_pair", int, None),
+    "kappa": ("schedule", "kappa", _positive_float, None),
+    "grid": ("schedule", "grid", positive_int, None),
+    "samples_per_pair": ("schedule", "samples_per_pair", positive_int, None),
 }
 
 

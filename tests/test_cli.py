@@ -183,6 +183,29 @@ class TestRolloutClusterJudge:
             assert float(row["diversity"]) >= 0.0
             assert row["stability_level"] in ("low", "medium", "high")
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--rounds", "-1"], "trajkit rollout: error: argument --rounds: "
+                             "must be an integer >= 1, got '-1'"),
+        (["--rounds", "0"], "trajkit rollout: error: argument --rounds: "
+                            "must be an integer >= 1, got '0'"),
+        (["--rounds", "x"], "trajkit rollout: error: argument --rounds: "
+                            "must be an integer >= 1, got 'x'"),
+        (["--rounds", "3", "--seed-list", "5"],
+         "trajkit: error: --rounds 3 exceeds the seed list's length, 1"),
+        (["--rounds", "9"], "trajkit: error: --rounds 9 exceeds the seed list's length, 8"),
+    ], ids=["-1", "0", "x", "3-of-1", "9-of-default-8"])
+    def test_rounds_beyond_the_seed_list_are_one_error(self, bench, tmp_path, capsys,
+                                                       flags, error):
+        run = tmp_path / "ro"
+        try:
+            rc = main(["rollout", "--benchmark", str(bench), *flags, "--out-dir", str(run)])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if "error:" in line] == [error]
+        assert not run.exists()
+
     @pytest.mark.parametrize("policy", ["oracle", "alternating"])
     def test_cluster_stability_matches_rollout_rate(self, bench, tmp_path, policy):
         from trajkit.store import load_episodes

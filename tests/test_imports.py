@@ -406,6 +406,39 @@ def test_http_eval_loads_no_requests(tmp_path, chat_server):
     assert all(body for body in chat_server.bodies())
 
 
+# Runs ``map_in_order`` on two threads, then the serial mock ``eval`` given
+# on the command line, and prints the exit code and the modules of worker
+# processes that were loaded.
+THREAD_PROBE = """
+import contextlib, io, json, sys, threading
+import trajkit.cli
+from trajkit.evaluate import map_in_order
+
+callers = set(map_in_order(lambda _: threading.get_ident(), range(4), 2))
+assert callers and threading.get_ident() not in callers
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = trajkit.cli.main(sys.argv[1:])
+print(json.dumps([rc, [m for m in ("multiprocessing", "concurrent.futures.process")
+                       if m in sys.modules]]))
+"""
+
+
+def test_threads_and_serial_eval_load_no_process_modules(tmp_path):
+    """``multiprocessing`` and the process executor cost about 17 ms to
+    import; only worker processes need them."""
+    synth.make_benchmark_file(tmp_path / "fx", n_episodes=2, steps_per_episode=3, seed=0)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, "eval", "--benchmark", "fx/episodes.jsonl",
+         "--out-dir", "run"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, []]
+    assert (tmp_path / "run" / "records.jsonl").exists()
+
+
 def test_no_source_or_test_imports_requests():
     root = SRC.parent
     imports = re.compile(r"^\s*(?:import|from)\s+requests\b", re.MULTILINE)

@@ -229,6 +229,44 @@ def test_bad_config_value_is_one_error_line(tmp_path, capsys, fixture_files, sec
     assert not out.exists()
 
 
+SCHEDULE_ERRORS = [
+    ("--kappa", "kappa", "0", "must be a finite number > 0, got '0'"),
+    ("--kappa", "kappa", "-1", "must be a finite number > 0, got '-1'"),
+    ("--kappa", "kappa", "nan", "must be a finite number > 0, got 'nan'"),
+    ("--kappa", "kappa", "inf", "must be a finite number > 0, got 'inf'"),
+    ("--grid", "grid", "-2", "must be an integer >= 1, got '-2'"),
+    ("--grid", "grid", "0", "must be an integer >= 1, got '0'"),
+    ("--samples-per-pair", "samples_per_pair", "-1", "must be an integer >= 1, got '-1'"),
+    ("--samples-per-pair", "samples_per_pair", "0", "must be an integer >= 1, got '0'"),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("flag, key, text, reason", SCHEDULE_ERRORS,
+                         ids=[f"{case[0]} {case[2]}" for case in SCHEDULE_ERRORS])
+def test_bad_schedule_setting_is_one_error_line(tmp_path, capsys, fixture_files, via, flag,
+                                                key, text, reason):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--benchmark", fixture_files["bench"], "--backend", "mock",
+            "--mock-policy", "history-echo", "--pool", fixture_files["pool"],
+            "--out", str(out)]
+    if via == "flag":
+        argv += [flag, text]
+        error = f"trajkit sweep: error: argument {flag}: {reason}"
+    else:
+        config = write_config(tmp_path / "bad.yaml", "schedule", key, text)
+        argv += ["--config", config]
+        error = f"trajkit: error: {config}: schedule.{key}: {reason}"
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error:" in line] == [
+        error]
+    assert not out.exists()
+
+
 def test_interrupted_live_run_reports_as_the_run_it_was(tmp_path, capsys, monkeypatch,
                                                         fixture_files):
     real_backend = replay_cmds._backend

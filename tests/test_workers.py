@@ -1,13 +1,18 @@
 """``rollout`` and ``sweep`` under the in-process mock run their jobs on
 worker processes, and leave what a serial run leaves; over HTTP they stay
 on threads. ``map_in_order``'s process path keeps item order, reports a
-failing call, and reaps its workers however it ends.
+failing call, fails the command when a worker dies, and reaps its workers
+however it ends.
 """
 
 import multiprocessing
 import os
+import re
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +154,114 @@ def test_a_failing_job_fails_as_in_a_serial_run(mock_serial, bench, tmp_path, mo
     assert errors == [errors[0]] * 3
     assert errors[0] == ((ValueError, "setting 5 failed") if command == "sweep" else
                          (KeyError, "'no answer for ep006/2'"))
+
+
+# Runs the command line it is given with the worker that reaches sweep
+# setting 5, or rollout step ep006/2, killed as the OOM killer would; then
+# prints the worker processes left behind.
+KILL_A_WORKER = """
+import multiprocessing, os, signal, sys
+
+import trajkit.commands.replay as replay_cmds
+import trajkit.semionline as semionline
+from trajkit.cli import main
+
+run_setting, real_backend = semionline.run_sweep_setting, replay_cmds._backend
+
+
+def setting(setting, *args, **kwargs):
+    if setting.index == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_setting(setting, *args, **kwargs)
+
+
+def backend(*args):
+    backend = real_backend(*args)
+    respond = backend.responder
+
+    def responder(request, seed, n):
+        if request.tag == "ep006/2":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return respond(request, seed, n)
+
+    backend.responder = responder
+    return backend
+
+
+semionline.run_sweep_setting, replay_cmds._backend = setting, backend
+rc = main(sys.argv[1:])
+print(multiprocessing.active_children())
+sys.exit(rc)
+"""
+
+
+def run_within(argv, seconds):
+    """``argv``'s exit code, stdout and stderr. It runs in a process group of
+    its own; one still running after ``seconds`` is killed with all its
+    workers, and fails the test."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=seconds)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"still running after {seconds} s")
+    return proc.returncode, out, err
+
+
+@pytest.mark.parametrize("command, jobs", [("sweep", 8), ("rollout", 16)])
+def test_a_killed_worker_fails_the_command(mock_serial, bench, tmp_path, command, jobs):
+    """A worker killed from outside ends the command in one error line, and
+    leaves no other worker behind."""
+    pool, _ = mock_serial
+    rc, out, err = run_within(
+        [sys.executable, "-c", KILL_A_WORKER, *job_args(command, bench, pool, tmp_path),
+         "--concurrency", "2"], 5)
+    assert re.fullmatch(rf"trajkit: error: a worker process died after \d+ of {jobs} jobs "
+                        rf"had finished\n", err), err
+    assert (rc, out) == (2, "[]\n")
+
+
+# Submits each call only once the one before it has ended, so the worker that
+# the first call kills is dead before the second call is submitted.
+KILL_BEFORE_SUBMISSION_ENDS = """
+import multiprocessing, os, signal
+from concurrent.futures import ProcessPoolExecutor, wait
+
+from trajkit.errors import WorkerDiedError
+from trajkit.evaluate import map_in_order
+
+submit = ProcessPoolExecutor.submit
+
+
+def submit_and_wait(self, *args):
+    future = submit(self, *args)
+    wait([future])
+    return future
+
+
+def die_first(item):
+    if item == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+ProcessPoolExecutor.submit = submit_and_wait
+try:
+    list(map_in_order(die_first, range(4), 2, processes=True))
+except WorkerDiedError as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+def test_a_worker_killed_during_submission_fails_the_map():
+    assert run_within([sys.executable, "-c", KILL_BEFORE_SUBMISSION_ENDS], 5) == (
+        0, "a worker process died after 0 of 4 jobs had finished\n[]\n", "")
 
 
 @pytest.mark.parametrize("command", ["sweep", "rollout"])
