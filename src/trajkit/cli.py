@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from .errors import (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError,
                      WorkerDiedError)
-from .settings import DIALECT_IDS, SETTINGS, dests, finite_float, positive_int, resolve_settings
+from .settings import (DIALECT_IDS, SETTINGS, _non_negative_float, _non_negative_int, dests,
+                       finite_float, positive_int, resolve_settings)
 
 
 def make_noisy_responder(episodes, dialect):
@@ -84,7 +85,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     def episodes(p):
         benchmark(p)
         out_dir(p)
-        p.add_argument("--limit-episodes", type=int)
+        p.add_argument("--limit-episodes", type=positive_int)
 
     def replay(p):
         episodes(p)
@@ -121,8 +122,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if p := build("make-fixture", "generate a synthetic benchmark",
                   "episodes:cmd_make_fixture", config):
         p.add_argument("--out-dir", required=True)
-        p.add_argument("--episodes", type=int, default=4)
-        p.add_argument("--steps", type=int, default=5)
+        p.add_argument("--episodes", type=positive_int, default=4)
+        p.add_argument("--steps", type=positive_int, default=5)
         p.add_argument("--seed", type=int, default=0)
 
     if p := build("eval", "offline trajectory replay", "replay:cmd_replay",
@@ -137,7 +138,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if p := build("rollout", "n-sample collection for decision analytics",
                   "replay:cmd_rollout", config, replay, model):
         p.add_argument("--rounds", type=positive_int, default=8)
-        p.add_argument("--samples", type=int, default=64)
+        p.add_argument("--samples", type=positive_int, default=64)
 
     # --dialect is accepted and unused: samples come from each record's
     # structured prediction.
@@ -147,17 +148,17 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--compare", help="second rollout log; emit shift columns")
         # decisions.DBSCAN_EPSILON and DBSCAN_MIN_PTS, written out so that
         # building the parser does not import the clustering code.
-        p.add_argument("--epsilon", type=float, default=70.0,
+        p.add_argument("--epsilon", type=_non_negative_float, default=70.0,
                        help="DBSCAN radius, per-mille (default: %(default)s)")
-        p.add_argument("--min-pts", type=int, default=3,
+        p.add_argument("--min-pts", type=positive_int, default=3,
                        help="DBSCAN core-point count (default: %(default)s)")
         p.add_argument("--out", required=True)
 
     if p := build("judge", "reasoning-execution consistency judging", "judge:cmd_judge",
                   config, dialect):
         p.add_argument("--cases", required=True)
-        p.add_argument("--judges", type=int, default=3)
-        p.add_argument("--rollouts", type=int, default=32)
+        p.add_argument("--judges", type=positive_int, default=3)
+        p.add_argument("--rollouts", type=positive_int, default=32)
         p.add_argument("--out", required=True)
 
     if p := build("sweep", "history-mixing regime sweep", "replay:cmd_sweep",
@@ -166,7 +167,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         _setting_flag(p, "--kappa")
         _setting_flag(p, "--grid")
         _setting_flag(p, "--samples-per-pair")
-        p.add_argument("--global-seed", type=int, default=0)
+        p.add_argument("--global-seed", type=_non_negative_int, default=0)
         p.add_argument("--out", required=True)
 
     if p := build("reward", "batch reward / advantage scoring", "reward:cmd_reward", config):

@@ -254,6 +254,12 @@ def cmd_report(args) -> int:
         if getattr(args, dest) is None and dest in manifest:
             setattr(args, dest, settings.setting_value(
                 dest, manifest[dest], Path(args.run_dir) / MANIFEST_FILENAME))
+    # Records do not carry their ground-truth kind: only the episodes say
+    # which steps an exclusion drops.
+    if args.exclude_gt_kinds and not args.benchmark:
+        kinds = ",".join(sorted(k.value for k in args.exclude_gt_kinds))
+        raise InputError(f"excluding ground-truth kinds {kinds} needs the episodes: "
+                         "give --benchmark (flag or config key)")
     episodes = settings.episodes(args, check_screenshots=False) if args.benchmark else None
     mode = manifest.get("mode", "offline")
     report = _report_run(args.run_dir, records, episodes, _policy(args), mode)

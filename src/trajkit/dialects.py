@@ -12,6 +12,8 @@ Three dialects are supported (see ``docs/dialects.md`` for grammar sketches):
 
 Parsing is total: any input yields either an action or a typed failure
 (``no-action``, ``bad-params``, ``unsupported``); nothing escapes the step.
+``Dialect.parse_response`` is the one place a failure is assigned; each
+dialect only decodes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Optional, Union
 from .actions import (
     Action,
     ActionKind,
-    AmbiguousGestureError,
     Point,
     SCROLL_DIRECTIONS,
     derive_scroll_direction,
@@ -46,6 +47,10 @@ class UnrepresentableActionError(ValueError):
 
 class UnsupportedFeatureError(ValueError):
     """The dialect does not implement the requested feature."""
+
+
+class _NoAction(Exception):
+    """The response holds no decodable call; the args are warnings."""
 
 
 @dataclass
@@ -128,6 +133,28 @@ class Dialect:
     # -- decoding ------------------------------------------------------------
 
     def parse_response(self, text: str, dims: tuple[float, float] = PERMILLE_DIMS) -> ParsedResponse:
+        """``text`` decoded into an action, or into the failure that stopped
+        ``_decode``: ``_NoAction`` is ``no-action``, a call name outside the
+        unified space (``UnrepresentableActionError``) is ``unsupported``, and
+        any other ValueError (``AmbiguousGestureError``, a number that is not
+        finite), TypeError or KeyError is ``bad-params``."""
+        resp = ParsedResponse(raw=text)
+        try:
+            resp.action = self._decode(text, dims, resp)
+        except _NoAction as exc:
+            resp.failure = FAILURE_NO_ACTION
+            resp.warnings.extend(exc.args)
+        except UnrepresentableActionError as exc:
+            resp.failure = FAILURE_UNSUPPORTED
+            resp.warnings.append(f"unknown action name {exc.args[0]!r}")
+        except (ValueError, TypeError, KeyError) as exc:
+            resp.failure = FAILURE_BAD_PARAMS
+            resp.warnings.append(str(exc))
+        return resp
+
+    def _decode(self, text: str, dims: tuple[float, float], resp: ParsedResponse) -> Action:
+        """The action of ``text``; sets ``resp``'s thought and conclusion and
+        appends its warnings."""
         raise NotImplementedError
 
     # -- encoding ------------------------------------------------------------
@@ -184,8 +211,7 @@ class XmlToolcallDialect(Dialect):
 
     TOOL_NAME = "mobile_use"
 
-    def parse_response(self, text: str, dims: tuple[float, float] = PERMILLE_DIMS) -> ParsedResponse:
-        resp = ParsedResponse(raw=text)
+    def _decode(self, text: str, dims: tuple[float, float], resp: ParsedResponse) -> Action:
         m = _THINKING_RE.search(text)
         if m:
             resp.thought = m.group(1).strip()
@@ -200,38 +226,20 @@ class XmlToolcallDialect(Dialect):
             payload = blocks[0]
         else:
             # Tag-less fallback: some responses emit the bare call JSON.
-            stripped = _strip_tagged(text)
-            m = _BARE_JSON_RE.search(stripped)
+            m = _BARE_JSON_RE.search(_strip_tagged(text))
             if not m:
-                resp.failure = FAILURE_NO_ACTION
-                return resp
+                raise _NoAction()
             payload = m.group(0)
             resp.warnings.append("tool call accepted without <tool_call> tags")
 
         try:
             obj = json.loads(payload)
         except json.JSONDecodeError:
-            resp.failure = FAILURE_NO_ACTION
-            resp.warnings.append("tool call payload is not valid JSON")
-            return resp
-        if not isinstance(obj, dict):
-            resp.failure = FAILURE_NO_ACTION
-            return resp
-        args = obj.get("arguments", obj)
+            raise _NoAction("tool call payload is not valid JSON") from None
+        args = obj.get("arguments", obj) if isinstance(obj, dict) else None
         if not isinstance(args, dict) or "action" not in args:
-            resp.failure = FAILURE_NO_ACTION
-            return resp
-
-        name = str(args["action"])
-        try:
-            resp.action = self._decode_call(name, args, dims, resp.warnings)
-        except UnrepresentableActionError:
-            resp.failure = FAILURE_UNSUPPORTED
-            resp.warnings.append(f"unknown action name {name!r}")
-        except (ValueError, TypeError, AmbiguousGestureError) as exc:
-            resp.failure = FAILURE_BAD_PARAMS
-            resp.warnings.append(str(exc))
-        return resp
+            raise _NoAction()
+        return self._decode_call(str(args["action"]), args, dims, resp.warnings)
 
     def _decode_call(self, name: str, args: dict, dims: tuple[float, float],
                      warnings: list[str]) -> Action:
@@ -386,46 +394,28 @@ class ThoughtActionDialect(Dialect):
     action_support = frozenset(ActionKind) - {ActionKind.WAIT}
     supports_thought = True
 
-    def parse_response(self, text: str, dims: tuple[float, float] = PERMILLE_DIMS) -> ParsedResponse:
-        resp = ParsedResponse(raw=text)
+    def _decode(self, text: str, dims: tuple[float, float], resp: ParsedResponse) -> Action:
         matches = list(_ACTION_LINE_RE.finditer(text))
         if not matches:
-            resp.failure = FAILURE_NO_ACTION
-            return resp
+            raise _NoAction()
         # A reasoning trace may itself contain "Action:"; pick the first
         # occurrence whose body looks like a call, else fall back to the first.
-        chosen = None
-        for m in matches:
-            if _CALL_RE.match(text[m.end():]):
-                chosen = m
-                break
-        if chosen is None:
-            chosen = matches[0]
+        chosen = next((m for m in matches if _CALL_RE.match(text[m.end():])), matches[0])
 
         head = text[: chosen.start()]
         tm = re.search(r"Thought:\s*", head)
         if tm:
             resp.thought = head[tm.end():].strip() or None
 
-        body = text[chosen.end():]
-        call = _CALL_RE.match(body)
+        call = _CALL_RE.match(text[chosen.end():])
         if not call:
-            resp.failure = FAILURE_BAD_PARAMS
-            resp.warnings.append("Action line does not contain a call")
-            return resp
-        name, argstr = call.group(1), call.group(2)
-        args = {m.group(1): _unescape(m.group(2)) for m in _ARG_RE.finditer(argstr)}
-        try:
-            resp.action, conclusion = self._decode_call(name, args, resp.warnings)
-            if conclusion:
-                resp.conclusion = conclusion
-        except UnrepresentableActionError:
-            resp.failure = FAILURE_UNSUPPORTED
-            resp.warnings.append(f"action {name!r} outside the unified space")
-        except (ValueError, TypeError, KeyError) as exc:
-            resp.failure = FAILURE_BAD_PARAMS
-            resp.warnings.append(str(exc))
-        return resp
+            raise ValueError("Action line does not contain a call")
+        args = {m.group(1): _unescape(m.group(2)) for m in _ARG_RE.finditer(call.group(2))}
+        action = self._decode_call(call.group(1), args, resp.warnings)
+        if action.kind is ActionKind.STOP:
+            # finished(content=...) carries the model's conclusion.
+            resp.conclusion = args.get("content") or None
+        return action
 
     def _parse_box(self, value: str, warnings: list[str]) -> Point:
         cleaned = value.replace("<|box_start|>", "").replace("<|box_end|>", "")
@@ -434,41 +424,40 @@ class ThoughtActionDialect(Dialect):
             raise ValueError(f"cannot parse coordinates from {value!r}")
         return normalize_point((float(m.group(1)), float(m.group(2))), PERMILLE_DIMS, warnings)
 
-    def _decode_call(self, name: str, args: dict[str, str],
-                     warnings: list[str]) -> tuple[Action, Optional[str]]:
+    def _decode_call(self, name: str, args: dict[str, str], warnings: list[str]) -> Action:
         if name in _FOREIGN_CALLS:
             raise UnrepresentableActionError(name)
         if name == "click":
-            return Action(ActionKind.CLICK, point=self._parse_box(args["start_box"], warnings)), None
+            return Action(ActionKind.CLICK, point=self._parse_box(args["start_box"], warnings))
         if name == "long_press":
             return Action(ActionKind.LONG_PRESS,
-                          point=self._parse_box(args["start_box"], warnings)), None
+                          point=self._parse_box(args["start_box"], warnings))
         if name == "scroll":
             direction = args.get("direction")
             if direction not in SCROLL_DIRECTIONS:
                 raise ValueError(f"scroll direction must be one of {SCROLL_DIRECTIONS}")
             return Action(ActionKind.SCROLL, point=self._parse_box(args["start_box"], warnings),
-                          direction=direction), None
+                          direction=direction)
         if name == "type":
             content = args.get("content")
             if content is None:
                 raise ValueError("type requires content")
             submit = content.endswith("\n")
             # The trailing newline is the submit marker, not typed text.
-            return Action(ActionKind.TYPE, text=content.rstrip("\n"), submit=submit), None
+            return Action(ActionKind.TYPE, text=content.rstrip("\n"), submit=submit)
         if name == "open_app":
             app = args.get("app_name")
             if not app:
                 raise ValueError("open_app requires app_name")
-            return Action(ActionKind.OPEN, app=app), None
+            return Action(ActionKind.OPEN, app=app)
         if name == "press_home":
-            return Action(ActionKind.PRESS, button="HOME"), None
+            return Action(ActionKind.PRESS, button="HOME")
         if name == "press_back":
-            return Action(ActionKind.PRESS, button="BACK"), None
+            return Action(ActionKind.PRESS, button="BACK")
         if name == "press_enter":
-            return Action(ActionKind.PRESS, button="ENTER"), None
+            return Action(ActionKind.PRESS, button="ENTER")
         if name == "finished":
-            return Action(ActionKind.STOP, status="finish"), args.get("content")
+            return Action(ActionKind.STOP, status="finish")
         raise UnrepresentableActionError(name)
 
     def _encode_call(self, action: Action, conclusion: Optional[str] = None) -> str:
@@ -559,6 +548,8 @@ class ThoughtActionDialect(Dialect):
 # plain-json
 # ---------------------------------------------------------------------------
 
+_KIND_NAMES = frozenset(k.value for k in ActionKind)
+
 
 class PlainJsonDialect(Dialect):
     """Bare canonical-JSON actions; no reasoning channel."""
@@ -567,39 +558,24 @@ class PlainJsonDialect(Dialect):
     action_support = frozenset(ActionKind)
     supports_thought = False
 
-    def parse_response(self, text: str, dims: tuple[float, float] = PERMILLE_DIMS) -> ParsedResponse:
-        resp = ParsedResponse(raw=text)
+    def _decode(self, text: str, dims: tuple[float, float], resp: ParsedResponse) -> Action:
         m = _BARE_JSON_RE.search(text)
-        if not m:
-            resp.failure = FAILURE_NO_ACTION
-            return resp
         try:
-            obj = json.loads(m.group(0))
+            obj = json.loads(m.group(0)) if m else None
         except json.JSONDecodeError:
-            resp.failure = FAILURE_NO_ACTION
-            return resp
+            obj = None
         if not isinstance(obj, dict) or "action" not in obj:
-            resp.failure = FAILURE_NO_ACTION
-            return resp
+            raise _NoAction()
         name = str(obj["action"])
-        try:
-            ActionKind(name)
-        except ValueError:
-            resp.failure = FAILURE_UNSUPPORTED
-            resp.warnings.append(f"unknown action name {name!r}")
-            return resp
+        if name not in _KIND_NAMES:
+            raise UnrepresentableActionError(name)
 
         # The params are the episode-file grammar; only model points are
         # rounded and clamped instead of rejected.
         def point(pair) -> Point:
             return normalize_point(_to_pair(pair), PERMILLE_DIMS, resp.warnings)
 
-        try:
-            resp.action = decode_action(name, obj, point=point)
-        except (ValueError, TypeError) as exc:
-            resp.failure = FAILURE_BAD_PARAMS
-            resp.warnings.append(str(exc))
-        return resp
+        return decode_action(name, obj, point=point)
 
     def render_response(self, action: Action, thought: Optional[str] = None,
                         conclusion: Optional[str] = None,

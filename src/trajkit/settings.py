@@ -29,8 +29,11 @@ def _checked(convert, accept, wanted: str):
 
 
 positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_non_negative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                               "a finite number >= 0")
 _seed_list = _checked(lambda text: [int(s) for s in text.replace(",", " ").split()], bool,
                       "integers separated by commas")
 

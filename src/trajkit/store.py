@@ -482,7 +482,7 @@ class RunWriter:
     Opened with a config, the writer writes a new manifest right away,
     ``{"config_hash": ..., **config}``, so an interrupted run resumed under
     another configuration raises ``ConfigMismatchError`` instead of reusing
-    records.
+    records, and one whose manifest is not a JSON object raises ``InputError``.
     """
 
     def __init__(self, run_dir: str | Path, config: Optional[dict] = None):
@@ -495,21 +495,21 @@ class RunWriter:
         self._config = config or {}
         self._config_hash = config_hash(config) if config is not None else None
 
-        existing = self._load_existing()
-        self._by_key = {r.key: r for r in existing}
-        # The key on each line of the file, in file order.
-        self._lines = [r.key for r in existing]
-        if self._config_hash is None:
-            return
-        if self.manifest_path.exists():
-            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-            stored = manifest.get("config_hash")
+        # The manifest is checked first, so that a run dir refused for it
+        # keeps its records as they are.
+        resumed = self._config_hash is not None and self.manifest_path.exists()
+        if resumed:
+            stored = _read_manifest(self.manifest_path).get("config_hash")
             if stored is not None and stored != self._config_hash:
                 raise ConfigMismatchError(
                     f"run dir {self.run_dir} was produced under a different "
                     f"configuration (hash {stored} != {self._config_hash})"
                 )
-        else:
+        existing = self._load_existing()
+        self._by_key = {r.key: r for r in existing}
+        # The key on each line of the file, in file order.
+        self._lines = [r.key for r in existing]
+        if self._config_hash is not None and not resumed:
             self.write_manifest()
 
     def _load_existing(self) -> list[RunRecord]:
@@ -626,8 +626,19 @@ def load_run(run_dir: str | Path) -> tuple[list[RunRecord], Optional[dict], list
         records, _, warning = _read_records(records_path)
         if warning:
             warnings.append(warning)
-    manifest = None
     manifest_path = run_dir / MANIFEST_FILENAME
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(manifest_path) if manifest_path.exists() else None
     return records, manifest, warnings
+
+
+def _read_manifest(path: Path) -> dict:
+    """A run dir's manifest; one that is not a JSON object raises ``InputError``."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise InputError(f"{path}: not a JSON object")
+    return manifest

@@ -639,6 +639,27 @@ class TestRunDirErrors:
         assert_one_line_error(proc, str(path))
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("manifest, reason", [
+        ("{", "not valid JSON"), ("[1, 2]", "not a JSON object")])
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    def test_corrupt_manifest_reported_in_one_line(self, bench, tmp_path, capsys,
+                                                   manifest, reason, command):
+        out = tmp_path / "run"
+        assert main(["eval", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "oracle", "--out-dir", str(out)]) == 0
+        (out / "manifest.json").write_text(manifest, encoding="utf-8")
+        files = {path: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+
+        argv = (["report", "--run-dir", str(out), "--benchmark", str(bench)]
+                if command == "report" else
+                ["eval", "--benchmark", str(bench), "--out-dir", str(out)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"trajkit: error: {out / 'manifest.json'}: {reason}"), err
+        assert {path: path.read_bytes() for path in out.iterdir()} == files
+
 
 class TestCorrelationPairing:
     """``stats correlation`` keeps a row only when both of its cells are finite
@@ -799,6 +820,45 @@ class TestConcurrencyFlag:
         if settings_at_once == "cpus":
             settings_at_once = len(os.sched_getaffinity(0))
         assert seen == [(settings_at_once, backend == "mock")]
+
+
+REPLAY = ["--benchmark", "{bench}", "--out-dir", "{tmp}/run"]
+SWEEP = ["sweep", "--benchmark", "{bench}", "--pool", "p.jsonl", "--out", "{tmp}/s.csv"]
+CLUSTER = ["cluster", "--rollouts", "r.jsonl", "--out", "{tmp}/c.csv"]
+JUDGE = ["judge", "--cases", "c.jsonl", "--out", "{tmp}/j.csv"]
+FIXTURE = ["make-fixture", "--out-dir", "{tmp}/fx"]
+
+#: (argv, flag, value, what the flag wants)
+OUT_OF_RANGE = [
+    *[([command, *REPLAY], "--limit-episodes", value, "an integer >= 1")
+      for command in ("eval", "soeval", "rollout") for value in ("-1", "0")],
+    (SWEEP, "--limit-episodes", "0", "an integer >= 1"),
+    (SWEEP, "--global-seed", "-1", "an integer >= 0"),
+    (["rollout", *REPLAY], "--samples", "0", "an integer >= 1"),
+    (CLUSTER, "--epsilon", "-5", "a finite number >= 0"),
+    (CLUSTER, "--epsilon", "nan", "a finite number >= 0"),
+    (CLUSTER, "--min-pts", "0", "an integer >= 1"),
+    (JUDGE, "--judges", "0", "an integer >= 1"),
+    (JUDGE, "--rollouts", "0", "an integer >= 1"),
+    (FIXTURE, "--steps", "0", "an integer >= 1"),
+    (FIXTURE, "--episodes", "0", "an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, wanted", OUT_OF_RANGE,
+                         ids=[f"{row[0][0]}{row[1]}={row[2]}" for row in OUT_OF_RANGE])
+def test_out_of_range_count_is_a_usage_error(bench, tmp_path, capsys, argv, flag, value,
+                                             wanted):
+    """A count, seed or radius out of range is a usage error naming the flag,
+    before the command reads or writes anything."""
+    argv = [a.format(tmp=tmp_path, bench=bench) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"trajkit {argv[0]}: error: argument {flag}: "
+                      f"must be {wanted}, got '{value}'"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench"]
 
 
 class TestRemovedOptions:

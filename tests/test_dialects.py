@@ -189,6 +189,51 @@ class TestPlainJson:
         assert parsed.failure == FAILURE_BAD_PARAMS
 
 
+def _xml_call(args: str) -> str:
+    return f'<tool_call>{{"name": "mobile_use", "arguments": {{{args}}}}}</tool_call>'
+
+
+#: (dialect, response) -> (failure, recognized, warning): each refusal a
+#: dialect makes, and the failure ``parse_response`` maps it to.
+REFUSALS = [
+    ("xml-toolcall", _xml_call('"action": "type"'),
+     FAILURE_BAD_PARAMS, True, "type requires text"),
+    ("xml-toolcall", _xml_call('"action": "open", "text": ""'),
+     FAILURE_BAD_PARAMS, True, "open requires an app name"),
+    ("xml-toolcall", _xml_call('"action": "system_button", "button": "Menu"'),
+     FAILURE_BAD_PARAMS, True, "unknown system button 'Menu'"),
+    ("xml-toolcall", '<tool_call>{"arguments": {"action": "wait"}</tool_call>',
+     FAILURE_NO_ACTION, False, "tool call payload is not valid JSON"),
+    ("thought-action", "Action: click(start_box='the search bar')",
+     FAILURE_BAD_PARAMS, True, "cannot parse coordinates from 'the search bar'"),
+    ("thought-action", "Action: scroll(start_box='(10,10)', direction='sideways')",
+     FAILURE_BAD_PARAMS, True, "scroll direction must be one of ('up', 'down', 'left', 'right')"),
+    ("thought-action", "Action: type()",
+     FAILURE_BAD_PARAMS, True, "type requires content"),
+    ("thought-action", "Action: open_app(app_name='')",
+     FAILURE_BAD_PARAMS, True, "open_app requires app_name"),
+    ("thought-action", "Action: click()",
+     FAILURE_BAD_PARAMS, True, "'start_box'"),
+    ("thought-action", "Action: tap the search bar",
+     FAILURE_BAD_PARAMS, True, "Action line does not contain a call"),
+]
+
+
+@pytest.mark.parametrize("dialect_id, text, failure, recognized, warning", REFUSALS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(REFUSALS)])
+def test_refusal_maps_to_its_failure(dialect_id, text, failure, recognized, warning):
+    parsed = get_dialect(dialect_id).parse_response(text)
+    assert (parsed.action, parsed.failure, parsed.recognized) == (None, failure, recognized)
+    assert parsed.warnings[-1] == warning
+
+
+def test_thought_action_prompt_without_thinking(ta_dialect):
+    text = ta_dialect.user_text("find a cafe", None, "", enable_thinking=False)
+    assert "## Output Format\n```\nAction: ...\n```" in text
+    assert "- Output the action line only." in text
+    assert "Thought:" not in text
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("dialect_id", ALL_DIALECTS)
     def test_render_parse_recovers_action(self, dialect_id):

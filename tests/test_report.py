@@ -172,3 +172,20 @@ def test_report_takes_no_episode_limit(bench, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --limit-episodes 1" in capsys.readouterr().err
     assert (out / "report.csv").read_bytes() == written
+
+
+def test_report_refuses_an_exclusion_it_cannot_apply(bench, tmp_path, capsys):
+    """Records do not carry their ground-truth kind, so without the episodes
+    an exclusion from the manifest cannot be applied: ``report`` stops
+    before it writes anything."""
+    out = tmp_path / "run"
+    replay_then_report(capsys, bench, out,
+                       ["eval", "--mock-policy", "alternating", "--exclude-gt-kinds", "CLICK"])
+    written = {name: (out / name).read_bytes() for name in REPORT_FILES}
+    assert main(["report", "--run-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "trajkit: error: excluding ground-truth kinds CLICK needs the episodes: "
+        "give --benchmark (flag or config key)"]
+    assert {name: (out / name).read_bytes() for name in REPORT_FILES} == written
