@@ -29,24 +29,24 @@ def _endpoint_config(args, n: int = 1, seed: Optional[int] = None) -> EndpointCo
         raise InputError(f"endpoint: {exc}") from None
 
 
-def _episode_concurrency(args, cfg: EndpointConfig) -> int:
-    """Episodes ``eval`` and ``soeval`` replay at once: the request cap over
-    HTTP, where each step waits on the network; one with an in-process mock,
-    which threads would only slow down, and whose steps the run's
-    ``RunWriter`` persists in this process."""
-    return cfg.max_in_flight if args.backend == "http" else 1
+def _executor(args, cfg: EndpointConfig, persists_steps: bool = False) -> tuple[int, bool]:
+    """How a replay command runs its independent jobs (episodes, or
+    settings of a sweep), as (workers, processes) for ``map_in_order``.
 
-
-def _executor(args, cfg: EndpointConfig) -> tuple[int, bool]:
-    """How ``rollout`` and ``sweep`` run their independent jobs, as
-    (workers, processes) for ``map_in_order``. Over HTTP each job waits on
-    the network: up to the request cap run on threads. With an in-process
-    model a job is pure CPU work: it runs on worker processes,
-    ``--concurrency`` of them if the flag or the config sets it, else one
-    per CPU this process may run on. ``map_in_order`` caps the count at the
-    number of jobs."""
+    Over HTTP each job waits on the network: one more job than the
+    gateway's N request slots runs on threads, so a slot that a request
+    backing off between retries frees, or that a job leaves while it
+    prepares, parses and persists a step, goes to the spare job. With an
+    in-process model a job is pure CPU work. Jobs that ``persists_steps``
+    to the run's ``RunWriter`` (``eval``, ``soeval``) then run one at a time
+    in this process, which threads would only slow down; the others run on
+    worker processes, ``--concurrency`` of them if the flag or the config
+    sets it, else one per CPU this process may run on. ``map_in_order``
+    caps the count at the number of jobs."""
     if args.backend == "http":
-        return cfg.max_in_flight, False
+        return cfg.max_in_flight + 1, False
+    if persists_steps:
+        return 1, False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return args.concurrency or cpus or 1, True
 
@@ -166,7 +166,7 @@ def cmd_replay(args) -> int:
 
     common = dict(writer=writer, seed=seed, enable_thinking=args.enable_thinking,
                   continue_on_error=args.continue_on_error,
-                  concurrency=_episode_concurrency(args, cfg))
+                  concurrency=_executor(args, cfg, persists_steps=True)[0])
     try:
         if mode == "offline":
             records, _ = evaluate_benchmark_offline(gateway, episodes, dialect, policy, **common)

@@ -367,12 +367,15 @@ def replay_benchmark(
     """Run ``replay(index, episode)`` over many episodes, in order.
 
     Steps within an episode stay sequential; ``concurrency`` episodes run at
-    once, and the records come back in episode order whatever order the
-    episodes finish in (a writer's appends do not: see
-    ``RunWriter.canonicalize``). With ``continue_on_error`` a failing
-    episode is logged and left incomplete (its persisted steps remain
-    resumable) instead of aborting the whole run; incomplete episodes carry
-    no entry in the metrics map.
+    once, on threads, and the records come back in episode order whatever
+    order the episodes finish in (a writer's appends do not: see
+    ``RunWriter.canonicalize``). The gateway, not ``concurrency``, caps the
+    requests in flight: over HTTP the CLI runs one episode more than the
+    gateway has request slots, so that a slot freed while a request backs
+    off, or while an episode works between requests, is used. With
+    ``continue_on_error`` a failing episode is logged and left incomplete
+    (its persisted steps remain resumable) instead of aborting the whole
+    run; incomplete episodes carry no entry in the metrics map.
     """
     def run(indexed: tuple[int, Episode]) -> Optional[list[RunRecord]]:
         idx, ep = indexed

@@ -30,7 +30,14 @@ DEFAULT_IMAGE_BUDGET = 4
 
 
 class EndpointUnavailableError(RuntimeError):
-    """All retries exhausted against the remote endpoint."""
+    """The endpoint gave no usable reply: all retries were exhausted, or it
+    answered in a way no retry mends (a status not retried, or a 200 reply
+    without exactly ``n`` completions)."""
+
+
+class RetryableEndpointError(RuntimeError):
+    """One attempt failed in a way a later attempt may not: no complete
+    response, or a retryable status. ``ModelGateway`` backs off and retries."""
 
 
 class UnresolvableObservationError(FileNotFoundError):
@@ -207,9 +214,11 @@ def _post(url: str, body: Sequence[bytes], headers: dict[str, str],
     The pieces go out one by one under an explicit ``Content-Length``, so the
     body is never joined in memory. The request says ``Connection: close``;
     once the response is read, the client half-closes its end and waits,
-    for at most ``timeout``, until the server has closed first. That keeps
-    a server's count of open connections at most the number of requests in
-    flight. Errors in that wait are ignored: the response is complete.
+    for at most ``timeout``, until the server has closed first. So the
+    connection is gone when this returns, and a caller that holds a request
+    slot from connect to return (``ModelGateway``) keeps a server's count of
+    open connections at most its number of slots. Errors in that wait are
+    ignored: the response is complete.
 
     Proxies come from ``http_proxy``/``https_proxy``/``no_proxy``, with a
     ``CONNECT`` tunnel for HTTPS; HTTPS is verified against the system trust
@@ -283,23 +292,25 @@ def _await_close(sock, timeout: float) -> None:
 
 
 class HttpBackend:
-    """Chat-completions client with retry/backoff; errors surface verbatim.
+    """Chat-completions client; ``complete`` makes one attempt, and errors
+    surface verbatim.
 
-    Each request body is serialized once, as a list of byte pieces (the
-    JSON between images and each image's base64), and every retry posts the
-    same pieces; they are never joined into one buffer. Screenshots are
-    base64-encoded once per request and kept for the next request of the
-    same thread, which in a replay shares all history screenshots but the
-    newest. Every attempt opens a new connection (``_post``). Safe for
-    concurrent callers: a replay with N episodes in flight holds at most N
-    connections.
+    An attempt that may succeed when repeated (no complete response, or a
+    status in ``RETRYABLE_STATUS``) raises ``RetryableEndpointError``, and
+    ``ModelGateway`` backs off and retries it; any other status, or a 200
+    reply without exactly ``n`` string completions, raises
+    ``EndpointUnavailableError``. The body goes out as a list of byte pieces
+    (the JSON between images and each image's base64) that is never joined
+    into one buffer. Screenshots are base64-encoded once and kept for the
+    next request of the same thread, which in a replay shares all history
+    screenshots but the newest; a retry reads none of them again. Every
+    attempt opens a new connection (``_post``), closed before ``complete``
+    returns. Safe for concurrent callers.
     """
 
     RETRYABLE_STATUS = (408, 409, 429, 500, 502, 503, 504)
 
-    def __init__(self, backoff_base: float = 0.5, sleep=time.sleep):
-        self._sleep = sleep
-        self._backoff_base = backoff_base
+    def __init__(self):
         # Per thread: path -> ((st_size, st_mtime_ns), base64 bytes) of the
         # screenshots in that thread's previous request.
         self._local = threading.local()
@@ -315,24 +326,34 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {api_key}"
 
         body = self._body_pieces(request, cfg)
-        last_error: Optional[str] = None
-        for attempt in range(cfg.max_retries + 1):
-            try:
-                status, payload = _post(url, body, headers, cfg.timeout)
-            # OSError: refused, reset, timed out; HTTPException:
-            # a malformed or cut-off response; ValueError: an unusable URL.
-            except (OSError, http.client.HTTPException, ValueError) as exc:
-                last_error = str(exc)
-            else:
-                if status == 200:
-                    choices = json.loads(payload).get("choices", [])
-                    return [c.get("message", {}).get("content", "") for c in choices]
-                last_error = f"HTTP {status}: {payload.decode('utf-8', 'replace')}"
-                if status not in self.RETRYABLE_STATUS:
-                    break
-            if attempt < cfg.max_retries:
-                self._sleep(self._backoff_base * (2 ** attempt))
-        raise EndpointUnavailableError(last_error or "endpoint unreachable")
+        try:
+            status, payload = _post(url, body, headers, cfg.timeout)
+        # OSError: refused, reset, timed out; HTTPException:
+        # a malformed or cut-off response; ValueError: an unusable URL.
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise RetryableEndpointError(str(exc)) from None
+        if status == 200:
+            return self._contents(payload, cfg.sampling.n)
+        error = f"HTTP {status}: {payload.decode('utf-8', 'replace')}"
+        if status in self.RETRYABLE_STATUS:
+            raise RetryableEndpointError(error)
+        raise EndpointUnavailableError(error)
+
+    @staticmethod
+    def _contents(payload: bytes, n: int) -> list[str]:
+        """The ``n`` completions of a 200 reply; any other reply raises
+        ``EndpointUnavailableError``."""
+        try:
+            contents = [c["message"]["content"] for c in json.loads(payload)["choices"]]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise EndpointUnavailableError(
+                f"HTTP 200 reply without a choices list ({type(exc).__name__}: {exc}): "
+                f"{payload[:200].decode('utf-8', 'replace')}") from None
+        strings = sum(isinstance(c, str) for c in contents)
+        if len(contents) != n or strings != n:
+            raise EndpointUnavailableError(f"HTTP 200 reply holds {len(contents)} choices, "
+                                           f"{strings} of them strings, for n={n}")
+        return contents
 
     def _body_pieces(self, request: GenerationRequest, cfg: EndpointConfig) -> list[bytes]:
         """``json.dumps(_encode_body(request, cfg), allow_nan=False)`` as UTF-8
@@ -427,19 +448,27 @@ class HttpBackend:
 
 
 class ModelGateway:
-    """Backend plus a global admission limit.
+    """Backend plus a global admission limit and the retry loop.
 
-    ``generate`` is safe for concurrent callers; at most ``max_in_flight``
-    requests are in the backend at any time. Every call reaches the
-    backend. ``dialect_id`` and ``flags`` are accepted for older callers
-    and not used.
+    ``generate`` is safe for concurrent callers. Each attempt is one
+    ``backend.complete(request, cfg)`` call, and it holds one of
+    ``max_in_flight`` request slots while it runs: at most that many
+    attempts are in the backend at any time. An attempt that raises
+    ``RetryableEndpointError`` is retried up to ``max_retries`` times after
+    a backoff of ``backoff_base``, then twice that, and so on, spent in
+    ``sleep`` without a slot, so another caller's request can go out
+    meanwhile. Every call reaches the backend. ``dialect_id`` and ``flags``
+    are accepted for older callers and not used.
     """
 
     def __init__(self, backend, cfg: EndpointConfig, dialect_id: str = "",
-                 flags: Optional[dict] = None):
+                 flags: Optional[dict] = None, *, backoff_base: float = 0.5,
+                 sleep: Callable[[float], None] = time.sleep):
         self.backend = backend
         self.cfg = cfg
         self._gate = threading.Semaphore(cfg.max_in_flight)
+        self._backoff_base = backoff_base
+        self._sleep = sleep
 
     def generate(self, request: GenerationRequest, round_idx: int = 0,
                  seed: Optional[int] = None, n: Optional[int] = None) -> list[str]:
@@ -452,5 +481,12 @@ class ModelGateway:
                                seed=seed if seed is not None else cfg.sampling.seed,
                                n=n if n is not None else cfg.sampling.n)
             cfg = replace(cfg, sampling=sampling)
-        with self._gate:
-            return self.backend.complete(request, cfg)
+        for attempt in range(cfg.max_retries + 1):
+            if attempt:
+                self._sleep(self._backoff_base * 2 ** (attempt - 1))
+            try:
+                with self._gate:
+                    return self.backend.complete(request, cfg)
+            except RetryableEndpointError as exc:
+                last_error = str(exc)
+        raise EndpointUnavailableError(last_error or "endpoint unreachable")

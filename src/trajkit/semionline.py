@@ -469,17 +469,34 @@ def pooled_benchmark(
     """Pooled replay of many episodes; episode ``idx`` draws from its own
     generator, seeded with (``idx``, ``global_seed``), so the draws do not
     depend on ``concurrency``."""
-    import numpy as np
-
     probabilities: dict[int, list[float]] = {}
     return replay_benchmark(
         episodes,
         lambda idx, ep: replay_episode(
             gateway, ep, dialect,
-            pooled_history(ep, pool, np.random.default_rng((idx, global_seed)), schedule,
+            pooled_history(ep, pool, _FirstDrawGenerator((idx, global_seed)), schedule,
                            probabilities),
             policy, enable_thinking, writer, seed=seed),
         concurrency, continue_on_error)
+
+
+class _FirstDrawGenerator:
+    """``np.random.default_rng(seed)``, made at its first draw: a pooled
+    replay without a schedule over a pool with one artifact per key never
+    draws, and then imports no numpy."""
+
+    _rng = None
+
+    def __init__(self, seed) -> None:
+        self._seed = seed
+
+    def __getattr__(self, name: str):
+        # Reached for the generator's methods only: ``_rng`` is found on the class.
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(self._seed)
+        return getattr(self._rng, name)
 
 
 # --- regime sweep ---------------------------------------------------------------

@@ -193,7 +193,10 @@ class StepServer(LoopbackServer):
     ``synth.make_noisy_responder`` for the body's seed and ``n``, after a delay
     of 0-10 ms drawn from the step, the seed and how often the step was
     asked. Requests for a step key in ``fail`` get HTTP 400, which the
-    client does not retry. ``requests`` counts every request.
+    client does not retry. The first request for a step key in ``busy``
+    under each seed gets HTTP 503, which the client retries. ``requests``
+    counts every request, ``busy_replies`` the 503s, and ``arrivals`` lists
+    each request's (step key, seed) in the order they came in.
     """
 
     STEP_RE = re.compile(rb"step (\d+) of task (\d+)")
@@ -208,7 +211,9 @@ class StepServer(LoopbackServer):
         respond = make_noisy_responder(episodes, get_dialect(dialect_id))
         self._respond = lambda key, seed, n: respond(SimpleNamespace(tag=key), seed, n)
         self.fail = set()
-        self.requests = 0
+        self.busy = set()
+        self.requests = self.busy_replies = 0
+        self.arrivals = []
         self._asked = {}
         super().__init__()
 
@@ -219,11 +224,17 @@ class StepServer(LoopbackServer):
         seed, n = request.get("seed"), request["n"]
         with self._lock:
             self.requests += 1
+            self.arrivals.append((key, seed))
             asked = self._asked[key, seed] = self._asked.get((key, seed), 0) + 1
+            busy = key in self.busy and asked == 1
+            self.busy_replies += busy
         time.sleep(random.Random(f"{key}/{seed}/{asked}").uniform(0.0, 0.010))
         handler.close_connection = True
         if key in self.fail:
             self.send(handler, 400, b"step refused")
+            return
+        if busy:
+            self.send(handler, 503, b"busy")
             return
         contents = self._respond(key, seed, n)
         contents = [contents] if isinstance(contents, str) else contents

@@ -791,14 +791,15 @@ class TestConcurrencyFlag:
                           f"must be an integer >= 1, got '{value}'"]
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("backend, flag, settings_at_once", [
+    @pytest.mark.parametrize("backend, flag, concurrency", [
         ("mock", [], "cpus"), ("mock", ["--concurrency", "3"], 3),
         ("http", [], 4), ("http", ["--concurrency", "3"], 3)])
     def test_sweep_runs_settings_in_parallel_over_http_only(
-            self, bench, tmp_path, monkeypatch, backend, flag, settings_at_once):
-        """Over HTTP, settings run on up to ``--concurrency`` threads (4 by
-        default); with the mock, on ``--concurrency`` worker processes, by
-        default one per CPU this process may run on."""
+            self, bench, tmp_path, monkeypatch, backend, flag, concurrency):
+        """Over HTTP, settings run on one thread more than the
+        ``--concurrency`` request slots (4 by default); with the mock, on
+        ``--concurrency`` worker processes, by default one per CPU this
+        process may run on."""
         import os
 
         import trajkit.semionline as semionline
@@ -817,8 +818,9 @@ class TestConcurrencyFlag:
         assert main(["sweep", "--benchmark", str(bench), "--backend", backend, *flag,
                      "--pool", str(live / "pool.jsonl"),
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-        if settings_at_once == "cpus":
-            settings_at_once = len(os.sched_getaffinity(0))
+        if concurrency == "cpus":
+            concurrency = len(os.sched_getaffinity(0))
+        settings_at_once = concurrency + 1 if backend == "http" else concurrency
         assert seen == [(settings_at_once, backend == "mock")]
 
 

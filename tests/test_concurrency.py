@@ -116,7 +116,8 @@ def test_interrupted_parallel_replay_resumes_byte_identical(serial, bench, monke
 def test_ctrl_c_stops_parallel_replay_at_the_next_step(serial, bench, monkeypatch):
     """SIGINT while ep000's second step is on the wire: the episodes in
     flight stop after the step they are in, instead of running to their
-    end, and the run resumes to a serial run's bytes."""
+    end, and the run resumes to a serial run's bytes. At ``--concurrency 2``
+    three episodes are in flight, one more than the request slots."""
     files, server, runs = serial
     out = runs / "ctrl-c-k2"
     args = args_for("eval", bench, server, 2, out)
@@ -134,7 +135,8 @@ def test_ctrl_c_stops_parallel_replay_at_the_next_step(serial, bench, monkeypatc
     with pytest.raises(KeyboardInterrupt):
         main(args)
     cut = keys(out / "eval")
-    # ep000 and ep001 were in flight; run to their end they leave 8 records.
+    # ep000, ep001 and ep002 were in flight. Each stops after the step it is
+    # in, so together they leave fewer than two episodes run to their end (8).
     assert [k.split("/")[1] for k in cut if k.startswith("ep000/")] == ["0", "1"]
     assert len(cut) < 8
     assert cut == canonical(cut)
@@ -144,13 +146,28 @@ def test_ctrl_c_stops_parallel_replay_at_the_next_step(serial, bench, monkeypatc
     assert run_files(out / "eval") == files["eval"]
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_open_connections_never_exceed_episodes_in_flight(bench, tmp_path, step_server, k):
-    server = step_server(bench)
-    assert main(args_for("eval", bench, server, k, tmp_path)) == 0
-    assert server.requests == 32
-    assert server.max_in_flight == k
-    assert server.max_open_connections <= k
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_open_connections_never_exceed_request_slots(serial, bench, step_server, k):
+    """k + 1 episodes (or rollout jobs) run under k request slots, and two
+    steps' first requests get a 503: while a request backs off, another
+    step's request goes out; the server never sees more than k requests or
+    connections at once; and the files are a serial run's."""
+    files, _, runs = serial
+    out = runs / f"busy-k{k}"
+    for command in COMMANDS:
+        server = step_server(bench)
+        server.busy = {"ep001/2", "ep004/0"}
+        assert main(args_for(command, bench, server, k, out)) == 0
+        rounds = 2 if command == "rollout" else 1
+        assert server.busy_replies == 2 * rounds, command
+        assert server.requests == (32 + 2) * rounds, command
+        for asked in set(server.arrivals):
+            if asked[0] in server.busy:
+                busy, retry = [i for i, a in enumerate(server.arrivals) if a == asked]
+                assert retry > busy + 1, (command, asked)
+        assert server.max_in_flight == k, command
+        assert server.max_open_connections <= k, command
+        assert run_files(out / command) == files[command], command
 
 
 def test_mock_backend_replays_serially(bench, tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from trajkit.gateway import (
     Message,
     MockBackend,
     ModelGateway,
+    RetryableEndpointError,
     SamplingConfig,
     TextPart,
     UnresolvableObservationError,
@@ -31,6 +32,11 @@ from trajkit.gateway import (
 def simple_request(tag="e/0"):
     return GenerationRequest(
         messages=(Message("user", (TextPart("hi"),)),), tag=tag)
+
+
+def http_gateway(cfg, **retry):
+    """A gateway over a fresh ``HttpBackend``; ``retry`` sets its backoff or sleep."""
+    return ModelGateway(HttpBackend(), cfg, **retry)
 
 
 class TestPrepareInput:
@@ -145,6 +151,46 @@ class TestConcurrencyLimit:
         assert backend.calls == 24
         assert backend.max_in_flight_seen <= 3
 
+    def test_backing_off_request_holds_no_slot(self):
+        """With one slot, a request that waits out its backoff lets another
+        caller's request go out and complete."""
+        class BusyOnce:
+            def __init__(self):
+                self.calls = []
+
+            def complete(self, request, cfg):
+                self.calls.append(request.tag)
+                if self.calls.count(request.tag) == 1 and request.tag == "first":
+                    raise RetryableEndpointError("HTTP 503: busy")
+                return [request.tag]
+
+        sleeping, release = threading.Event(), threading.Event()
+
+        def blocking_sleep(seconds):
+            sleeping.set()
+            assert release.wait(timeout=10)
+
+        backend = BusyOnce()
+        gateway = ModelGateway(backend, EndpointConfig(max_in_flight=1), sleep=blocking_sleep)
+        results = {}
+        first = threading.Thread(
+            target=lambda: results.update(first=gateway.generate(simple_request("first"))))
+        first.start()
+        try:
+            assert sleeping.wait(timeout=10)
+            second = threading.Thread(
+                target=lambda: results.update(second=gateway.generate(simple_request("second"))))
+            second.start()
+            second.join(timeout=10)
+            assert not second.is_alive()
+            assert results == {"second": ["second"]}
+        finally:
+            release.set()
+            first.join(timeout=10)
+        assert not first.is_alive()
+        assert results == {"first": ["first"], "second": ["second"]}
+        assert backend.calls == ["first", "second", "first"]
+
 
 def assert_simple_body(data, n=1):
     """The posted bytes are the JSON body of ``simple_request()``."""
@@ -166,10 +212,9 @@ def refused_url():
 class TestHttpRetry:
     def test_retries_then_typed_failure(self, chat_server):
         chat_server.replies = [(None, b"")]  # every connection dropped unanswered
-        backend = HttpBackend(backoff_base=0.0)
         cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
         with pytest.raises(EndpointUnavailableError):
-            backend.complete(simple_request(), cfg)
+            http_gateway(cfg, backoff_base=0.0).generate(simple_request())
         for data in chat_server.bodies():
             assert_simple_body(data)
         assert len(chat_server.seen) == cfg.max_retries + 1
@@ -177,10 +222,9 @@ class TestHttpRetry:
     def test_error_body_surfaced(self, chat_server):
         chat_server.replies = [(400, b"bad schema: missing field x")]
         sleeps = []
-        backend = HttpBackend(backoff_base=0.0, sleep=sleeps.append)
         cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
         with pytest.raises(EndpointUnavailableError, match="bad schema"):
-            backend.complete(simple_request(), cfg)
+            http_gateway(cfg, sleep=sleeps.append).generate(simple_request())
         assert_simple_body(chat_server.bodies()[0])
         # A 400 is not retried.
         assert len(chat_server.seen) == 1 and sleeps == []
@@ -189,9 +233,8 @@ class TestHttpRetry:
         payload = {"choices": [{"message": {"content": "a"}},
                                {"message": {"content": "b"}}]}
         chat_server.replies = [(200, json.dumps(payload).encode())]
-        backend = HttpBackend(backoff_base=0.0)
         cfg = EndpointConfig(base_url=chat_server.url, sampling=SamplingConfig(n=2))
-        assert backend.complete(simple_request(), cfg) == ["a", "b"]
+        assert HttpBackend().complete(simple_request(), cfg) == ["a", "b"]
         (_, headers, data), = chat_server.seen
         assert_simple_body(data, n=2)
         assert headers["Content-Type"] == "application/json"
@@ -217,9 +260,19 @@ class TestHttpRetry:
         chat_server.replies = [(503, b"busy"), (503, b"busy"), (200, CHOICES_OK)]
         sleeps = []
         cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
-        assert HttpBackend(sleep=sleeps.append).complete(simple_request(), cfg) == ["ok"]
+        assert http_gateway(cfg, sleep=sleeps.append).generate(simple_request()) == ["ok"]
         assert len(chat_server.seen) == 3
         assert sleeps == [0.5, 1.0]
+
+    def test_one_attempt_per_complete(self, chat_server):
+        """The backend makes one attempt; a retryable status raises for the gateway to retry."""
+        chat_server.replies = [(503, b"busy"), (200, CHOICES_OK)]
+        cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
+        backend = HttpBackend()
+        with pytest.raises(RetryableEndpointError, match="HTTP 503: busy"):
+            backend.complete(simple_request(), cfg)
+        assert backend.complete(simple_request(), cfg) == ["ok"]
+        assert len(chat_server.seen) == 2
 
     @pytest.mark.parametrize("url", ["refused", "", "nope://host/v1", "http:///v1"])
     def test_unusable_endpoint_retried_then_typed_failure(self, monkeypatch, url):
@@ -236,20 +289,20 @@ class TestHttpRetry:
         cfg = EndpointConfig(base_url=refused_url() if url == "refused" else url,
                              max_retries=3)
         with pytest.raises(EndpointUnavailableError):
-            HttpBackend(backoff_base=0.0).complete(simple_request(), cfg)
+            http_gateway(cfg, backoff_base=0.0).generate(simple_request())
         assert len(attempts) == cfg.max_retries + 1
 
     def test_timeout_retried(self, chat_server):
         chat_server.replies = [(200, CHOICES_OK, 1.0), (200, CHOICES_OK)]
         sleeps = []
         cfg = EndpointConfig(base_url=chat_server.url, timeout=0.2, max_retries=1)
-        assert HttpBackend(sleep=sleeps.append).complete(simple_request(), cfg) == ["ok"]
+        assert http_gateway(cfg, sleep=sleeps.append).generate(simple_request()) == ["ok"]
         assert len(chat_server.seen) == 2 and sleeps == [0.5]
 
     def test_reset_after_reply_is_not_retried(self, chat_server):
         chat_server.reset_after_reply = True
         cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
-        assert HttpBackend(backoff_base=0.0).complete(simple_request(), cfg) == ["ok"]
+        assert http_gateway(cfg, backoff_base=0.0).generate(simple_request()) == ["ok"]
         assert len(chat_server.seen) == 1
 
     def test_https_proxy_tunnel(self, monkeypatch):
@@ -277,7 +330,7 @@ class TestHttpRetry:
             monkeypatch.delenv("NO_PROXY", raising=False)
             cfg = EndpointConfig(base_url="https://chat.invalid/v1", max_retries=0)
             with pytest.raises(EndpointUnavailableError, match="502"):
-                HttpBackend().complete(simple_request(), cfg)
+                http_gateway(cfg).generate(simple_request())
             worker.join(timeout=10)
         request_line, *header_lines = seen[0].split("\r\n")
         assert request_line.startswith("CONNECT chat.invalid:443 HTTP/")
@@ -295,6 +348,55 @@ class TestHttpRetry:
         (line, _, data), = chat_server.seen
         assert line == f"POST {upstream}/chat/completions HTTP/1.1"
         assert_simple_body(data)
+
+
+def choices(*contents):
+    return json.dumps({"choices": [{"message": {"content": c}} for c in contents]}).encode()
+
+
+class TestMalformedReply:
+    """A 200 reply without exactly ``n`` string completions fails the step
+    at once, with an error naming what it holds."""
+
+    @pytest.mark.parametrize("payload, n, error", [
+        (choices(), 1, "0 choices, 0 of them strings, for n=1"),
+        (choices("a"), 4, "1 choices, 1 of them strings, for n=4"),
+        (choices("a", "b", "c"), 2, "3 choices, 3 of them strings, for n=2"),
+        (choices("a", None), 2, "2 choices, 1 of them strings, for n=2"),
+        (b"<html>busy</html>", 1, "without a choices list .*JSONDecodeError"),
+        (b"{}", 1, "without a choices list .*KeyError"),
+        (b"[]", 1, "without a choices list .*TypeError"),
+        (b'{"choices": [{"text": "a"}]}', 1, "without a choices list .*KeyError"),
+    ], ids=["empty", "short", "long", "null-content", "not-json", "no-choices", "list",
+            "no-message"])
+    def test_fails_without_retry(self, chat_server, payload, n, error):
+        chat_server.replies = [(200, payload)]
+        sleeps = []
+        cfg = EndpointConfig(base_url=chat_server.url, sampling=SamplingConfig(n=n))
+        with pytest.raises(EndpointUnavailableError, match=error):
+            http_gateway(cfg, sleep=sleeps.append).generate(simple_request())
+        assert len(chat_server.seen) == 1 and sleeps == []
+
+    @pytest.mark.parametrize("command, payload, error", [
+        (["eval"], choices(), "0 choices, 0 of them strings, for n=1"),
+        (["eval"], b"not json", "without a choices list"),
+        (["soeval", "--mode", "live"], choices(), "0 choices, 0 of them strings, for n=1"),
+        (["rollout", "--samples", "4", "--rounds", "1"], choices("a"),
+         "1 choices, 1 of them strings, for n=4"),
+    ], ids=["eval-empty", "eval-not-json", "soeval-empty", "rollout-short"])
+    def test_command_fails_and_writes_no_record(self, tmp_path, chat_server, command, payload,
+                                                error):
+        from trajkit.cli import main
+
+        synth.make_benchmark_file(tmp_path / "fx", n_episodes=2, steps_per_episode=3, seed=0)
+        chat_server.replies = [(200, payload)]
+        out = tmp_path / "run"
+        with pytest.raises(EndpointUnavailableError, match=error):
+            main([*command, "--benchmark", str(tmp_path / "fx" / "episodes.jsonl"),
+                  "--backend", "http", "--endpoint-url", chat_server.url,
+                  "--concurrency", "1", "--out-dir", str(out)])
+        written = [p for p in out.glob("*.jsonl") if p.read_bytes()]
+        assert written == []
 
 
 class TestHttpBodyEncoding:
@@ -470,7 +572,7 @@ class TestHttpBodyBytes:
         request = image_request(shots + shots[:1])
         cfg = EndpointConfig(base_url=chat_server.url, max_retries=3)
         chat_server.replies = [(503, b"busy"), (503, b"busy"), (200, CHOICES_OK)]
-        assert HttpBackend(backoff_base=0.0).complete(request, cfg) == ["ok"]
+        assert http_gateway(cfg, backoff_base=0.0).generate(request) == ["ok"]
         posted = chat_server.bodies()
         assert len(posted) == 3
         assert posted == [expected_bytes(request, cfg)] * 3
@@ -528,8 +630,7 @@ class TestScreenshotsCheckedAtLoad:
 
         gone = loaded[0].steps[0].observation.screenshot_ref
         os.remove(gone)
-        gateway = ModelGateway(HttpBackend(backoff_base=0.0),
-                               EndpointConfig(base_url=chat_server.url))
+        gateway = http_gateway(EndpointConfig(base_url=chat_server.url), backoff_base=0.0)
         with pytest.raises(UnresolvableObservationError) as excinfo:
             evaluate_benchmark_offline(gateway, loaded, xml_dialect)
         assert excinfo.value.args == (gone,)

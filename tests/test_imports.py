@@ -64,6 +64,9 @@ STAGES = [
     ("eval", ["eval", "--benchmark", B, "--out-dir", "eval"]),
     ("soeval", ["soeval", "--benchmark", B, "--mock-policy", "alternating",
                 "--out-dir", "so"]),
+    # One artifact per step key and no schedule: the replay draws nothing.
+    ("soeval-pool", ["soeval", "--benchmark", B, "--mode", "pool", "--pool", "so/pool.jsonl",
+                     "--out-dir", "so-pool"]),
     ("report", ["report", "--run-dir", "eval", "--benchmark", B]),
     ("report-live", ["report", "--run-dir", "so", "--benchmark", B]),
     ("ingest", ["ingest", "--benchmark", B, "--out-dir", "ingest"]),
@@ -103,6 +106,7 @@ LOADS = {
     "make-fixture": command("episodes", "actions", "store", "synth"),
     "eval": command("replay", *REPLAY),
     "soeval": command("replay", *REPLAY, "semionline"),
+    "soeval-pool": command("replay", *REPLAY, "semionline"),
     "report": command("replay", "actions", "dialects", "evaluate", "reporting", "store"),
     "report-live": command("replay", "actions", "dialects", "evaluate", "reporting",
                            "semionline", "store"),
@@ -121,7 +125,7 @@ LOADS = {
                      "reporting", "stats", "store"),
 }
 # The stages that call a model (judge's scripted judges among them).
-MODEL_STAGES = {"eval", "soeval", "config", "rollout", "judge"}
+MODEL_STAGES = {"eval", "soeval", "soeval-pool", "config", "rollout", "judge"}
 
 # The third-party packages whose loading is pinned.
 THIRD_PARTY = {"numpy", "scipy", "yaml"}
@@ -250,7 +254,8 @@ def test_cli_start_and_scipy_free_commands_load_no_scipy(probe):
 
 
 def test_light_commands_load_no_numpy(probe):
-    """``cluster`` and ``judge`` cluster decisions with the standard library."""
+    """``cluster`` and ``judge`` cluster decisions with the standard library,
+    and a pooled replay that draws nothing makes no numpy generator."""
     work, stages = probe
     assert {name for name, (packages, _) in stages.items() if "numpy" in packages} \
         == {"correlation"}
@@ -263,9 +268,9 @@ def test_every_command_runs_with_scipy_blocked(probe, probe_without_scipy):
     the commands also write what they write with scipy installed."""
     work, stages = probe_without_scipy
     assert stages == probe[1]
-    for name in ("eval/records.jsonl", "so/records.jsonl", "adv.csv", "steps.csv",
-                 "corr_out.csv", "cfg_eval/manifest.json", "ro/rollouts.jsonl", "cells.csv",
-                 "verdicts.csv"):
+    for name in ("eval/records.jsonl", "so/records.jsonl", "so-pool/records.jsonl", "adv.csv",
+                 "steps.csv", "corr_out.csv", "cfg_eval/manifest.json", "ro/rollouts.jsonl",
+                 "cells.csv", "verdicts.csv"):
         assert (work / name).read_bytes() == (probe[0] / name).read_bytes(), name
 
 
