@@ -15,7 +15,8 @@ import sys
 from importlib import import_module
 from typing import Optional, Sequence
 
-from .errors import (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError,
+from .errors import (ConfigMismatchError, CorruptRecordsError, EmptyReportError,
+                     EndpointUnavailableError, InputError, UnresolvableObservationError,
                      WorkerDiedError)
 from .settings import (DIALECT_IDS, SETTINGS, _non_negative_float, _non_negative_int, dests,
                        finite_float, positive_int, resolve_settings)
@@ -81,14 +82,14 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory")
 
     # Commands that replay can cut the file to its first N episodes; all but
-    # sweep take a seed list.
+    # sweep, which writes one CSV, take an output dir and a seed list.
     def episodes(p):
         benchmark(p)
-        out_dir(p)
         p.add_argument("--limit-episodes", type=positive_int)
 
     def replay(p):
         episodes(p)
+        out_dir(p)
         _setting_flag(p, "--seed-list", help="comma-separated seeds, one per round")
 
     def model(p):
@@ -209,7 +210,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         resolve_settings(args)
         module, func = args.func.split(":")
         return getattr(import_module(f"trajkit.commands.{module}"), func)(args)
-    except (ConfigMismatchError, CorruptRecordsError, EmptyReportError, InputError,
+    except (ConfigMismatchError, CorruptRecordsError, EmptyReportError,
+            EndpointUnavailableError, InputError, UnresolvableObservationError,
             WorkerDiedError) as exc:
         print(f"trajkit: error: {exc}", file=sys.stderr)
         return 2

@@ -125,7 +125,7 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
 
 def cmd_replay(args) -> int:
     """``eval`` (mode ``offline``) and ``soeval`` (``live`` or ``pool``)."""
-    from ..evaluate import evaluate_benchmark_offline
+    from ..evaluate import reference_history, replay_benchmark
     from ..gateway import DEFAULT_SEEDS, ModelGateway
     from ..store import RunWriter
 
@@ -133,7 +133,7 @@ def cmd_replay(args) -> int:
         raise InputError("--out-dir is required")
     mode = args.mode
     if mode != "offline":
-        from ..semionline import ArtifactPool, pool_sha256, pooled_benchmark, soeval_benchmark
+        from ..semionline import ArtifactPool, on_policy_history, pool_sha256, pooled_histories
     dialect, episodes, backend = _replay_inputs(args)
     policy = _policy(args)
     seeds = args.seed_list or list(DEFAULT_SEEDS)
@@ -152,10 +152,15 @@ def cmd_replay(args) -> int:
         "min_comparable": policy.min_comparable,
         "exclude_gt_kinds": sorted(k.value for k in policy.exclude_gt_kinds),
     }
-    if mode == "pool":
+    # The protocol: which history each step of an episode sees.
+    if mode == "offline":
+        histories = lambda _, ep: reference_history(ep)  # noqa: E731
+    elif mode == "live":
+        histories = lambda _, ep: on_policy_history(ep)  # noqa: E731
+    else:
         if not args.pool:
             raise InputError("soeval --mode pool requires --pool <file>")
-        pool = _load_pool(args.pool)
+        histories = pooled_histories(_load_pool(args.pool), global_seed=seed)
         # The pool's bytes, not its path, decide whether a run dir resumes.
         run_config["pool_sha256"] = pool_sha256(args.pool)
     out_dir = Path(args.out_dir)
@@ -164,17 +169,10 @@ def cmd_replay(args) -> int:
     for w in writer.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    common = dict(writer=writer, seed=seed, enable_thinking=args.enable_thinking,
-                  continue_on_error=args.continue_on_error,
-                  concurrency=_executor(args, cfg, persists_steps=True)[0])
     try:
-        if mode == "offline":
-            records, _ = evaluate_benchmark_offline(gateway, episodes, dialect, policy, **common)
-        elif mode == "pool":
-            records, _ = pooled_benchmark(gateway, episodes, dialect, pool, policy,
-                                          global_seed=seed, **common)
-        else:
-            records, _ = soeval_benchmark(gateway, episodes, dialect, policy, **common)
+        records, _ = replay_benchmark(
+            gateway, episodes, dialect, histories, policy, args.enable_thinking, writer, seed,
+            _executor(args, cfg, persists_steps=True)[0], args.continue_on_error)
     finally:
         # Episodes in parallel append in completion order; a serial run's
         # order is restored even when the replay was cut short.

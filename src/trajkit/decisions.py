@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import Action, ActionKind, BBox, Point, actions_match
 
@@ -36,11 +36,6 @@ TAU_STRICT = 0.1
 
 #: Diameter of the per-mille screen square; normalizes transport distances.
 DOMAIN_DIAMETER = 1000.0 * math.sqrt(2.0)
-
-#: L1 threshold equivalent to an L2 threshold, averaging the inscribed and
-#: circumscribed ball ratios in 2-D.
-L1_SCALE = (math.sqrt(2.0) + 1.0) / 2.0
-
 
 class EmptyDistributionError(ValueError):
     pass
@@ -215,14 +210,6 @@ def cluster_text(strings: Sequence[str]) -> list[TextCluster]:
         else:
             clusters.append(TextCluster(prototype=x, member_indices=[i]))
     return clusters
-
-
-def cluster_categorical(literals: Sequence[str]) -> dict[str, int]:
-    """Occurrence counts per literal, keyed in first-seen order."""
-    counts: dict[str, int] = {}
-    for lit in literals:
-        counts[lit] = counts.get(lit, 0) + 1
-    return counts
 
 
 # --- decision distributions ------------------------------------------------------
@@ -605,77 +592,3 @@ def wasserstein_norm(dist_a: DecisionDistribution, dist_b: DecisionDistribution,
     pa, wa = _spatial_atoms(dist_a, kind)
     pb, wb = _spatial_atoms(dist_b, kind)
     return discrete_w1(pa, wa, pb, wb) / DOMAIN_DIAMETER
-
-
-# --- epsilon sensitivity ---------------------------------------------------------------
-
-
-@dataclass
-class EpsilonSensitivity:
-    support_by_eps: dict[float, float]
-    w1_by_pair: dict[tuple[float, float], float]
-    w1_l1_vs_l2: Optional[float]
-    l1_epsilon: Optional[float]
-
-
-def epsilon_sensitivity(
-    cells: Sequence[Sequence[ExecutionSample]],
-    eps_grid: Iterable[float] = (30.0, 70.0, 140.0),
-    kind: ActionKind = ActionKind.CLICK,
-    base_epsilon: float = DBSCAN_EPSILON,
-    min_pts: int = DBSCAN_MIN_PTS,
-    compare_metrics: bool = True,
-) -> EpsilonSensitivity:
-    """Clustering-threshold sweep: support sizes and cross-threshold movement.
-
-    For each epsilon, reports the mean decision-support size over cells and
-    the mean normalized W1 between consecutive-threshold spatial
-    distributions. Optionally compares the base L2 clustering against L1 at
-    the scale-adjusted threshold.
-    """
-    import numpy as np
-
-    eps_values = sorted(set(eps_grid))
-    dists: dict[float, list[DecisionDistribution]] = {e: [] for e in eps_values}
-    for cell in cells:
-        for e in eps_values:
-            dists[e].append(build_distribution(cell, epsilon=e, min_pts=min_pts))
-
-    support = {
-        e: float(np.mean([d.support_size for d in ds])) for e, ds in dists.items()
-    }
-
-    w1_pairs: dict[tuple[float, float], float] = {}
-    for ea, eb in zip(eps_values, eps_values[1:]):
-        vals = []
-        for da, db in zip(dists[ea], dists[eb]):
-            try:
-                vals.append(wasserstein_norm(da, db, kind))
-            except InvalidMeasureError:
-                continue
-        if vals:
-            w1_pairs[(ea, eb)] = float(np.mean(vals))
-
-    w1_metric = None
-    l1_eps = None
-    if compare_metrics:
-        l1_eps = L1_SCALE * base_epsilon
-        vals = []
-        for cell in cells:
-            d_l2 = build_distribution(cell, epsilon=base_epsilon, metric="l2",
-                                      min_pts=min_pts)
-            d_l1 = build_distribution(cell, epsilon=l1_eps, metric="l1",
-                                      min_pts=min_pts)
-            try:
-                vals.append(wasserstein_norm(d_l2, d_l1, kind))
-            except InvalidMeasureError:
-                continue
-        if vals:
-            w1_metric = float(np.mean(vals))
-
-    return EpsilonSensitivity(
-        support_by_eps=support,
-        w1_by_pair=w1_pairs,
-        w1_l1_vs_l2=w1_metric,
-        l1_epsilon=l1_eps,
-    )

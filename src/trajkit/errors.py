@@ -1,7 +1,7 @@
 """The errors the command line reports as one ``trajkit: error:`` line.
 
-They live apart from the modules that raise them (``store``, ``evaluate``)
-so that catching them loads no engine module.
+They live apart from the modules that raise them (``store``, ``evaluate``,
+``gateway``) so that catching them loads no engine module.
 """
 
 
@@ -23,3 +23,13 @@ class EmptyReportError(ValueError):
 
 class WorkerDiedError(RuntimeError):
     """Raised when a worker process of ``map_in_order`` dies before its call returns."""
+
+
+class EndpointUnavailableError(RuntimeError):
+    """The endpoint gave no usable reply: all retries were exhausted, or it
+    answered in a way no retry mends (a status not retried, or a 200 reply
+    without exactly ``n`` completions)."""
+
+
+class UnresolvableObservationError(FileNotFoundError):
+    """A step's screenshot reference cannot be resolved."""

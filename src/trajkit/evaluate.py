@@ -2,7 +2,7 @@
 
 Every replay protocol runs through one engine, ``replay_episode``; a
 protocol only chooses what the model sees at each history position (its
-``HistoryFn``). Step scoring follows per-kind matching rules; episode
+``HistoryFn``, which its ``HistoryFactory`` makes for each episode). Step scoring follows per-kind matching rules; episode
 progress is the longest exactly-matched prefix fraction, and success means
 every step matched. Aggregation applies the 95% comparability rule per task and the
 benchmark-level ground-truth exclusions before any averaging.
@@ -358,13 +358,25 @@ def _call(index: int):
     return fn(items[index])
 
 
+#: A replay protocol: (episode index, episode) -> that episode's ``HistoryFn``.
+#: The offline, live and pooled protocols differ in this alone.
+HistoryFactory = Callable[[int, Episode], HistoryFn]
+
+
 def replay_benchmark(
+    gateway: ModelGateway,
     episodes: Sequence[Episode],
-    replay: Callable[[int, Episode], list[RunRecord]],
+    dialect: Dialect,
+    histories: HistoryFactory,
+    policy: EvalPolicy = DEFAULT_POLICY,
+    enable_thinking: bool = True,
+    writer: Optional[RunWriter] = None,
+    seed: Optional[int] = None,
     concurrency: int = 1,
     continue_on_error: bool = False,
 ) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
-    """Run ``replay(index, episode)`` over many episodes, in order.
+    """Replay many episodes under one protocol, in order: episode ``idx``
+    runs ``replay_episode`` with the history ``histories(idx, episode)``.
 
     Steps within an episode stay sequential; ``concurrency`` episodes run at
     once, on threads, and the records come back in episode order whatever
@@ -380,7 +392,8 @@ def replay_benchmark(
     def run(indexed: tuple[int, Episode]) -> Optional[list[RunRecord]]:
         idx, ep = indexed
         try:
-            return replay(idx, ep)
+            return replay_episode(gateway, ep, dialect, histories(idx, ep), policy,
+                                  enable_thinking, writer, seed=seed)
         except ReplayStopped:
             raise
         except Exception:
@@ -416,23 +429,12 @@ def reference_history(episode: Episode, record_sources: bool = True) -> HistoryF
     return history
 
 
-def evaluate_benchmark_offline(
-    gateway: ModelGateway,
-    episodes: Sequence[Episode],
-    dialect: Dialect,
-    policy: EvalPolicy = DEFAULT_POLICY,
-    enable_thinking: bool = True,
-    writer: Optional[RunWriter] = None,
-    seed: Optional[int] = None,
-    concurrency: int = 1,
-    continue_on_error: bool = False,
-) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
-    """Evaluate many episodes offline (see ``replay_benchmark``)."""
-    return replay_benchmark(
-        episodes,
-        lambda _, ep: replay_episode(gateway, ep, dialect, reference_history(ep), policy,
-                                     enable_thinking, writer, seed=seed),
-        concurrency, continue_on_error)
+def evaluate_benchmark_offline(gateway: ModelGateway, episodes: Sequence[Episode],
+                               dialect: Dialect, **options):
+    """``replay_benchmark`` under the offline protocol, with its keyword
+    ``options``. Kept for the scripts under ``perfbench/``; no command calls it."""
+    return replay_benchmark(gateway, episodes, dialect, lambda _, ep: reference_history(ep),
+                            **options)
 
 
 # --- aggregation -------------------------------------------------------------

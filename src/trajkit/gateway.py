@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
 from .dialects import Dialect, HistoryEntry
+from .errors import EndpointUnavailableError, UnresolvableObservationError
 from .store import StepTask
 
 #: Seed list applied round-by-round when the run config does not override it.
@@ -29,19 +30,9 @@ DEFAULT_SEEDS = (7278727, 7779397, 7771087, 7867747, 7977857, 5113051, 9581717, 
 DEFAULT_IMAGE_BUDGET = 4
 
 
-class EndpointUnavailableError(RuntimeError):
-    """The endpoint gave no usable reply: all retries were exhausted, or it
-    answered in a way no retry mends (a status not retried, or a 200 reply
-    without exactly ``n`` completions)."""
-
-
 class RetryableEndpointError(RuntimeError):
     """One attempt failed in a way a later attempt may not: no complete
     response, or a retryable status. ``ModelGateway`` backs off and retries."""
-
-
-class UnresolvableObservationError(FileNotFoundError):
-    """A step's screenshot reference cannot be resolved."""
 
 
 @dataclass(frozen=True)

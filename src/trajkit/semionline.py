@@ -22,7 +22,7 @@ from .dialects import ArtifactEntry, Dialect, HistoryEntry
 from .evaluate import (
     DEFAULT_POLICY,
     EvalPolicy,
-    EpisodeMetrics,
+    HistoryFactory,
     HistoryFn,
     Tally,
     map_in_order,
@@ -34,7 +34,6 @@ from .evaluate import (
 from .store import (
     Episode,
     RunRecord,
-    RunWriter,
     decode_action,
     decode_prediction,
     encode_gt_params,
@@ -246,23 +245,13 @@ def on_policy_history(episode: Episode) -> HistoryFn:
     return history
 
 
-def soeval_benchmark(
-    gateway: ModelGateway,
-    episodes: Sequence[Episode],
-    dialect: Dialect,
-    policy: EvalPolicy = DEFAULT_POLICY,
-    enable_thinking: bool = True,
-    writer: Optional[RunWriter] = None,
-    seed: Optional[int] = None,
-    continue_on_error: bool = False,
-    concurrency: int = 1,
-) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
-    """Live semi-online replay of many episodes (see ``replay_benchmark``)."""
-    return replay_benchmark(
-        episodes,
-        lambda _, ep: replay_episode(gateway, ep, dialect, on_policy_history(ep), policy,
-                                     enable_thinking, writer, seed=seed),
-        concurrency, continue_on_error)
+def soeval_benchmark(gateway: ModelGateway, episodes: Sequence[Episode], dialect: Dialect,
+                     **options):
+    """``replay_benchmark`` under the live semi-online protocol, with its
+    keyword ``options``. Kept for the scripts under ``perfbench/``; no
+    command calls it."""
+    return replay_benchmark(gateway, episodes, dialect, lambda _, ep: on_policy_history(ep),
+                            **options)
 
 
 # --- OSR ----------------------------------------------------------------------
@@ -452,38 +441,28 @@ def pooled_history(episode: Episode, pool: ArtifactPool, rng: np.random.Generato
     return history
 
 
-def pooled_benchmark(
-    gateway: ModelGateway,
-    episodes: Sequence[Episode],
-    dialect: Dialect,
-    pool: ArtifactPool,
-    policy: EvalPolicy = DEFAULT_POLICY,
-    schedule: Optional[Schedule] = None,
-    writer: Optional[RunWriter] = None,
-    seed: Optional[int] = None,
-    global_seed: int = 0,
-    enable_thinking: bool = True,
-    continue_on_error: bool = False,
-    concurrency: int = 1,
-) -> tuple[list[RunRecord], dict[str, EpisodeMetrics]]:
-    """Pooled replay of many episodes; episode ``idx`` draws from its own
-    generator, seeded with (``idx``, ``global_seed``), so the draws do not
-    depend on ``concurrency``."""
-    probabilities: dict[int, list[float]] = {}
-    return replay_benchmark(
-        episodes,
-        lambda idx, ep: replay_episode(
-            gateway, ep, dialect,
-            pooled_history(ep, pool, _FirstDrawGenerator((idx, global_seed)), schedule,
-                           probabilities),
-            policy, enable_thinking, writer, seed=seed),
-        concurrency, continue_on_error)
+def pooled_histories(pool: ArtifactPool, global_seed: int = 0) -> HistoryFactory:
+    """The pooled protocol over many episodes: every position that has a
+    pooled artifact is substituted, and episode ``idx`` draws its candidates
+    from its own generator, seeded with (``idx``, ``global_seed``), so the
+    draws do not depend on the order the episodes run in. Mixing schedules
+    belong to the sweep (``pooled_history``)."""
+    return lambda idx, ep: pooled_history(ep, pool, _FirstDrawGenerator((idx, global_seed)))
+
+
+def pooled_benchmark(gateway: ModelGateway, episodes: Sequence[Episode], dialect: Dialect,
+                     pool: ArtifactPool, global_seed: int = 0, **options):
+    """``replay_benchmark`` under ``pooled_histories(pool, global_seed)``, with
+    its keyword ``options``. Kept for the scripts under ``perfbench/``; no
+    command calls it."""
+    return replay_benchmark(gateway, episodes, dialect, pooled_histories(pool, global_seed),
+                            **options)
 
 
 class _FirstDrawGenerator:
     """``np.random.default_rng(seed)``, made at its first draw: a pooled
-    replay without a schedule over a pool with one artifact per key never
-    draws, and then imports no numpy."""
+    replay over a pool with one artifact per key never draws, and then
+    imports no numpy."""
 
     _rng = None
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -875,7 +876,9 @@ class TestRemovedOptions:
         (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--seed-list", "5"]),
         # Only eval and soeval leave a failing episode incomplete.
         (["rollout", "--benchmark", "b.jsonl", "--out-dir", "run"], ["--continue-on-error"]),
-        (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--continue-on-error"])])
+        (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--continue-on-error"]),
+        # sweep writes only its --out CSV.
+        (["sweep", "--pool", "p.jsonl", "--out", "s.csv"], ["--out-dir", "zz"])])
     def test_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as exc:
             main([*argv, *removed])
@@ -948,6 +951,43 @@ class TestUsageErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"trajkit: error: {message}"), err
+
+
+class TestEndpointErrors:
+    """An endpoint that gives no usable reply, or a screenshot gone since the
+    episodes were loaded, ends a replay in one error line and exit code 2."""
+
+    def test_refused_endpoint(self, bench, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        config = tmp_path / "no-retry.yaml"
+        config.write_text("endpoint:\n  max_retries: 0\n", encoding="utf-8")
+        assert main(["eval", "--benchmark", str(bench), "--backend", "http",
+                     "--endpoint-url", f"http://127.0.0.1:{port}/v1", "--config", str(config),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("trajkit: error: "), err
+        assert "refused" in err[0]
+
+    def test_screenshot_gone_after_load(self, bench, tmp_path, capsys, chat_server,
+                                        monkeypatch):
+        from trajkit import settings
+
+        load, gone = settings.episodes, []
+
+        def load_then_remove(args, **kwargs):
+            episodes = load(args, **kwargs)
+            gone.append(episodes[0].steps[0].observation.screenshot_ref)
+            os.remove(gone[0])
+            return episodes
+
+        monkeypatch.setattr(settings, "episodes", load_then_remove)
+        assert main(["eval", "--benchmark", str(bench), "--backend", "http",
+                     "--endpoint-url", chat_server.url, "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"trajkit: error: {gone[0]}"]
+        assert chat_server.seen == []
 
 
 class TestPoolContinueOnError:

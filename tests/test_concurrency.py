@@ -13,7 +13,6 @@ import pytest
 from conftest import StepServer
 from trajkit import synth
 from trajkit.cli import main
-from trajkit.gateway import EndpointUnavailableError
 
 COMMANDS = ("eval", "live", "pool", "rollout")
 
@@ -96,14 +95,14 @@ def test_parallel_replays_are_byte_identical(serial, bench, k):
 
 
 @pytest.mark.parametrize("command", ["eval", "live", "pool"])
-def test_interrupted_parallel_replay_resumes_byte_identical(serial, bench, monkeypatch,
+def test_interrupted_parallel_replay_resumes_byte_identical(serial, bench, monkeypatch, capsys,
                                                             command):
     files, server, runs = serial
     out = runs / "cut-k8"
     args = args_for(command, bench, server, 8, out)
     monkeypatch.setattr(server, "fail", {"ep001/2", "ep005/1"})
-    with pytest.raises(EndpointUnavailableError, match="step refused"):
-        main(args)
+    assert main(args) == 2
+    assert "trajkit: error: HTTP 400: step refused" in capsys.readouterr().err
     cut = keys(out / command)
     assert 0 < len(cut) < 32
     assert cut == canonical(cut)

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -16,14 +15,12 @@ from trajkit.decisions import (
     ExecutionSample,
     InvalidMeasureError,
     build_distribution,
-    cluster_categorical,
     cluster_spatial,
     cluster_text,
     discrete_w1,
     diversity,
     diversity_shift,
     effective_support,
-    epsilon_sensitivity,
     levenshtein,
     member_stability,
     normalized_edit_distance,
@@ -228,19 +225,6 @@ class TestClusterText:
 
 def text_distance_exceeds(a, b, tau=0.3):
     return normalized_edit_distance(a, b) > tau
-
-
-class TestClusterCategorical:
-    def test_counts(self):
-        assert cluster_categorical(["up", "up", "down"]) == {"up": 2, "down": 1}
-
-    def test_empty(self):
-        assert cluster_categorical([]) == {}
-
-    def test_hash_count_oracle(self):
-        rng = random.Random(1)
-        literals = [rng.choice(["up", "down", "left", "right"]) for _ in range(512)]
-        assert cluster_categorical(literals) == dict(Counter(literals))
 
 
 # --- distributions ------------------------------------------------------------------
@@ -654,49 +638,3 @@ def linprog_w1(pa, wa, pb, wb):
                                            "primal_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return res.fun
-
-
-class TestEpsilonSensitivity:
-    def make_cells(self):
-        rng = random.Random(31)
-        cells = []
-        for _ in range(4):
-            cell = []
-            for cx, cy in ((200, 200), (500, 500)):
-                cell.extend(click_sample(cx + rng.randrange(-25, 26),
-                                         cy + rng.randrange(-25, 26))
-                            for _ in range(6))
-            cells.append(cell)
-        return cells
-
-    def test_support_non_increasing_in_eps(self):
-        cells = self.make_cells()
-        result = epsilon_sensitivity(cells, eps_grid=(30, 70, 140))
-        supports = [result.support_by_eps[e] for e in (30, 70, 140)]
-        assert supports[0] >= supports[1] >= supports[2]
-
-    def test_same_eps_w1_zero(self):
-        cells = self.make_cells()
-        a = epsilon_sensitivity(cells, eps_grid=(70, 70.0))
-        # identical thresholds collapse to a single grid value
-        assert list(a.support_by_eps) == [70.0]
-
-    def test_two_blob_support_matches_connectivity_oracle(self):
-        cell = []
-        for cx, cy in ((200, 200), (350, 200)):
-            cell.extend(click_sample(cx + dx, cy) for dx in (-10, 0, 10))
-        result = epsilon_sensitivity([cell], eps_grid=(30, 70, 140),
-                                     compare_metrics=False)
-        for eps in (30, 70, 140):
-            pts = [(s.action.point.x, s.action.point.y) for s in cell]
-            labels = oracle_dbscan(pts, eps, "l2", 3)
-            expected = len({l for l in labels if l >= 0}) + \
-                sum(1 for l in labels if l == -1)
-            assert result.support_by_eps[eps] == expected
-
-    def test_l1_comparison_at_adjusted_threshold(self):
-        cells = self.make_cells()
-        result = epsilon_sensitivity(cells, eps_grid=(70,), base_epsilon=70)
-        assert result.l1_epsilon == pytest.approx((math.sqrt(2) + 1) / 2 * 70)
-        assert result.w1_l1_vs_l2 is not None
-        assert 0.0 <= result.w1_l1_vs_l2 <= 1.0

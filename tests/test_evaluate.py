@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,20 @@ from trajkit.evaluate import (
     evaluate_step,
     ratio_bucket,
     reference_history,
+    replay_benchmark,
     replay_episode,
     stratify_by_horizon,
 )
-from trajkit.store import RunRecord
+from trajkit.gateway import EndpointConfig, MockBackend, ModelGateway
+from trajkit.semionline import (
+    ArtifactPool,
+    OnPolicyArtifact,
+    on_policy_history,
+    pooled_benchmark,
+    pooled_histories,
+    soeval_benchmark,
+)
+from trajkit.store import RunRecord, RunWriter
 
 
 def click(x, y):
@@ -303,16 +314,73 @@ class TestHorizon:
                 pytest.approx(sum(values) / len(values))
 
 
+def hashing_gateway(episodes, dialect):
+    """A mock that answers right or wrong by a hash of the request text, so
+    a step shown another history (another pooled candidate) answers otherwise."""
+    steps = {step.key: step for ep in episodes for step in ep.steps}
+
+    def respond(request, seed, n):
+        step = steps[request.tag]
+        digest = zlib.crc32(request.joined_text().encode("utf-8"))
+        action = step.gt_action if digest % 3 else synth.wrong_action_for(step.gt_action)
+        return dialect.render_response(action, thought=f"request {digest}",
+                                       conclusion=f"did-{step.step_index} {digest}",
+                                       dims=step.observation.dims)
+
+    return ModelGateway(MockBackend(respond), EndpointConfig())
+
+
+def candidate_pool(episodes):
+    """Three candidates for every step, told apart by their conclusions."""
+    pool = ArtifactPool()
+    for step in (step for ep in episodes for step in ep.steps):
+        for c in range(3):
+            pool.add(OnPolicyArtifact(key=step.key, action=step.gt_action,
+                                      thought=f"candidate {c}",
+                                      conclusion=f"candidate {c} of {step.key}",
+                                      raw_response=""))
+    return pool
+
+
 class TestBenchmarkRunner:
     def test_parallel_equals_sequential(self, episodes, xml_dialect):
-        g1, _ = make_gateway(episodes, xml_dialect, "alternating")
-        seq_records, seq_metrics = evaluate_benchmark_offline(
-            g1, episodes, xml_dialect, concurrency=1)
-        g2, _ = make_gateway(episodes, xml_dialect, "alternating")
-        par_records, par_metrics = evaluate_benchmark_offline(
-            g2, episodes, xml_dialect, concurrency=4)
-        assert seq_metrics == par_metrics
-        assert sorted(r.key for r in seq_records) == sorted(r.key for r in par_records)
+        """Under each protocol's history factory, episodes run four at a time
+        return the serial run's records and metrics."""
+        factories = {"offline": lambda _, ep: reference_history(ep),
+                     "live": lambda _, ep: on_policy_history(ep),
+                     "pooled": pooled_histories(candidate_pool(episodes), global_seed=3)}
+        for protocol, histories in factories.items():
+            (seq, seq_metrics), (par, par_metrics) = [
+                replay_benchmark(hashing_gateway(episodes, xml_dialect), episodes, xml_dialect,
+                                 histories, concurrency=concurrency)
+                for concurrency in (1, 4)]
+            assert [r.to_json() for r in par] == [r.to_json() for r in seq], protocol
+            assert par_metrics == seq_metrics, protocol
+            assert len(seq) == sum(len(ep) for ep in episodes), protocol
+
+    def test_forwards_equal_replay_benchmark(self, episodes, xml_dialect, tmp_path):
+        """The three ``*_benchmark`` forwards, called with the keywords the
+        benchmark scripts pass, write what ``replay_benchmark`` writes under
+        the matching history factory."""
+        def run(replay, run_dir, *args, **kwargs):
+            writer = RunWriter(run_dir, {})
+            records, metrics = replay(hashing_gateway(episodes, xml_dialect), episodes,
+                                      xml_dialect, *args, writer=writer, seed=11,
+                                      concurrency=2, **kwargs)
+            writer.canonicalize([ep.id for ep in episodes])
+            return ([r.to_json() for r in records], metrics,
+                    (run_dir / "records.jsonl").read_bytes())
+
+        pool = candidate_pool(episodes)
+        cases = [(evaluate_benchmark_offline, (), {}, lambda _, ep: reference_history(ep)),
+                 (soeval_benchmark, (), {}, lambda _, ep: on_policy_history(ep)),
+                 (pooled_benchmark, (pool,), {"global_seed": 7},
+                  pooled_histories(pool, global_seed=7))]
+        for forward, args, keywords, histories in cases:
+            name = forward.__name__
+            forwarded = run(forward, tmp_path / name, *args, **keywords)
+            assert forwarded[2], name
+            assert forwarded == run(replay_benchmark, tmp_path / f"{name}-direct", histories), name
 
 
 class TestAggregateByBenchmark:

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -384,17 +385,19 @@ class TestMalformedReply:
         (["rollout", "--samples", "4", "--rounds", "1"], choices("a"),
          "1 choices, 1 of them strings, for n=4"),
     ], ids=["eval-empty", "eval-not-json", "soeval-empty", "rollout-short"])
-    def test_command_fails_and_writes_no_record(self, tmp_path, chat_server, command, payload,
-                                                error):
+    def test_command_fails_and_writes_no_record(self, tmp_path, chat_server, capsys, command,
+                                                payload, error):
         from trajkit.cli import main
 
         synth.make_benchmark_file(tmp_path / "fx", n_episodes=2, steps_per_episode=3, seed=0)
         chat_server.replies = [(200, payload)]
         out = tmp_path / "run"
-        with pytest.raises(EndpointUnavailableError, match=error):
-            main([*command, "--benchmark", str(tmp_path / "fx" / "episodes.jsonl"),
-                  "--backend", "http", "--endpoint-url", chat_server.url,
-                  "--concurrency", "1", "--out-dir", str(out)])
+        code = main([*command, "--benchmark", str(tmp_path / "fx" / "episodes.jsonl"),
+                     "--backend", "http", "--endpoint-url", chat_server.url,
+                     "--concurrency", "1", "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"trajkit: error: .*{error}.*\n", err)
         written = [p for p in out.glob("*.jsonl") if p.read_bytes()]
         assert written == []
 

@@ -15,15 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from trajkit import synth
 from trajkit.dialects import get_dialect
-from trajkit.evaluate import evaluate_benchmark_offline
+from trajkit.evaluate import reference_history, replay_benchmark
 from trajkit.gateway import EndpointConfig, MockBackend, ModelGateway
-from trajkit.semionline import (
-    ArtifactPool,
-    OnPolicyArtifact,
-    Schedule,
-    pooled_benchmark,
-    soeval_benchmark,
-)
+from trajkit.semionline import ArtifactPool, OnPolicyArtifact, on_policy_history, pooled_histories
 from trajkit.store import RunWriter
 
 DIALECT = get_dialect("xml-toolcall")
@@ -61,23 +55,19 @@ def build_pool() -> ArtifactPool:
 
 
 POOL = build_pool()
-SCHEDULE = Schedule(p_lb=0.2, gap=0.6, kappa=16.0, mu=0.4, direction="increasing")
 
+#: The history factory of each replay protocol.
 MODES = {
-    "offline": lambda gw, w: evaluate_benchmark_offline(gw, EPISODES, DIALECT, writer=w,
-                                                        seed=3),
-    "live": lambda gw, w: soeval_benchmark(gw, EPISODES, DIALECT, writer=w, seed=3),
-    "pooled": lambda gw, w: pooled_benchmark(gw, EPISODES, DIALECT, POOL, writer=w,
-                                             seed=3, global_seed=8),
-    "pooled-schedule": lambda gw, w: pooled_benchmark(gw, EPISODES, DIALECT, POOL,
-                                                      schedule=SCHEDULE, writer=w,
-                                                      seed=3, global_seed=8),
+    "offline": lambda _, ep: reference_history(ep),
+    "live": lambda _, ep: on_policy_history(ep),
+    "pooled": pooled_histories(POOL, global_seed=8),
 }
 
 
 def run(mode: str, run_dir: Path) -> bytes:
     gateway = ModelGateway(MockBackend(hashing_responder), EndpointConfig())
-    MODES[mode](gateway, RunWriter(run_dir, CONFIG))
+    replay_benchmark(gateway, EPISODES, DIALECT, MODES[mode], writer=RunWriter(run_dir, CONFIG),
+                     seed=3)
     return (run_dir / "records.jsonl").read_bytes()
 
 
@@ -118,40 +108,31 @@ def test_pooled_resume_is_byte_identical(k):
     check_cut_and_resume("pooled", k)
 
 
-@settings(max_examples=15, deadline=None)
-@given(k=st.integers(0, N_STEPS))
-def test_pooled_schedule_resume_is_byte_identical(k):
-    check_cut_and_resume("pooled-schedule", k)
-
-
 def test_fixture_exercises_the_draws():
-    """The pooled runs mix reference and pooled entries, and the drawn
+    """The pooled run mixes reference and pooled entries, and the drawn
     candidates reach the answers: another global seed changes the bytes."""
     import json
 
-    for mode in ("pooled", "pooled-schedule"):
-        records = [json.loads(line) for line in uninterrupted(mode).splitlines()]
-        assert any(0 < sum(r["history_sources"]) < len(r["history_sources"])
-                   for r in records), mode
+    records = [json.loads(line) for line in uninterrupted("pooled").splitlines()]
+    assert any(0 < sum(r["history_sources"]) < len(r["history_sources"]) for r in records)
     with tempfile.TemporaryDirectory() as d:
         gateway = ModelGateway(MockBackend(hashing_responder), EndpointConfig())
-        pooled_benchmark(gateway, EPISODES, DIALECT, POOL, writer=RunWriter(d, CONFIG),
-                         seed=3, global_seed=9)
+        replay_benchmark(gateway, EPISODES, DIALECT, pooled_histories(POOL, global_seed=9),
+                         writer=RunWriter(d, CONFIG), seed=3)
         assert (Path(d) / "records.jsonl").read_bytes() != uninterrupted("pooled")
 
 
-@pytest.mark.parametrize("replay", [evaluate_benchmark_offline, soeval_benchmark],
-                         ids=["offline", "live"])
-def test_second_replay_through_one_writer_reads_back(replay, tmp_path):
+@pytest.mark.parametrize("mode", ["offline", "live"])
+def test_second_replay_through_one_writer_reads_back(mode, tmp_path):
     """A second replay through the writer that persisted the first returns
     the persisted records and makes no backend call."""
     episodes = synth.make_episodes(n_episodes=2, steps_per_episode=3, seed=5)
     backend = MockBackend(synth.make_responder(episodes, DIALECT, synth.oracle_policy))
     gateway = ModelGateway(backend, EndpointConfig(), DIALECT.id)
     writer = RunWriter(tmp_path, CONFIG)
-    first, _ = replay(gateway, episodes, DIALECT, writer=writer)
+    first, _ = replay_benchmark(gateway, episodes, DIALECT, MODES[mode], writer=writer)
     assert backend.calls == 6
-    second, metrics = replay(gateway, episodes, DIALECT, writer=writer)
+    second, metrics = replay_benchmark(gateway, episodes, DIALECT, MODES[mode], writer=writer)
     assert backend.calls == 6
     assert len(second) == 6
     assert [r.to_json() for r in second] == [r.to_json() for r in first]

@@ -424,29 +424,32 @@ class TestPooledMode:
 
     def test_schedule_probabilities_computed_once_per_length(self, episodes, xml_dialect,
                                                              monkeypatch):
-        import numpy as np
+        """A sweep setting shares each length's probabilities across its
+        episodes (only the sweep replays the pool under a schedule)."""
         import trajkit.semionline as so
+        from trajkit.evaluate import Tally
 
         pool = build_pool(episodes, xml_dialect)
         sched = Schedule(0.2, 0.6, 16.0, 0.4, "increasing")
+        setting = so.SweepSetting(index=5, regime="increasing", p_start=0.2, p_end=0.8,
+                                  target_mean=0.4, schedule=sched)
 
         # Each episode drawing its masks step by step, with no shared vectors.
         gateway, _ = make_gateway(episodes, xml_dialect, "alternating")
-        want = []
-        for idx, ep in enumerate(episodes):
-            rng = np.random.default_rng((idx, 3))
-            want += replay_episode(gateway, ep, xml_dialect,
-                                   so.pooled_history(ep, pool, rng, sched))
+        rng, want = np.random.default_rng((5, 3)), Tally()
+        for ep in episodes:
+            replay_episode(gateway, ep, xml_dialect, so.pooled_history(ep, pool, rng, sched),
+                           tally=want)
 
         lengths = []
         real = so.schedule_probabilities
         monkeypatch.setattr(so, "schedule_probabilities",
                             lambda total, s: lengths.append(total) or real(total, s))
         gateway, _ = make_gateway(episodes, xml_dialect, "alternating")
-        got, _ = so.pooled_benchmark(gateway, episodes, xml_dialect, pool,
-                                     schedule=sched, global_seed=3)
-        assert [r.to_json() for r in got] == [r.to_json() for r in want]
-        assert any(0 < sum(r.history_sources) < len(r.history_sources) for r in got)
+        got = so.run_sweep_setting(setting, gateway, episodes, xml_dialect, pool, global_seed=3)
+        assert 0 < want.substituted < want.positions
+        assert (got.realized_osr, got.exact_match, got.positions) == (
+            want.substituted / want.positions, want.exact / want.scored, want.positions)
         assert sorted(lengths) == list(range(1, max(len(ep) for ep in episodes)))
 
 
