@@ -4,6 +4,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..errors import InputError
 from ..settings import benchmark
 
 
@@ -29,6 +30,10 @@ def cmd_ingest(args) -> int:
 def cmd_make_fixture(args) -> int:
     from .. import synth
 
-    print(synth.make_benchmark_file(args.out_dir, n_episodes=args.episodes,
-                                    steps_per_episode=args.steps, seed=args.seed))
+    try:
+        path = synth.make_benchmark_file(args.out_dir, n_episodes=args.episodes,
+                                         steps_per_episode=args.steps, seed=args.seed)
+    except OSError as exc:
+        raise InputError(f"{exc.filename or args.out_dir}: {exc.strerror or exc}") from None
+    print(path)
     return 0

@@ -93,6 +93,16 @@ def _backend(args, episodes, dialect):
     return MockBackend(synth.make_responder(episodes, dialect, policy))
 
 
+def _osr(records, eligible_only: bool = False) -> str:
+    """``compute_osr`` to 4 places, or ``undefined`` with no position to count."""
+    from ..semionline import OsrUndefinedError, compute_osr
+
+    try:
+        return f"{compute_osr(records, eligible_only):.4f}"
+    except OsrUndefinedError:
+        return "undefined"
+
+
 def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
     """Write ``report.csv``/``report.md`` (a row per source benchmark) and
     ``horizon.csv`` from the records of complete episodes, print the replay's
@@ -107,16 +117,11 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
     write_aggregate_report(out_dir, {(name, mode): rep for name, rep in reports.items()})
     write_csv(Path(out_dir) / "horizon.csv", HORIZON_COLUMNS,
               horizon_rows(stratify_by_horizon(records)))
-    if mode != "offline":
-        from ..semionline import compute_osr
-
-        try:
-            osr = f"OSR: {compute_osr(records):.4f}"
-            if mode == "pool":
-                osr += f"  (eligible-only {compute_osr(records, eligible_only=True):.4f})"
-            print(osr)
-        except ValueError:
-            pass
+    if mode != "offline" and (osr := _osr(records)) != "undefined":
+        if mode == "pool":
+            # Undefined when no history position had a pooled artifact.
+            osr += f"  (eligible-only {_osr(records, eligible_only=True)})"
+        print(f"OSR: {osr}")
     overall = aggregate(records, episodes, policy)
     print(f"steps: {len(records)}  exact: {overall.exact_match}  "
           f"progress: {overall.progress}")
@@ -241,9 +246,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     from ..reporting import markdown_table
-    from ..store import MANIFEST_FILENAME, load_run
+    from ..store import MANIFEST_FILENAME, RECORDS_FILENAME, load_run
 
-    records, manifest, warnings = load_run(args.run_dir)
+    run_dir = Path(args.run_dir)
+    if not any((run_dir / name).exists() for name in (MANIFEST_FILENAME, RECORDS_FILENAME)):
+        raise InputError(f"{args.run_dir}: not a run dir")
+    records, manifest, warnings = load_run(run_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     manifest = manifest or {}
@@ -251,7 +259,7 @@ def cmd_report(args) -> int:
     for dest in settings.dests("policy"):
         if getattr(args, dest) is None and dest in manifest:
             setattr(args, dest, settings.setting_value(
-                dest, manifest[dest], Path(args.run_dir) / MANIFEST_FILENAME))
+                dest, manifest[dest], run_dir / MANIFEST_FILENAME))
     # Records do not carry their ground-truth kind: only the episodes say
     # which steps an exclusion drops.
     if args.exclude_gt_kinds and not args.benchmark:

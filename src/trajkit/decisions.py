@@ -267,19 +267,15 @@ def build_distribution(
     epsilon: float = DBSCAN_EPSILON,
     metric: str = "l2",
     min_pts: int = DBSCAN_MIN_PTS,
-    noise_mode: str = "singleton",
 ) -> DecisionDistribution:
     """Cluster one cell's samples into a decision distribution.
 
     Unparsed samples pool into a reserved invalid decision so masses always
-    sum to one. ``noise_mode='singleton'`` keeps each spatial noise point as
-    its own decision; ``'drop'`` discards them and renormalizes.
+    sum to one; each spatial noise point is a decision of its own.
     """
     n = len(samples)
     if n == 0:
         raise EmptyDistributionError("no samples")
-    if noise_mode not in ("singleton", "drop"):
-        raise ValueError(f"noise_mode {noise_mode!r}")
 
     by_kind: dict[ActionKind, list[int]] = {}
     invalid: list[int] = []
@@ -290,7 +286,6 @@ def build_distribution(
             invalid.append(i)
 
     raw: list[tuple[str, list[int], Optional[Action]]] = []
-    dropped = 0
     for kind in sorted(by_kind, key=lambda k: k.value):
         idxs = by_kind[kind]
         actions = [samples[i].action for i in idxs]
@@ -309,11 +304,8 @@ def build_distribution(
                 medoid_local = _medoid_index(members, dist)
                 raw.append((kind.value, [idxs[m] for m in members],
                             actions[medoid_local]))
-            if noise_mode == "singleton":
-                for local in noise:
-                    raw.append((kind.value, [idxs[local]], actions[local]))
-            else:
-                dropped += len(noise)
+            for local in noise:
+                raw.append((kind.value, [idxs[local]], actions[local]))
         elif kind in TEXT_KINDS:
             texts = [a.text if kind is ActionKind.TYPE else a.app for a in actions]
             for cluster in cluster_text(texts):
@@ -335,12 +327,9 @@ def build_distribution(
     if invalid:
         raw.append((INVALID_KIND, list(invalid), None))
 
-    denom = n - dropped if noise_mode == "drop" else n
-    if denom == 0:
-        raise EmptyDistributionError("all samples dropped as noise")
     clusters = [
         DecisionCluster(kind=k, member_indices=tuple(members),
-                        representative=rep, mass=len(members) / denom)
+                        representative=rep, mass=len(members) / n)
         for k, members, rep in raw
     ]
     clusters.sort(key=DecisionCluster.sort_key)

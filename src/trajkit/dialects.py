@@ -167,7 +167,7 @@ class Dialect:
     def render_history_entry(self, entry: HistoryEntry) -> str:
         raise NotImplementedError
 
-    def render_fixed_thought(self, thought: str, warnings: Optional[list[str]] = None) -> str:
+    def render_fixed_thought(self, thought: str) -> str:
         raise NotImplementedError
 
     def _check_supported(self, action: Action) -> None:
@@ -336,9 +336,7 @@ class XmlToolcallDialect(Dialect):
             body = entry.action.encode()
         return f"Step {entry.index + 1}: {body};"
 
-    def render_fixed_thought(self, thought: str, warnings: Optional[list[str]] = None) -> str:
-        if not thought and warnings is not None:
-            warnings.append("fixed thought is empty")
+    def render_fixed_thought(self, thought: str) -> str:
         return f"<thinking>\n{thought}\n</thinking>\n"
 
     def user_text(self, instruction_high: str, instruction_low: Optional[str],
@@ -501,9 +499,7 @@ class ThoughtActionDialect(Dialect):
             return f"Step {entry.index + 1}:\nThought: {entry.thought}\nAction: {call}"
         return f"Step {entry.index + 1}:\nAction: {call}"
 
-    def render_fixed_thought(self, thought: str, warnings: Optional[list[str]] = None) -> str:
-        if not thought and warnings is not None:
-            warnings.append("fixed thought is empty")
+    def render_fixed_thought(self, thought: str) -> str:
         return f"Thought: {thought}\nAction:"
 
     def user_text(self, instruction_high: str, instruction_low: Optional[str],
@@ -587,7 +583,7 @@ class PlainJsonDialect(Dialect):
         self._check_supported(entry.action)
         return f"Step {entry.index + 1}: {entry.action.encode()};"
 
-    def render_fixed_thought(self, thought: str, warnings: Optional[list[str]] = None) -> str:
+    def render_fixed_thought(self, thought: str) -> str:
         raise UnsupportedFeatureError("plain-json has no reasoning channel")
 
     def user_text(self, instruction_high: str, instruction_low: Optional[str],

@@ -32,4 +32,7 @@ class EndpointUnavailableError(RuntimeError):
 
 
 class UnresolvableObservationError(FileNotFoundError):
-    """A step's screenshot reference cannot be resolved."""
+    """A step's screenshot reference cannot be resolved; the one arg is its path."""
+
+    def __str__(self) -> str:
+        return f"screenshot not found: {self.args[0]}"

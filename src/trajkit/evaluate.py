@@ -182,23 +182,6 @@ HistoryFn = Callable[[int, Sequence[RunRecord]],
                      tuple[Sequence[HistoryEntry], Optional[list[bool]], Optional[list[bool]]]]
 
 
-@dataclass
-class Tally:
-    """What a replay that keeps no records counts: history positions shown
-    on-policy and in all, and exact-matched and scored samples."""
-
-    substituted: int = 0
-    positions: int = 0
-    exact: int = 0
-    scored: int = 0
-
-    def add(self, sources: Sequence[bool], evaluation: StepEvaluation) -> None:
-        self.substituted += sum(sources)
-        self.positions += len(sources)
-        self.exact += evaluation.exact_match
-        self.scored += 1
-
-
 def build_record(episode: Episode, step: StepTask, raw: str, parsed: ParsedResponse,
                  evaluation: StepEvaluation, sources: Optional[list[bool]],
                  eligible: Optional[list[bool]], round_idx: int = 0,
@@ -235,7 +218,6 @@ def replay_episode(
     writer: Optional[RunWriter] = None,
     round_idx: int = 0,
     seed: Optional[int] = None,
-    tally: Optional[Tally] = None,
 ) -> list[RunRecord]:
     """Replay one episode step by step; every replay protocol runs here.
 
@@ -244,8 +226,7 @@ def replay_episode(
     history is taken before ``writer`` is asked for the step's persisted
     record, so a resumed step makes the same random draws as a fresh one; a
     persisted step is read back from its first sample's record and never
-    re-queried. With a ``tally``, samples are counted into it and no
-    records are built. Screenshots are not checked here: ``load_episodes``
+    re-queried. Screenshots are not checked here: ``load_episodes``
     checks them once, and a backend that reads one raises
     ``UnresolvableObservationError`` if it has gone since. An episode's
     outcome is ``episode_metrics`` of the records returned. Under a
@@ -265,15 +246,11 @@ def replay_episode(
         if persisted is not None:
             records.append(persisted)
             continue
-        request = prepare_input(step, entries, dialect, enable_thinking=enable_thinking,
-                                check_screenshot=False)
+        request = prepare_input(step, entries, dialect, enable_thinking=enable_thinking)
         raws = gateway.generate(request, seed=seed)
         for j, raw in enumerate(raws):
             parsed = dialect.parse_response(raw, step.observation.dims)
             evaluation = evaluate_parsed(parsed, step, dialect, policy)
-            if tally is not None:
-                tally.add(sources, evaluation)
-                continue
             record = build_record(episode, step, raw, parsed, evaluation, sources, eligible,
                                   round_idx, seed, j)
             if writer is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import secrets
 import threading
 import time
@@ -115,19 +116,15 @@ def prepare_input(
     enable_thinking: bool = True,
     fixed_thought: Optional[str] = None,
     image_budget: int = DEFAULT_IMAGE_BUDGET,
-    check_screenshot: bool = True,
 ) -> GenerationRequest:
     """Assemble the chat request for one step.
 
     History text is always rendered in full; history screenshots are capped
     at ``image_budget`` most recent (older entries degrade to text only).
-    The current screenshot is always attached.
+    The current screenshot is always attached. No screenshot is read or
+    checked here: ``load_episodes`` checks them, and ``HttpBackend`` raises
+    ``UnresolvableObservationError`` for one gone since.
     """
-    ref = step.observation.screenshot_ref
-    # Refs with a URI scheme are opaque handles; only plain paths are checked.
-    if check_screenshot and "://" not in ref and not Path(ref).exists():
-        raise UnresolvableObservationError(ref)
-
     entries = [dialect.render_history_entry(e) for e in history]
     history_text = " ".join(entries)
 
@@ -282,9 +279,14 @@ def _await_close(sock, timeout: float) -> None:
         pass
 
 
+#: The ``user:password@`` of a URL's authority, left out of error messages.
+_CREDENTIALS_RE = re.compile(r"(?<=://)[^/?#]*@")
+
+
 class HttpBackend:
     """Chat-completions client; ``complete`` makes one attempt, and errors
-    surface verbatim.
+    surface verbatim, followed by ``(POST <url>)`` without any credentials
+    in the URL.
 
     An attempt that may succeed when repeated (no complete response, or a
     status in ``RETRYABLE_STATUS``) raises ``RetryableEndpointError``, and
@@ -317,33 +319,34 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {api_key}"
 
         body = self._body_pieces(request, cfg)
+        where = f" (POST {_CREDENTIALS_RE.sub('', url, count=1)})"
         try:
             status, payload = _post(url, body, headers, cfg.timeout)
         # OSError: refused, reset, timed out; HTTPException:
         # a malformed or cut-off response; ValueError: an unusable URL.
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            raise RetryableEndpointError(str(exc)) from None
+            raise RetryableEndpointError(f"{exc}{where}") from None
         if status == 200:
-            return self._contents(payload, cfg.sampling.n)
-        error = f"HTTP {status}: {payload.decode('utf-8', 'replace')}"
+            return self._contents(payload, cfg.sampling.n, where)
+        error = f"HTTP {status}: {payload.decode('utf-8', 'replace')}{where}"
         if status in self.RETRYABLE_STATUS:
             raise RetryableEndpointError(error)
         raise EndpointUnavailableError(error)
 
     @staticmethod
-    def _contents(payload: bytes, n: int) -> list[str]:
+    def _contents(payload: bytes, n: int, where: str) -> list[str]:
         """The ``n`` completions of a 200 reply; any other reply raises
-        ``EndpointUnavailableError``."""
+        ``EndpointUnavailableError``, its message ending in ``where``."""
         try:
             contents = [c["message"]["content"] for c in json.loads(payload)["choices"]]
         except (ValueError, TypeError, KeyError) as exc:
             raise EndpointUnavailableError(
                 f"HTTP 200 reply without a choices list ({type(exc).__name__}: {exc}): "
-                f"{payload[:200].decode('utf-8', 'replace')}") from None
+                f"{payload[:200].decode('utf-8', 'replace')}{where}") from None
         strings = sum(isinstance(c, str) for c in contents)
         if len(contents) != n or strings != n:
             raise EndpointUnavailableError(f"HTTP 200 reply holds {len(contents)} choices, "
-                                           f"{strings} of them strings, for n={n}")
+                                           f"{strings} of them strings, for n={n}{where}")
         return contents
 
     def _body_pieces(self, request: GenerationRequest, cfg: EndpointConfig) -> list[bytes]:

@@ -84,7 +84,7 @@ def judge_majority(
     """One judge's modal decision over n fixed-thought rollouts."""
     request = prepare_input(
         case.as_step(), history=[], dialect=dialect,
-        fixed_thought=case.reasoning_trace, check_screenshot=False,
+        fixed_thought=case.reasoning_trace,
     )
     raws = gateway.generate(request, n=n)
     samples = [

@@ -24,7 +24,6 @@ from .evaluate import (
     EvalPolicy,
     HistoryFactory,
     HistoryFn,
-    Tally,
     map_in_order,
     reference_entry,
     replay_benchmark,
@@ -564,21 +563,26 @@ def run_sweep_setting(
     global_seed: int = 0,
     enable_thinking: bool = True,
 ) -> SweepResult:
-    """Measure (realized OSR, exact match) under one mixing schedule."""
+    """Measure (realized OSR, exact match) under one mixing schedule, summed
+    over the records of every episode's replay."""
     import numpy as np
 
     rng = np.random.default_rng((setting.index, global_seed))
     probabilities: dict[int, list[float]] = {}
-    tally = Tally()
+    substituted = positions = exact = scored = 0
     for ep in episodes:
-        replay_episode(gateway, ep, dialect,
-                       pooled_history(ep, pool, rng, setting.schedule, probabilities),
-                       policy, enable_thinking, tally=tally)
+        for r in replay_episode(gateway, ep, dialect,
+                                pooled_history(ep, pool, rng, setting.schedule, probabilities),
+                                policy, enable_thinking):
+            substituted += sum(r.history_sources)
+            positions += len(r.history_sources)
+            exact += r.evaluation["exact_match"]
+            scored += 1
     return SweepResult(
         setting=setting,
-        realized_osr=tally.substituted / tally.positions if tally.positions else math.nan,
-        exact_match=tally.exact / tally.scored if tally.scored else math.nan,
-        positions=tally.positions,
+        realized_osr=substituted / positions if positions else math.nan,
+        exact_match=exact / scored if scored else math.nan,
+        positions=positions,
     )
 
 

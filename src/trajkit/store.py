@@ -34,10 +34,6 @@ RECORDS_FILENAME = "records.jsonl"
 MANIFEST_FILENAME = "manifest.json"
 
 
-class EpisodeFileError(ValueError):
-    """Raised when an episode file cannot be read at all."""
-
-
 @dataclass(frozen=True)
 class Observation:
     screenshot_ref: str
@@ -268,11 +264,10 @@ def load_episodes(path: str | Path, check_screenshots: bool = True) -> LoadRepor
     Invalid records are collected into the rejection report with their line
     numbers, never silently dropped. An episode is rejected as a whole when
     any of its step records is invalid or its step indices are not
-    contiguous from zero.
+    contiguous from zero. A file that cannot be opened raises
+    ``InputError`` naming it.
     """
     path = Path(path)
-    if not path.exists():
-        raise EpisodeFileError(f"no such episode file: {path}")
     base_dir = path.parent
 
     steps_by_episode: dict[str, list[StepTask]] = {}
@@ -280,7 +275,11 @@ def load_episodes(path: str | Path, check_screenshots: bool = True) -> LoadRepor
     rejections: list[Rejection] = []
     poisoned: set[str] = set()
 
-    with path.open("rb") as fh:
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             episode_id: Optional[str] = None
             try:

@@ -63,8 +63,8 @@ def make_episodes(
     """Build deterministic episodes ending in STOP.
 
     When ``screenshot_dir`` is given, placeholder screenshots are written
-    there and referenced; otherwise references stay abstract (tests that
-    never touch disk pass ``check_screenshot=False`` downstream).
+    there and referenced; otherwise references stay abstract ``mem://``
+    handles, which only a backend that reads no screenshot (the mock) accepts.
     """
     rng = random.Random(seed)
     shots: list[str] = []

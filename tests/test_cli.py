@@ -485,6 +485,20 @@ class TestSoevalPoolMode:
         rows = read_csv(pooled / "report.csv")
         assert rows[0]["exact_match"] == "1.0"
 
+    def test_osr_line_over_an_empty_pool(self, bench, tmp_path, capsys):
+        """No history position has a pooled artifact: OSR is 0 and the
+        eligible-only OSR is undefined, and the line is still printed."""
+        live = tmp_path / "live"
+        assert main(["soeval", "--benchmark", str(bench), "--backend", "mock",
+                     "--mock-policy", "wrong", "--out-dir", str(live)]) == 0
+        assert (live / "pool.jsonl").read_bytes() == b""
+        capsys.readouterr()
+        assert main(["soeval", "--benchmark", str(bench), "--mode", "pool",
+                     "--pool", str(live / "pool.jsonl"), "--backend", "mock",
+                     "--mock-policy", "wrong", "--out-dir", str(tmp_path / "pooled")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "OSR: 0.0000  (eligible-only undefined)", printed
+
     def test_pool_mode_requires_pool(self, bench, tmp_path, capsys):
         assert main(["soeval", "--benchmark", str(bench), "--mode", "pool",
                      "--backend", "mock", "--out-dir", str(tmp_path / "x")]) == 2
@@ -986,8 +1000,82 @@ class TestEndpointErrors:
         monkeypatch.setattr(settings, "episodes", load_then_remove)
         assert main(["eval", "--benchmark", str(bench), "--backend", "http",
                      "--endpoint-url", chat_server.url, "--out-dir", str(tmp_path / "run")]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"trajkit: error: {gone[0]}"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"trajkit: error: screenshot not found: {gone[0]}"]
         assert chat_server.seen == []
+
+
+class TestBadInputs:
+    """A bad path, an endpoint that refuses, or a screenshot gone since the
+    load ends in exit code 2 and one error line that names it, without a
+    traceback."""
+
+    # (argv, the words the error line holds). {missing} names no file, {file}
+    # is a file, {dir} an empty directory, {run} a run dir holding a manifest.
+    INPUTS = {
+        **{f"missing-benchmark-{command}": (argv, "{missing}: No such file or directory")
+           for command, argv in {
+               "eval": ["eval", "--benchmark", "{missing}", "--out-dir", "{tmp}/out"],
+               "soeval": ["soeval", "--benchmark", "{missing}", "--out-dir", "{tmp}/out"],
+               "rollout": ["rollout", "--benchmark", "{missing}", "--out-dir", "{tmp}/out"],
+               "sweep": ["sweep", "--benchmark", "{missing}", "--pool", "{file}",
+                         "--out", "{tmp}/sweep.csv"],
+               "report": ["report", "--run-dir", "{run}", "--benchmark", "{missing}"],
+               "ingest": ["ingest", "--benchmark", "{missing}"],
+               "cluster": ["cluster", "--rollouts", "{file}", "--benchmark", "{missing}",
+                           "--out", "{tmp}/cells.csv"],
+           }.items()},
+        "benchmark-is-a-dir": (["eval", "--benchmark", "{dir}", "--out-dir", "{tmp}/out"],
+                               "{dir}: Is a directory"),
+        "fixture-out-dir-is-a-file": (["make-fixture", "--out-dir", "{file}"],
+                                      "{file}: File exists"),
+        "run-dir-is-a-file": (["report", "--run-dir", "{file}"], "{file}: not a run dir"),
+        "run-dir-missing": (["report", "--run-dir", "{missing}"], "{missing}: not a run dir"),
+        "run-dir-empty": (["report", "--run-dir", "{dir}"], "{dir}: not a run dir"),
+        "refused-endpoint": (["eval", "--benchmark", "{bench}", "--backend", "http",
+                              "--endpoint-url", "{refused}", "--config", "{no_retry}",
+                              "--out-dir", "{tmp}/out"],
+                             "refused (POST {refused}/chat/completions)"),
+        "screenshot-gone": (["eval", "--benchmark", "{bench}", "--backend", "http",
+                             "--endpoint-url", "{served}", "--out-dir", "{tmp}/out"],
+                            "screenshot not found: {gone}"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_is_one_error_line(self, bench, tmp_path, capsys, monkeypatch, request, name):
+        from trajkit import settings
+
+        argv, words = self.INPUTS[name]
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "manifest.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "no-retry.yaml").write_text("endpoint:\n  max_retries: 0\n",
+                                                encoding="utf-8")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            refused = f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
+        names = {"tmp": tmp_path, "bench": bench, "missing": tmp_path / "missing",
+                 "file": tmp_path / "file", "dir": tmp_path / "dir", "run": tmp_path / "run",
+                 "no_retry": tmp_path / "no-retry.yaml", "refused": refused,
+                 "gone": bench.parent / "screens" / "screen_0.png"}
+        if name == "screenshot-gone":
+            names["served"] = request.getfixturevalue("chat_server").url
+            load = settings.episodes
+
+            def load_then_remove(args, **kwargs):
+                episodes = load(args, **kwargs)
+                os.remove(episodes[0].steps[0].observation.screenshot_ref)
+                return episodes
+
+            monkeypatch.setattr(settings, "episodes", load_then_remove)
+        capsys.readouterr()
+        assert main([a.format(**names) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.splitlines()[0]], err
+        assert err.startswith("trajkit: error: ") and words.format(**names) in err, err
+        assert "Traceback" not in err
 
 
 class TestPoolContinueOnError:

@@ -158,16 +158,15 @@ class TestStdlibClusteringEqualsNumpy:
     @settings(max_examples=200, deadline=None)
     @given(case=dbscan_cases(coords=st.integers(0, 1000)),
            kinds=st.lists(st.sampled_from([ActionKind.CLICK, ActionKind.LONG_PRESS]),
-                          min_size=16, max_size=16),
-           noise_mode=st.sampled_from(["singleton", "drop"]))
-    def test_build_distribution(self, case, kinds, noise_mode):
+                          min_size=16, max_size=16))
+    def test_build_distribution(self, case, kinds):
         points, epsilon, metric, min_pts = case
         samples = [ExecutionSample(action=Action(kinds[i % 16], point=Point(x, y)))
                    for i, (x, y) in enumerate(points)]
 
         def clusters():
             try:
-                dist = build_distribution(samples, epsilon, metric, min_pts, noise_mode)
+                dist = build_distribution(samples, epsilon, metric, min_pts)
             except EmptyDistributionError:
                 return None
             return dist.n, [(c.kind, c.member_indices, c.representative, c.mass)
@@ -300,14 +299,6 @@ class TestBuildDistribution:
         expected = n_click_clusters + len(set(scrolls)) + \
             len(cluster_text(types)) + 1 + 1  # STOP cluster + invalid
         assert dist.support_size == expected
-
-    def test_noise_drop_mode_renormalizes(self):
-        samples = [click_sample(100, 100)] * 5 + [click_sample(900, 900)]
-        kept = build_distribution(samples, noise_mode="drop")
-        assert sum(kept.masses()) == pytest.approx(1.0)
-        assert kept.support_size == 1
-        default = build_distribution(samples)
-        assert default.support_size == 2
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDistributionError):

@@ -298,13 +298,6 @@ class TestFixedThought:
     def test_xml_prefix_wraps_thinking(self, xml_dialect):
         assert xml_dialect.render_fixed_thought("T") == "<thinking>\nT\n</thinking>\n"
 
-    def test_empty_thought_flagged(self, xml_dialect, ta_dialect):
-        for dialect in (xml_dialect, ta_dialect):
-            warnings = []
-            prefix = dialect.render_fixed_thought("", warnings)
-            assert prefix
-            assert warnings
-
 
 class TestTotality:
     """Parsing never raises: every string yields success or a typed failure."""

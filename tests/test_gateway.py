@@ -84,16 +84,6 @@ class TestPrepareInput:
                             fixed_thought="already decided")
         assert req.fixed_thought == "Thought: already decided\nAction:"
 
-    def test_missing_screenshot(self, episodes, xml_dialect, tmp_path):
-        from dataclasses import replace
-        from trajkit.store import Observation
-        step = replace(
-            episodes[0].steps[0],
-            observation=Observation(screenshot_ref=str(tmp_path / "gone.png"),
-                                    dims=(10, 10)))
-        with pytest.raises(UnresolvableObservationError):
-            prepare_input(step, [], xml_dialect)
-
     def test_deterministic_for_fixed_inputs(self, episodes, xml_dialect):
         a = prepare_input(episodes[0].steps[1], [], xml_dialect)
         b = prepare_input(episodes[0].steps[1], [], xml_dialect)
@@ -105,7 +95,7 @@ class TestMockBackend:
         gateway, backend = make_gateway(episodes, xml_dialect, "oracle")
         step = episodes[0].steps[0]
         from trajkit.gateway import prepare_input as prep
-        req = prep(step, [], xml_dialect, check_screenshot=False)
+        req = prep(step, [], xml_dialect)
         out = gateway.generate(req)
         assert len(out) == 1
         parsed = xml_dialect.parse_response(out[0], step.observation.dims)
@@ -126,7 +116,7 @@ class TestMockBackend:
         for _ in range(2):
             gateway, _ = make_gateway(episodes, xml_dialect, "alternating", seed=7)
             step = episodes[1].steps[2]
-            req = prepare_input(step, [], xml_dialect, check_screenshot=False)
+            req = prepare_input(step, [], xml_dialect)
             outs.append(gateway.generate(req, seed=7))
         assert outs[0] == outs[1]
 
@@ -229,6 +219,17 @@ class TestHttpRetry:
         assert_simple_body(chat_server.bodies()[0])
         # A 400 is not retried.
         assert len(chat_server.seen) == 1 and sleeps == []
+
+    def test_error_names_the_url_without_credentials(self, chat_server, monkeypatch):
+        for proxy in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(proxy, raising=False)
+        chat_server.replies = [(400, b"step refused")]
+        cfg = EndpointConfig(base_url=chat_server.url.replace("://", "://user:secret@"),
+                             max_retries=0)
+        with pytest.raises(EndpointUnavailableError) as excinfo:
+            http_gateway(cfg).generate(simple_request())
+        assert str(excinfo.value) == \
+            f"HTTP 400: step refused (POST {chat_server.url}/chat/completions)"
 
     def test_success_extracts_choices(self, chat_server):
         payload = {"choices": [{"message": {"content": "a"}},

@@ -426,8 +426,9 @@ class TestPooledMode:
                                                              monkeypatch):
         """A sweep setting shares each length's probabilities across its
         episodes (only the sweep replays the pool under a schedule)."""
+        from types import SimpleNamespace
+
         import trajkit.semionline as so
-        from trajkit.evaluate import Tally
 
         pool = build_pool(episodes, xml_dialect)
         sched = Schedule(0.2, 0.6, 16.0, 0.4, "increasing")
@@ -436,10 +437,13 @@ class TestPooledMode:
 
         # Each episode drawing its masks step by step, with no shared vectors.
         gateway, _ = make_gateway(episodes, xml_dialect, "alternating")
-        rng, want = np.random.default_rng((5, 3)), Tally()
-        for ep in episodes:
-            replay_episode(gateway, ep, xml_dialect, so.pooled_history(ep, pool, rng, sched),
-                           tally=want)
+        rng = np.random.default_rng((5, 3))
+        records = [r for ep in episodes for r in replay_episode(
+            gateway, ep, xml_dialect, so.pooled_history(ep, pool, rng, sched))]
+        want = SimpleNamespace(substituted=sum(sum(r.history_sources) for r in records),
+                               positions=sum(len(r.history_sources) for r in records),
+                               exact=sum(r.evaluation["exact_match"] for r in records),
+                               scored=len(records))
 
         lengths = []
         real = so.schedule_probabilities
