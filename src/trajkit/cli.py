@@ -15,9 +15,7 @@ import sys
 from importlib import import_module
 from typing import Optional, Sequence
 
-from .errors import (ConfigMismatchError, CorruptRecordsError, EmptyReportError,
-                     EndpointUnavailableError, InputError, UnresolvableObservationError,
-                     WorkerDiedError)
+from .errors import CommandError
 from .settings import (DIALECT_IDS, SETTINGS, _non_negative_float, _non_negative_int, dests,
                        finite_float, positive_int, resolve_settings)
 
@@ -210,10 +208,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         resolve_settings(args)
         module, func = args.func.split(":")
         return getattr(import_module(f"trajkit.commands.{module}"), func)(args)
-    except (ConfigMismatchError, CorruptRecordsError, EmptyReportError,
-            EndpointUnavailableError, InputError, UnresolvableObservationError,
-            WorkerDiedError) as exc:
-        print(f"trajkit: error: {exc}", file=sys.stderr)
+    except (CommandError, OSError) as exc:
+        # A file the system refused reads as the file and the system's reason.
+        message = (f"{exc.filename}: {exc.strerror}"
+                   if isinstance(exc, OSError) and exc.filename is not None else exc)
+        print(f"trajkit: error: {message}", file=sys.stderr)
         return 2
 
 

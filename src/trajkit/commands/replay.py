@@ -58,15 +58,6 @@ def _policy(args) -> EvalPolicy:
     return EvalPolicy(**settings.given(args, "policy"))
 
 
-def _load_pool(path: str):
-    from ..semionline import ArtifactPool
-
-    try:
-        return ArtifactPool.load(path)
-    except FileNotFoundError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _replay_inputs(args):
     """The dialect, episodes and model backend a replay command runs on."""
     from ..dialects import get_dialect
@@ -130,8 +121,10 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
 
 def cmd_replay(args) -> int:
     """``eval`` (mode ``offline``) and ``soeval`` (``live`` or ``pool``)."""
+    from dataclasses import asdict
+
     from ..evaluate import reference_history, replay_benchmark
-    from ..gateway import DEFAULT_SEEDS, ModelGateway
+    from ..gateway import DEFAULT_SEEDS, ModelGateway, SamplingConfig
     from ..store import RunWriter
 
     if not args.out_dir:
@@ -157,6 +150,11 @@ def cmd_replay(args) -> int:
         "min_comparable": policy.min_comparable,
         "exclude_gt_kinds": sorted(k.value for k in policy.exclude_gt_kinds),
     }
+    # A sampling setting enters only off its default, so that a run dir made
+    # before the setting was hashed still resumes under the defaults.
+    default = asdict(SamplingConfig())
+    run_config.update((key, value) for key, value in asdict(cfg.sampling).items()
+                      if key not in ("n", "seed") and value != default[key])
     # The protocol: which history each step of an episode sees.
     if mode == "offline":
         histories = lambda _, ep: reference_history(ep)  # noqa: E731
@@ -165,7 +163,7 @@ def cmd_replay(args) -> int:
     else:
         if not args.pool:
             raise InputError("soeval --mode pool requires --pool <file>")
-        histories = pooled_histories(_load_pool(args.pool), global_seed=seed)
+        histories = pooled_histories(ArtifactPool.load(args.pool), global_seed=seed)
         # The pool's bytes, not its path, decide whether a run dir resumes.
         run_config["pool_sha256"] = pool_sha256(args.pool)
     out_dir = Path(args.out_dir)
@@ -229,10 +227,10 @@ def cmd_rollout(args) -> int:
 def cmd_sweep(args) -> int:
     from ..gateway import ModelGateway
     from ..reporting import SWEEP_COLUMNS, sweep_rows, write_csv
-    from ..semionline import SweepConfig, run_sweep
+    from ..semionline import ArtifactPool, SweepConfig, run_sweep
 
     dialect, episodes, backend = _replay_inputs(args)
-    pool = _load_pool(args.pool)
+    pool = ArtifactPool.load(args.pool)
     cfg = _endpoint_config(args)
     sweep_cfg = SweepConfig(**settings.given(args, "schedule"), global_seed=args.global_seed)
     workers, processes = _executor(args, cfg)

@@ -2,7 +2,6 @@
 
 import math
 import sys
-from pathlib import Path
 from typing import Optional
 
 from ..errors import InputError
@@ -72,13 +71,12 @@ def cmd_stats(args) -> int:
 
 
 def _read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``; a file that cannot be read, or
-    is not UTF-8, is an ``InputError`` naming it (and the line)."""
+    """The text of the UTF-8 file at ``path``; a file that is not UTF-8 is an
+    ``InputError`` naming it and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        data = Path(path).read_bytes()
         return data.decode("utf-8")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:{line_no}: 'utf-8' codec can't decode byte "

@@ -224,7 +224,8 @@ def _post(url: str, body: Sequence[bytes], headers: dict[str, str],
                "Content-Length": str(sum(len(piece) for piece in body))}
     proxy = urllib.request.getproxies().get(target.scheme)
     proxy_headers = {}
-    if proxy and not urllib.request.proxy_bypass(target.netloc):
+    # no_proxy matches host and port; a user:password@ would hide them.
+    if proxy and not urllib.request.proxy_bypass(target.netloc.rpartition("@")[2]):
         proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
         if proxy.username and proxy.password:
             credentials = urllib.parse.unquote(f"{proxy.username}:{proxy.password}")

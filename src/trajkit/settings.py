@@ -108,7 +108,7 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             config = yaml.safe_load(fh) or {}
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise InputError(f"{path}: {exc}") from None
     except yaml.YAMLError as exc:
         # yaml's message spans lines: one line keeps the problem and its place.

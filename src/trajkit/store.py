@@ -264,8 +264,7 @@ def load_episodes(path: str | Path, check_screenshots: bool = True) -> LoadRepor
     Invalid records are collected into the rejection report with their line
     numbers, never silently dropped. An episode is rejected as a whole when
     any of its step records is invalid or its step indices are not
-    contiguous from zero. A file that cannot be opened raises
-    ``InputError`` naming it.
+    contiguous from zero.
     """
     path = Path(path)
     base_dir = path.parent
@@ -275,11 +274,7 @@ def load_episodes(path: str | Path, check_screenshots: bool = True) -> LoadRepor
     rejections: list[Rejection] = []
     poisoned: set[str] = set()
 
-    try:
-        fh = path.open("rb")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    with fh:
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             episode_id: Optional[str] = None
             try:
@@ -372,17 +367,12 @@ T = TypeVar("T")
 def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     """``decode`` applied to each object of a JSONL file, skipping blank lines.
 
-    A file that cannot be opened raises ``InputError`` naming it; a line that
-    is not UTF-8, is not a JSON object, or that ``decode`` rejects with a
-    ValueError, TypeError or KeyError, raises ``InputError`` naming the file
-    and line.
+    A line that is not UTF-8, is not a JSON object, or that ``decode``
+    rejects with a ValueError, TypeError or KeyError, raises ``InputError``
+    naming the file and line.
     """
     out: list[T] = []
-    try:
-        fh = Path(path).open("rb")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    with fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 line = line.decode("utf-8")
@@ -634,8 +624,6 @@ def _read_manifest(path: Path) -> dict:
     """A run dir's manifest; one that is not a JSON object raises ``InputError``."""
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):

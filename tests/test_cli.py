@@ -1011,7 +1011,8 @@ class TestBadInputs:
     traceback."""
 
     # (argv, the words the error line holds). {missing} names no file, {file}
-    # is a file, {dir} an empty directory, {run} a run dir holding a manifest.
+    # is a file, {dir} an empty directory, {run} a run dir holding a manifest,
+    # {out} the directory of BLOCKED, and each key of CONFIGS a config file.
     INPUTS = {
         **{f"missing-benchmark-{command}": (argv, "{missing}: No such file or directory")
            for command, argv in {
@@ -1039,6 +1040,52 @@ class TestBadInputs:
         "screenshot-gone": (["eval", "--benchmark", "{bench}", "--backend", "http",
                              "--endpoint-url", "{served}", "--out-dir", "{tmp}/out"],
                             "screenshot not found: {gone}"),
+        "out-dir-under-a-file": (["eval", "--benchmark", "{bench}", "--out-dir", "{file}/run"],
+                                 "{file}/run: Not a directory"),
+        **{f"out-dir-is-a-file-{command}": (
+            [command, "--benchmark", "{bench}", "--out-dir", "{file}", *extra],
+            "{file}: File exists")
+           for command, extra in {"eval": [], "soeval": [], "ingest": [],
+                                  "rollout": ["--rounds", "1", "--samples", "2"]}.items()},
+        "records-is-a-dir-eval": (["eval", "--benchmark", "{bench}", "--out-dir", "{out}"],
+                                  "{out}/records.jsonl: Is a directory"),
+        "records-is-a-dir-report": (["report", "--run-dir", "{out}"],
+                                    "{out}/records.jsonl: Is a directory"),
+        "report-md-is-a-dir": (["report", "--run-dir", "{out}"],
+                               "{out}/report.md: Is a directory"),
+        "rollouts-is-a-dir": (["rollout", "--benchmark", "{bench}", "--out-dir", "{out}",
+                               "--rounds", "1", "--samples", "2"],
+                              "{out}/rollouts.jsonl: Is a directory"),
+        "pool-is-a-dir-rollout": (["rollout", "--benchmark", "{bench}", "--out-dir", "{out}",
+                                   "--rounds", "1", "--samples", "2"],
+                                  "{out}/pool.jsonl: Is a directory"),
+        "pool-is-a-dir-soeval": (["soeval", "--benchmark", "{bench}", "--out-dir", "{out}"],
+                                 "{out}/pool.jsonl: Is a directory"),
+        "ingest-json-is-a-dir": (["ingest", "--benchmark", "{bench}", "--out-dir", "{out}"],
+                                 "{out}/ingest.json: Is a directory"),
+        "config-missing": (["eval", "--benchmark", "{bench}", "--config", "{missing}",
+                            "--out-dir", "{tmp}/out"], "{missing}: No such file or directory"),
+        "config-a-list": (["eval", "--benchmark", "{bench}", "--config", "{a_list}",
+                           "--out-dir", "{tmp}/out"], "{a_list}: not a mapping of settings"),
+        "config-endpoint-a-number": (["eval", "--benchmark", "{bench}", "--config",
+                                      "{endpoint_3}", "--out-dir", "{tmp}/out"],
+                                     "{endpoint_3}: endpoint: not a mapping of settings"),
+        "config-temperature-out-of-range": (["eval", "--benchmark", "{bench}", "--config",
+                                             "{hot}", "--out-dir", "{tmp}/out"],
+                                            "endpoint: temperature 3.0 outside [0, 2]"),
+    }
+    CONFIGS = {"no_retry": "endpoint:\n  max_retries: 0\n", "a_list": "- eval\n",
+               "endpoint_3": "endpoint: 3\n", "hot": "endpoint: {temperature: 3}\n"}
+    # Cases whose {out} holds a directory where the command writes the named
+    # file; when the flag is set, {out} is first a complete eval run dir.
+    BLOCKED = {
+        "records-is-a-dir-eval": (True, "records.jsonl"),
+        "records-is-a-dir-report": (True, "records.jsonl"),
+        "report-md-is-a-dir": (True, "report.md"),
+        "rollouts-is-a-dir": (False, "rollouts.jsonl"),
+        "pool-is-a-dir-rollout": (False, "pool.jsonl"),
+        "pool-is-a-dir-soeval": (False, "pool.jsonl"),
+        "ingest-json-is-a-dir": (False, "ingest.json"),
     }
 
     @pytest.mark.parametrize("name", sorted(INPUTS))
@@ -1050,16 +1097,24 @@ class TestBadInputs:
         (tmp_path / "dir").mkdir()
         (tmp_path / "run").mkdir()
         (tmp_path / "run" / "manifest.json").write_text("{}", encoding="utf-8")
-        (tmp_path / "no-retry.yaml").write_text("endpoint:\n  max_retries: 0\n",
-                                                encoding="utf-8")
+        out = tmp_path / "out"
+        if name in self.BLOCKED:
+            replayed, blocked = self.BLOCKED[name]
+            if replayed:
+                assert main(["eval", "--benchmark", str(bench), "--out-dir", str(out)]) == 0
+                (out / blocked).unlink()
+            (out / blocked).mkdir(parents=True)
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             refused = f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
         names = {"tmp": tmp_path, "bench": bench, "missing": tmp_path / "missing",
                  "file": tmp_path / "file", "dir": tmp_path / "dir", "run": tmp_path / "run",
-                 "no_retry": tmp_path / "no-retry.yaml", "refused": refused,
+                 "out": out, "refused": refused,
                  "gone": bench.parent / "screens" / "screen_0.png"}
+        for key, text in self.CONFIGS.items():
+            names[key] = tmp_path / f"{key}.yaml"
+            names[key].write_text(text, encoding="utf-8")
         if name == "screenshot-gone":
             names["served"] = request.getfixturevalue("chat_server").url
             load = settings.episodes

@@ -351,6 +351,15 @@ class TestHttpRetry:
         assert line == f"POST {upstream}/chat/completions HTTP/1.1"
         assert_simple_body(data)
 
+    def test_no_proxy_matches_a_url_with_credentials(self, chat_server, monkeypatch):
+        """``no_proxy`` (127.0.0.1 here) matches the endpoint's host and port,
+        also when its URL carries a ``user:password@``."""
+        monkeypatch.setenv("http_proxy", refused_url())
+        cfg = EndpointConfig(base_url=chat_server.url.replace("://", "://user:secret@"),
+                             max_retries=0)
+        assert HttpBackend().complete(simple_request(), cfg) == ["ok"]
+        assert len(chat_server.seen) == 1
+
 
 def choices(*contents):
     return json.dumps({"choices": [{"message": {"content": c}} for c in contents]}).encode()

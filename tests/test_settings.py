@@ -340,6 +340,36 @@ def test_run_dir_with_an_old_format_manifest_resumes(tmp_path, capsys, fixture_f
     capsys.readouterr()
 
 
+def test_run_dir_refuses_to_resume_under_another_sampling_setting(tmp_path, capsys,
+                                                                   fixture_files):
+    out = tmp_path / "run"
+    command = ["eval", "--benchmark", fixture_files["bench"], "--out-dir", str(out)]
+    warm = write_config(tmp_path / "warm.yaml", "endpoint", "temperature", 0.5)
+    assert main([*command, "--config", warm]) == 0
+    records = (out / "records.jsonl").read_bytes()
+    capsys.readouterr()
+    hot = write_config(tmp_path / "hot.yaml", "endpoint", "temperature", 1.5)
+    assert main([*command, "--config", hot]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [err[0]] and err[0].startswith(f"trajkit: error: run dir {out} was "
+                                                 "produced under a different configuration")
+    assert (out / "records.jsonl").read_bytes() == records
+
+
+@pytest.mark.parametrize("temperature", [None, 0.1], ids=["unset", "default"])
+def test_sampling_at_its_defaults_keeps_the_default_hash(tmp_path, capsys, fixture_files,
+                                                         temperature):
+    out = tmp_path / "run"
+    command = ["eval", "--benchmark", fixture_files["bench"], "--out-dir", str(out)]
+    if temperature is not None:
+        command += ["--config", write_config(tmp_path / "t.yaml", "endpoint", "temperature",
+                                             temperature)]
+    assert main(command) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_hash"] == OLD_FORMAT_RUNS[0][1] and "temperature" not in manifest
+    capsys.readouterr()
+
+
 def test_report_falls_back_to_the_manifest_key_by_key(tmp_path, capsys, fixture_files):
     out = tmp_path / "run"
     bench = fixture_files["bench"]
