@@ -2,14 +2,14 @@
 never ran, per function. It uses only the standard library
 (``sys.settrace`` and ``threading.settrace``); run it as
 
-    PYTHONPATH=src:tests python -m pytest -p lineprobe [--lineprobe-out FILE]
+    PYTHONPATH=src:tests python -m pytest -p lineprobe
 
 It writes one line per function with unrun statements,
-``<file>:<function>: <line numbers>``, then their total, to ``FILE``
-(default ``lineprobe.txt``). Tracing starts before pytest loads the
-conftest files, so before any test imports trajkit. It sees this process
-and its threads only: lines run in forked worker processes or in CLI
-subprocesses count as unrun.
+``<file>:<function>: <line numbers>``, then their total, to
+``lineprobe.txt`` in the working directory. Tracing starts before pytest
+loads the conftest files, so before any test imports trajkit. It sees
+this process and its threads only: lines run in forked worker processes
+or in CLI subprocesses count as unrun.
 """
 
 import ast
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "trajkit"
+OUT = Path("lineprobe.txt")
 _run: dict[str, set[int]] = {}
 
 
@@ -63,11 +64,6 @@ def pytest_load_initial_conftests():
     threading.settrace(_trace)
 
 
-def pytest_addoption(parser):
-    parser.addoption("--lineprobe-out", default="lineprobe.txt",
-                     help="where lineprobe writes the lines no test ran")
-
-
 def pytest_sessionfinish(session):
     sys.settrace(None)
     threading.settrace(None)
@@ -78,5 +74,4 @@ def pytest_sessionfinish(session):
             out.append(f"{path.relative_to(SRC.parent.parent)}:{function}: "
                        f"{', '.join(map(str, missed))}")
     out.append(f"{total} statements never ran")
-    Path(session.config.getoption("lineprobe_out")).write_text("\n".join(out) + "\n",
-                                                               encoding="utf-8")
+    OUT.write_text("\n".join(out) + "\n", encoding="utf-8")
