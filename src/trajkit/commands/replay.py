@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .. import settings
 from ..errors import EmptyReportError, InputError
@@ -16,7 +16,7 @@ if TYPE_CHECKING:
     from ..gateway import EndpointConfig
 
 
-def _endpoint_config(args, n: int = 1, seed: Optional[int] = None) -> EndpointConfig:
+def _endpoint_config(args, n: int = 1) -> EndpointConfig:
     from dataclasses import fields
 
     from ..gateway import EndpointConfig, SamplingConfig
@@ -24,7 +24,7 @@ def _endpoint_config(args, n: int = 1, seed: Optional[int] = None) -> EndpointCo
     given = settings.given(args, "endpoint")
     sampling = {f.name: given.pop(f.name) for f in fields(SamplingConfig) if f.name in given}
     try:
-        return EndpointConfig(sampling=SamplingConfig(**sampling, n=n, seed=seed), **given)
+        return EndpointConfig(sampling=SamplingConfig(**sampling, n=n), **given)
     except ValueError as exc:
         raise InputError(f"endpoint: {exc}") from None
 
@@ -119,8 +119,15 @@ def _report_run(out_dir, records, episodes, policy: EvalPolicy, mode: str):
     return overall
 
 
+def _open_pool(out_dir: Path):
+    """``pool.jsonl``, opened before the first request so that an unwritable
+    path fails at once, and for appending so that it is kept until ``write_pool``."""
+    return (out_dir / "pool.jsonl").open("a", encoding="utf-8")
+
+
 def cmd_replay(args) -> int:
     """``eval`` (mode ``offline``) and ``soeval`` (``live`` or ``pool``)."""
+    from contextlib import nullcontext
     from dataclasses import asdict
 
     from ..evaluate import reference_history, replay_benchmark
@@ -131,12 +138,13 @@ def cmd_replay(args) -> int:
         raise InputError("--out-dir is required")
     mode = args.mode
     if mode != "offline":
-        from ..semionline import ArtifactPool, on_policy_history, pool_sha256, pooled_histories
+        from ..semionline import (ArtifactPool, on_policy_history, pool_sha256, pooled_histories,
+                                  write_pool)
     dialect, episodes, backend = _replay_inputs(args)
     policy = _policy(args)
     seeds = args.seed_list or list(DEFAULT_SEEDS)
     seed = seeds[0]
-    cfg = _endpoint_config(args, seed=seed)
+    cfg = _endpoint_config(args)
     gateway = ModelGateway(backend, cfg)
 
     # The run's configuration: its hash decides whether a run dir resumes,
@@ -172,16 +180,17 @@ def cmd_replay(args) -> int:
     for w in writer.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    try:
-        records, _ = replay_benchmark(
-            gateway, episodes, dialect, histories, policy, args.enable_thinking, writer, seed,
-            _executor(args, cfg, persists_steps=True)[0], args.continue_on_error)
-    finally:
-        # Episodes in parallel append in completion order; a serial run's
-        # order is restored even when the replay was cut short.
-        writer.canonicalize([ep.id for ep in episodes])
-    if mode == "live":
-        ArtifactPool.from_records(records).save(out_dir / "pool.jsonl")
+    with _open_pool(out_dir) if mode == "live" else nullcontext() as pool_file:
+        try:
+            records, _ = replay_benchmark(
+                gateway, episodes, dialect, histories, policy, args.enable_thinking, writer,
+                seed, _executor(args, cfg, persists_steps=True)[0], args.continue_on_error)
+        finally:
+            # Episodes in parallel append in completion order; a serial run's
+            # order is restored even when the replay was cut short.
+            writer.canonicalize([ep.id for ep in episodes])
+        if pool_file is not None:
+            write_pool(pool_file, [ArtifactPool.from_records(records).encode()])
     _report_run(out_dir, records, episodes, policy, mode)
     return 0
 
@@ -214,12 +223,13 @@ def cmd_rollout(args) -> int:
 
     jobs = [(round_idx, seed, ep) for round_idx, seed in enumerate(seeds) for ep in episodes]
     n_records, pool_parts = 0, []
-    with (out_dir / "rollouts.jsonl").open("w", encoding="utf-8") as fh:
+    with _open_pool(out_dir) as pool_file, \
+            (out_dir / "rollouts.jsonl").open("w", encoding="utf-8") as fh:
         for n, lines, pool_part in map_in_order(replay, jobs, *_executor(args, cfg)):
             fh.write(lines)
             n_records += n
             pool_parts.append(pool_part)
-    n_pooled = write_pool(out_dir / "pool.jsonl", pool_parts)
+        n_pooled = write_pool(pool_file, pool_parts)
     print(f"rollouts: {n_records}  pooled artifacts: {n_pooled}")
     return 0
 

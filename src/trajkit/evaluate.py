@@ -18,12 +18,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .actions import ALL_KINDS, Action, BBox, actions_match
-from .dialects import Dialect, HistoryEntry, ParsedResponse, ReferenceEntry
+from .dialects import ArtifactEntry, Dialect, HistoryEntry, ParsedResponse, ReferenceEntry
 from .errors import EmptyReportError, WorkerDiedError
 from .store import Episode, RunRecord, RunWriter, StepTask, prediction_fields, step_key
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .gateway import ModelGateway
+    from .semionline import ArtifactPool
 
 logger = logging.getLogger(__name__)
 
@@ -385,23 +388,50 @@ def replay_benchmark(
             {ep.id: episode_metrics(records, ep) for ep, records in done})
 
 
-def reference_entry(step: StepTask) -> ReferenceEntry:
-    return ReferenceEntry(index=step.step_index, action=step.gt_action,
-                          observation=step.observation)
+def mixed_history(
+    episode: Episode,
+    upto: int,
+    mask: Sequence[bool],
+    pool: ArtifactPool,
+    rng: Optional[np.random.Generator],
+) -> tuple[list[HistoryEntry], list[bool], list[bool]]:
+    """Build a pool-substituted history for step ``upto``; every protocol's
+    history is built here, from its own ``mask`` and ``pool`` (or ``{}``).
+
+    Returns (entries, realized substitution mask, eligibility mask). A
+    position sampled for substitution but lacking any pooled artifact falls
+    back to the reference entry; ``rng`` picks among several artifacts.
+    """
+    entries: list[HistoryEntry] = []
+    realized: list[bool] = []
+    eligible: list[bool] = []
+    for t in range(upto):
+        step = episode.steps[t]
+        candidates = pool.get(step.key)
+        eligible.append(bool(candidates))
+        if mask[t] and candidates:
+            pick = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 \
+                else candidates[0]
+            entries.append(ArtifactEntry(index=step.step_index, action=pick.action,
+                                         thought=pick.thought, conclusion=pick.conclusion,
+                                         observation=step.observation))
+            realized.append(True)
+        else:
+            entries.append(ReferenceEntry(index=step.step_index, action=step.gt_action,
+                                          observation=step.observation))
+            realized.append(False)
+    return entries, realized, eligible
 
 
 def reference_history(episode: Episode, record_sources: bool = True) -> HistoryFn:
-    """The offline protocol: reference entries only.
+    """The offline protocol: no position marked, over an empty pool.
 
     ``record_sources=False`` leaves the records without ``history_sources``,
     as rollouts are written.
     """
-    entries: list[HistoryEntry] = []
-
     def history(i: int, records: Sequence[RunRecord]):
-        if i:
-            entries.append(reference_entry(episode.steps[i - 1]))
-        return entries, [False] * i if record_sources else None, None
+        entries, sources, _ = mixed_history(episode, i, [False] * i, {}, None)
+        return entries, sources if record_sources else None, None
 
     return history
 

@@ -1,8 +1,7 @@
 """Semi-online evaluation: on-policy history selection and mixing schedules.
 
-The history selector substitutes a past step's entry with the model's own
-recorded artifacts exactly when that step's prediction matched the
-reference; otherwise it falls back to the reference entry. Controlled
+Semi-online history is the pooled protocol over the model's own matched
+steps; both fill history through ``evaluate.mixed_history``. Controlled
 mixing experiments drive the substitution decision from a normalized
 logistic schedule over the relative position inside the history sequence.
 """
@@ -15,17 +14,17 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
 
 from .actions import Action
-from .dialects import ArtifactEntry, Dialect, HistoryEntry
+from .dialects import Dialect
 from .evaluate import (
     DEFAULT_POLICY,
     EvalPolicy,
     HistoryFactory,
     HistoryFn,
     map_in_order,
-    reference_entry,
+    mixed_history,
     replay_benchmark,
     replay_episode,
     step_ratio,
@@ -225,21 +224,15 @@ def solve_mu(p_lb: float, gap: float, kappa: float, direction: str,
 
 
 def on_policy_history(episode: Episode) -> HistoryFn:
-    """The semi-online protocol: entry ``t`` is the model's own step ``t``
-    exactly when that step's prediction exact-matched the reference."""
-    entries: list[HistoryEntry] = []
-    sources: list[bool] = []
+    """The semi-online protocol: every position marked, over a pool of the
+    model's own steps so far (of each step, its last sample's record)."""
+    pool = ArtifactPool()
 
     def history(i: int, records: Sequence[RunRecord]):
         if i:
-            record, step = records[-1], episode.steps[i - 1]
-            matched = bool(record.evaluation and record.evaluation.get("exact_match"))
-            action = decode_prediction(record) if matched else None
-            entries.append(reference_entry(step) if action is None else ArtifactEntry(
-                index=step.step_index, action=action, thought=record.thought,
-                conclusion=record.conclusion, observation=step.observation))
-            sources.append(action is not None)
-        return entries, list(sources), None
+            pool.add_record(records[-1])
+        entries, sources, _ = mixed_history(episode, i, [True] * i, pool, None)
+        return entries, sources, None
 
     return history
 
@@ -282,17 +275,17 @@ def compute_osr(records: Sequence[RunRecord], eligible_only: bool = False) -> fl
 # --- artifact pool and controlled mixing ---------------------------------------
 
 
-def write_pool(path: str | Path, parts: Iterable[dict[str, list[str]]]) -> int:
-    """Write the pool file of the pool that holds every part's artifacts, in
-    the order of ``parts`` (each an ``ArtifactPool.encode``), and return its
-    number of artifacts. Keys are written in sorted order."""
+def write_pool(fh: TextIO, parts: Iterable[dict[str, list[str]]]) -> int:
+    """Replace what the open pool file ``fh`` holds with the pool of every
+    part's artifacts, in the order of ``parts`` (each an ``ArtifactPool.encode``),
+    and return its number of artifacts. Keys are written in sorted order."""
     lines: dict[str, list[str]] = {}
     for part in parts:
         for key, part_lines in part.items():
             lines.setdefault(key, []).extend(part_lines)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for key in sorted(lines):
-            fh.writelines(lines[key])
+    fh.truncate(0)
+    for key in sorted(lines):
+        fh.writelines(lines[key])
     return sum(map(len, lines.values()))
 
 
@@ -320,7 +313,8 @@ class ArtifactPool:
                       for art in artifacts] for key, artifacts in self._items.items()}
 
     def save(self, path: str | Path) -> None:
-        write_pool(path, [self.encode()])
+        with Path(path).open("w", encoding="utf-8") as fh:
+            write_pool(fh, [self.encode()])
 
     @classmethod
     def load(cls, path: str | Path) -> "ArtifactPool":
@@ -331,23 +325,21 @@ class ArtifactPool:
                 pool.add(artifact)
         return pool
 
+    def add_record(self, record: RunRecord) -> None:
+        """Add ``record``'s prediction as an artifact if it exact-matched the
+        reference: the one rule that makes a record an artifact."""
+        matched = record.evaluation and record.evaluation.get("exact_match")
+        action = decode_prediction(record) if matched else None
+        if action is not None:
+            self.add(OnPolicyArtifact(step_key(record.episode_id, record.step_index), action,
+                                      record.thought, record.conclusion, record.raw_response))
+
     @classmethod
     def from_records(cls, records: Sequence[RunRecord]) -> "ArtifactPool":
         """Collect artifacts from exact-matched records of prior rollouts."""
         pool = cls()
         for r in records:
-            if not (r.evaluation and r.evaluation.get("exact_match")):
-                continue
-            action = decode_prediction(r)
-            if action is None:
-                continue
-            pool.add(OnPolicyArtifact(
-                key=step_key(r.episode_id, r.step_index),
-                action=action,
-                thought=r.thought,
-                conclusion=r.conclusion,
-                raw_response=r.raw_response,
-            ))
+            pool.add_record(r)
         return pool
 
 
@@ -384,43 +376,6 @@ def sample_history_mask(total: int, sched: Schedule, rng: np.random.Generator,
     if ps is None:
         ps = probabilities[total] = schedule_probabilities(total, sched)
     return [bool(rng.random() < p) for p in ps]
-
-
-def mixed_history(
-    episode: Episode,
-    upto: int,
-    mask: Sequence[bool],
-    pool: ArtifactPool,
-    rng: np.random.Generator,
-) -> tuple[list[HistoryEntry], list[bool], list[bool]]:
-    """Build a pool-substituted history for step ``upto``.
-
-    Returns (entries, realized substitution mask, eligibility mask). A
-    position sampled for substitution but lacking any pooled artifact falls
-    back to the reference entry.
-    """
-    entries: list[HistoryEntry] = []
-    realized: list[bool] = []
-    eligible: list[bool] = []
-    for t in range(upto):
-        step = episode.steps[t]
-        candidates = pool.get(step.key)
-        eligible.append(bool(candidates))
-        if mask[t] and candidates:
-            pick = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 \
-                else candidates[0]
-            entries.append(ArtifactEntry(
-                index=t,
-                action=pick.action,
-                thought=pick.thought,
-                conclusion=pick.conclusion,
-                observation=step.observation,
-            ))
-            realized.append(True)
-        else:
-            entries.append(reference_entry(step))
-            realized.append(False)
-    return entries, realized, eligible
 
 
 def pooled_history(episode: Episode, pool: ArtifactPool, rng: np.random.Generator,

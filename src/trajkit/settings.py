@@ -68,14 +68,14 @@ SETTINGS = {
     "endpoint_url": ("endpoint", "base_url", str, None),
     "model": ("endpoint", "model_name", str, None),
     "concurrency": ("endpoint", "max_in_flight", positive_int, None),
-    "timeout": ("endpoint", "timeout", finite_float, None),
+    "timeout": ("endpoint", "timeout", _positive_float, None),
     "max_retries": ("endpoint", "max_retries", int, None),
     "temperature": ("endpoint", "temperature", finite_float, None),
     "top_p": ("endpoint", "top_p", finite_float, None),
     "top_k": ("endpoint", "top_k", int, None),
     "repetition_penalty": ("endpoint", "repetition_penalty", finite_float, None),
     "presence_penalty": ("endpoint", "presence_penalty", finite_float, None),
-    "max_tokens": ("endpoint", "max_tokens", int, None),
+    "max_tokens": ("endpoint", "max_tokens", positive_int, None),
     "min_comparable": ("policy", "min_comparable", finite_float, None),
     "exclude_gt_kinds": ("policy", "exclude_gt_kinds", _gt_kinds, None),
     "kappa": ("schedule", "kappa", _positive_float, None),

@@ -426,8 +426,10 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, data: str) -> "RunRecord":
-        raw = json.loads(data)
-        return cls(**raw)
+        record = cls(**json.loads(data))
+        if not isinstance(record.evaluation, dict):
+            raise ValueError("record without an evaluation object")
+        return record
 
 
 def prediction_fields(action: Optional[Action]) -> dict:

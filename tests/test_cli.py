@@ -92,6 +92,29 @@ class TestIngest:
         assert "soon" in rows[0]["reason"]
         assert f"line {len(lines) + 1} (late): " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, params, reason", [
+        ("CLICK", {}, "CLICK gt_params requires point=[x,y]"),
+        ("SCROLL", {"point": [5, 5], "to": "sideways"}, "SCROLL gt_params requires to in"),
+        ("TYPE", {"submit": True}, "TYPE gt_params requires input"),
+        ("OPEN", {"app": ""}, "OPEN gt_params requires app"),
+        ("PRESS", {"press": "POWER"}, "PRESS gt_params requires press in"),
+    ])
+    def test_kind_without_its_parameters_rejected_with_its_line(self, bench, tmp_path, capsys,
+                                                                 kind, params, reason):
+        lines = bench.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[0])
+        rec.pop("gt_bbox", None)
+        rec.update(episode_id="bare", gt_kind=kind, gt_params=params)
+        with open(bench, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        rc = main(["ingest", "--benchmark", str(bench), "--no-check-screenshots",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        rows = read_csv(tmp_path / "out" / "rejections.csv")
+        assert [(r["line"], r["episode_id"]) for r in rows] == [(str(len(lines) + 1), "bare")]
+        assert rows[0]["reason"].startswith(reason), rows[0]["reason"]
+        assert f"line {len(lines) + 1} (bare): {reason}" in capsys.readouterr().err
+
     def test_undecodable_line_rejected_with_its_line(self, bench, tmp_path, capsys):
         lines = bench.read_bytes().splitlines()
         with open(bench, "ab") as fh:
@@ -485,6 +508,33 @@ class TestSoevalPoolMode:
         rows = read_csv(pooled / "report.csv")
         assert rows[0]["exact_match"] == "1.0"
 
+    @pytest.mark.parametrize("policy", ["alternating", "noisy-oracle", "history-echo"])
+    def test_live_replay_is_the_pool_replay_over_its_own_steps(self, tmp_path, capsys, policy):
+        """Live history is pooled history over the run's own exact-matched
+        steps: replayed over the live run's pool, the records are the live
+        run's, apart from the eligibility mask, and the OSR is the same."""
+        synth.make_benchmark_file(tmp_path / "bench", n_episodes=6, steps_per_episode=5,
+                                  seed=3)
+        common = ["--benchmark", str(tmp_path / "bench" / "episodes.jsonl"),
+                  "--mock-policy", policy]
+        live, pooled = tmp_path / "live", tmp_path / "pooled"
+        printed = {}
+        for out, extra in ((live, []), (pooled, ["--mode", "pool",
+                                                 "--pool", str(live / "pool.jsonl")])):
+            capsys.readouterr()
+            assert main(["soeval", *common, *extra, "--out-dir", str(out)]) == 0
+            printed[out] = capsys.readouterr().out.splitlines()
+        records = {}
+        for out in (live, pooled):
+            records[out] = [json.loads(line) for line in
+                            (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert len(records[live]) == 30
+        for record in records[pooled]:
+            del record["evaluation"]["eligible_positions"]
+        assert records[pooled] == records[live]
+        osr = {out: lines[0].split()[:2] for out, lines in printed.items()}
+        assert osr[live][0] == "OSR:" and osr[pooled] == osr[live], printed
+
     def test_osr_line_over_an_empty_pool(self, bench, tmp_path, capsys):
         """No history position has a pooled artifact: OSR is 0 and the
         eligible-only OSR is undefined, and the line is still printed."""
@@ -615,6 +665,25 @@ class TestRunDirErrors:
         proc = run_cli(args)
         assert_one_line_error(proc, "corrupt record at line 5")
         assert path.read_bytes() == b"".join(lines)
+
+    @pytest.mark.parametrize("lines, reason", [
+        ([{}], "no complete episode to report"),
+        ([{}, {"evaluation": {"exact_match": True}}], "corrupt record at line 1"),
+        ([{"evaluation": None}], "no complete episode to report"),
+    ], ids=["last-line", "middle-line", "evaluation-null"])
+    def test_record_without_evaluation_is_a_bad_line(self, tmp_path, capsys, lines, reason):
+        run = tmp_path / "run"
+        run.mkdir()
+        base = {"key": "e/0", "episode_id": "e", "step_index": 0, "episode_length": 1,
+                "raw_response": "x"}
+        (run / "records.jsonl").write_text(
+            "".join(json.dumps({**base, **line}) + "\n" for line in lines), encoding="utf-8")
+        assert main(["report", "--run-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        assert len(errors) == 1 and errors[0].startswith("trajkit: error: "), err
+        assert reason in errors[0]
+        assert "Traceback" not in err
 
     def test_pool_run_resumed_under_other_pool(self, bench, tmp_path):
         pools = {}
@@ -1073,9 +1142,16 @@ class TestBadInputs:
         "config-temperature-out-of-range": (["eval", "--benchmark", "{bench}", "--config",
                                              "{hot}", "--out-dir", "{tmp}/out"],
                                             "endpoint: temperature 3.0 outside [0, 2]"),
+        "config-top-p-zero": (["eval", "--benchmark", "{bench}", "--config", "{no_mass}",
+                               "--out-dir", "{tmp}/out"], "endpoint: top_p 0.0 outside (0, 1]"),
+        "config-retries-negative": (["eval", "--benchmark", "{bench}", "--config",
+                                     "{retries_below_0}", "--out-dir", "{tmp}/out"],
+                                    "endpoint: max_retries must be >= 0"),
     }
     CONFIGS = {"no_retry": "endpoint:\n  max_retries: 0\n", "a_list": "- eval\n",
-               "endpoint_3": "endpoint: 3\n", "hot": "endpoint: {temperature: 3}\n"}
+               "endpoint_3": "endpoint: 3\n", "hot": "endpoint: {temperature: 3}\n",
+               "no_mass": "endpoint: {top_p: 0}\n",
+               "retries_below_0": "endpoint: {max_retries: -1}\n"}
     # Cases whose {out} holds a directory where the command writes the named
     # file; when the flag is set, {out} is first a complete eval run dir.
     BLOCKED = {
@@ -1131,6 +1207,29 @@ class TestBadInputs:
         assert err.splitlines() == [err.splitlines()[0]], err
         assert err.startswith("trajkit: error: ") and words.format(**names) in err, err
         assert "Traceback" not in err
+        if name.startswith("pool-is-a-dir"):
+            # Refused before the first request: no record was written.
+            assert not (out / "records.jsonl").exists()
+            rollouts = out / "rollouts.jsonl"
+            assert not rollouts.exists() or rollouts.read_bytes() == b""
+
+    @pytest.mark.parametrize("command", ["soeval", "rollout"])
+    def test_failed_replay_leaves_the_pool_file_as_it_was(self, bench, tmp_path, capsys,
+                                                           monkeypatch, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "pool.jsonl").write_bytes(b"an earlier pool\n")
+        config = tmp_path / "no_retry.yaml"
+        config.write_text(self.CONFIGS["no_retry"], encoding="utf-8")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            refused = f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
+        assert main([command, "--benchmark", str(bench), "--backend", "http",
+                     "--endpoint-url", refused, "--config", str(config),
+                     "--out-dir", str(out)]) == 2
+        assert "refused" in capsys.readouterr().err
+        assert (out / "pool.jsonl").read_bytes() == b"an earlier pool\n"
 
 
 class TestPoolContinueOnError:

@@ -19,7 +19,7 @@ import trajkit.gateway as gateway_module
 import trajkit.semionline as semionline
 from trajkit import synth
 from trajkit.cli import main
-from trajkit.gateway import DEFAULT_SEEDS, EndpointConfig, SamplingConfig
+from trajkit.gateway import DEFAULT_SEEDS, EndpointConfig
 from trajkit.semionline import SweepConfig
 
 # (flag, flag text, config section or None, key, the same value in YAML,
@@ -151,11 +151,14 @@ def test_sweep_setting_from_config_equals_the_flag(tmp_path, capsys, seen, fixtu
 
 def test_unset_settings_take_the_engine_defaults(tmp_path, capsys, seen, fixture_files):
     """With no flag and no config, the gateway and the sweep get the configs'
-    own defaults, and the first of ``DEFAULT_SEEDS``."""
+    own defaults, and each request of a replay the first of ``DEFAULT_SEEDS``,
+    which the replay passes per request and records."""
     base = ["--benchmark", fixture_files["bench"], "--backend", "mock"]
     manifest, endpoints, _ = observe(seen, tmp_path / "run",
                                      ["eval", *base, "--out-dir", str(tmp_path / "run")])
-    assert endpoints == [EndpointConfig(sampling=SamplingConfig(seed=DEFAULT_SEEDS[0]))]
+    assert endpoints == [EndpointConfig()]
+    records = (tmp_path / "run" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {json.loads(line)["seed"] for line in records} == {DEFAULT_SEEDS[0]}
     assert manifest["seed_list"] == list(DEFAULT_SEEDS)
     _, endpoints, sweeps = observe(seen, tmp_path / "sweep",
                                    ["sweep", *base, "--pool", fixture_files["pool"],
@@ -216,6 +219,9 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, fixture_files, con
     ("policy", "exclude_gt_kinds", ["CLICK", "JUMP"], "JUMP"),
     (None, "dialect", "yaml-dialect", "yaml-dialect"),
     (None, "seed_list", "eleven", "eleven"),
+    ("endpoint", "timeout", -1, "must be a finite number > 0, got '-1'"),
+    ("endpoint", "timeout", 0, "must be a finite number > 0, got '0'"),
+    ("endpoint", "max_tokens", 0, "must be an integer >= 1, got '0'"),
 ])
 def test_bad_config_value_is_one_error_line(tmp_path, capsys, fixture_files, section,
                                             key, value, reason):
